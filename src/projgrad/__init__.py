@@ -5,12 +5,12 @@ from .objectives import LogSumExp, Objective, PNorm, Quadratic, check_gradient
 from .sets import (
     Ball,
     Box,
-    DykstraError,
     FeasibleSet,
     Halfcut,
     Halfspace,
     Hyperplane,
     InfeasibleCutError,
+    IntersectionError,
     Simplex,
     WholeSpace,
     project_intersection,

@@ -30,7 +30,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -94,8 +93,6 @@ _EXIT_CODES = {
     SolveStatus.INTERSECTION_FAILURE: 3,
     SolveStatus.ITERATION_CAP: 4,
 }
-
-PARALLEL_ENV = "PROJGRAD_PARALLEL"
 
 
 @dataclass
@@ -373,7 +370,8 @@ def run_spec(spec: RunSpec, out_prefix: Optional[str] = None) -> tuple[SummaryRo
             os.makedirs(prefix_path.parent, exist_ok=True)
         write_trace_csv(f"{prefix}_trace.csv", report, spec.problem)
         with open(f"{prefix}_summary.json", "w") as fh:
-            json.dump(row.to_json(), fh, indent=2)
+            # no indent: indented output takes json's pure-Python encoder
+            json.dump(row.to_json(), fh)
             fh.write("\n")
     return row, status_exit_code(report.status)
 
@@ -402,9 +400,8 @@ def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
             raise ValueError(
                 f"compare needs one instance across specs, got {specs[0].problem_id!r} vs {other.problem_id!r}"
             )
-    degree = int(os.environ.get(PARALLEL_ENV, "1"))
-
-    def one(spec: RunSpec) -> SummaryRow:
+    rows = []
+    for spec in specs:
         start = time.perf_counter()
         report = _solve(spec)
         row = summarize(spec, report, time.perf_counter() - start)
@@ -413,12 +410,8 @@ def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
             raise AssertionError("feasible-direction accounting must be one projection per iteration")
         if row.total_projections != expected:
             raise AssertionError("projection accounting mismatch")
-        return row
-
-    if degree > 1:
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            return list(pool.map(one, specs))
-    return [one(spec) for spec in specs]
+        rows.append(row)
+    return rows
 
 
 def format_comparison(rows: list[SummaryRow]) -> str:

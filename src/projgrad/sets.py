@@ -3,14 +3,15 @@
 Every set exposes ``project(x)`` returning the unique closest member and
 ``contains(x, tol)`` testing membership up to a per-constraint violation of
 ``tol``.  ``Halfcut`` is a lightweight halfspace used for the cutting planes
-of the anchored solver, and ``project_intersection`` projects onto the
-intersection of a base set with a list of halfcuts via Dykstra's alternating
-scheme.
+of the anchored solver, and ``project_intersection`` projects exactly onto
+the intersection of a base set with at most two halfcuts by solving the
+dual for the cut multipliers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -28,7 +29,7 @@ __all__ = [
     "FeasibleSet",
     "Halfcut",
     "InfeasibleCutError",
-    "DykstraError",
+    "IntersectionError",
     "project_intersection",
 ]
 
@@ -37,13 +38,22 @@ class InfeasibleCutError(ValueError):
     """A degenerate halfcut describes the empty set."""
 
 
-class DykstraError(RuntimeError):
-    """Dykstra's scheme exhausted its cycle budget before reaching tolerance."""
+class IntersectionError(RuntimeError):
+    """No pattern of binding cuts certifies a projection onto the intersection;
+    ``best`` is the candidate that violates the cuts least."""
 
-    def __init__(self, message: str, best: Vec, cycles: int):
+    def __init__(self, message: str, best: Vec):
         super().__init__(message)
         self.best = best
-        self.cycles = cycles
+
+
+# relative rounding allowance of the cut and plane checks
+_REL_TOL = 1e-12
+# allowances within which a pattern is taken when none certifies within one:
+# a level gap can fall below the accuracy of an ill-conditioned multiplier
+_LOOSE = 100.0
+# quadruplings of the multiplier bracket before a plane counts as missing the base
+_MAX_GROWTH = 64
 
 
 def _check_dim(set_dim: Optional[int], x: Vec) -> None:
@@ -249,363 +259,203 @@ class Halfcut:
     def is_empty(self) -> bool:
         return self.degenerate and self.offset < 0.0
 
-    def project(self, x: Vec) -> Vec:
-        if self.degenerate:
-            if self.is_empty:
-                raise InfeasibleCutError("cannot project onto an empty degenerate cut")
-            return x.copy()
-        excess = dot(self.normal, x) - self.offset
-        if excess <= 0.0:
-            return x.copy()
-        return x - (excess / dot(self.normal, self.normal)) * self.normal
-
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
         if self.degenerate:
             return not self.is_empty
         return dot(self.normal, x) <= self.offset + tol
 
 
-def project_intersection(
-    base: FeasibleSet,
-    cuts: list[Halfcut],
-    anchor: Vec,
-    tol: float = 1e-10,
-    max_cycles: int = 10_000,
-) -> Vec:
-    """Project ``anchor`` onto the intersection of ``base`` with halfcuts.
+def project_intersection(base: FeasibleSet, cuts: list[Halfcut], anchor: Vec) -> Vec:
+    """Project ``anchor`` onto the intersection of ``base`` with at most two halfcuts.
 
-    Runs Dykstra's alternating projections with one correction vector per
-    set; unlike plain alternating projections this converges to the exact
-    nearest point of the intersection.  Convergence is declared once a full
-    cycle moves the whole scheme state -- the iterate and the correction
-    vectors -- by at most ``tol``, every membership holds within ``tol``,
-    and the geometric tail estimate change * r / (1 - r) (with r the ratio
-    of consecutive state changes) is also below ``tol``.  The iterate alone
-    going quiet proves nothing: on polyhedral pieces it can park at a vertex
-    for many cycles while the corrections drift and later tip it over, and
-    a bare small change is equally untrustworthy when the linear rate is
-    close to one.
+    Solves the dual exactly.  With multipliers lam >= 0 on the cuts the
+    nearest point is x = P_base(anchor - sum_i lam_i n_i), so the patterns
+    of binding cuts -- none, each one alone, then both -- are solved in turn
+    as equalities <n_i, x> = b_i through their multipliers.  A pattern whose
+    multipliers are nonnegative and at whose point every cut holds (pinned
+    ones as equalities) satisfies the KKT system of the projection, which
+    certifies the point.
 
-    Dykstra's linear rate degrades badly when a cut is nearly tangent to a
-    curved base, so after an initial stretch of plain cycles the loop
-    periodically tries an active-face polish: the cuts currently binding at
-    the iterate are fixed as hyperplanes, the anchor is projected onto that
-    face, and the candidate is accepted only when a KKT cone check certifies
-    it as the exact projection of the full problem.
-
-    Whole-space cuts are dropped up front; an empty degenerate cut raises
-    InfeasibleCutError, and running out of cycles raises DykstraError
-    carrying the best iterate found.
+    Whole-space cuts are dropped and an empty degenerate cut raises
+    InfeasibleCutError; more than two live cuts raise ValueError.  When no
+    pattern certifies, IntersectionError carries the candidate that violates
+    the cuts least.
     """
     for cut in cuts:
         if cut.is_empty:
             raise InfeasibleCutError("intersection contains an empty degenerate cut")
-    live_cuts = [c for c in cuts if not c.degenerate]
-    if not live_cuts:
-        return base.project(anchor)
-
-    # plain cycling resolves the vast majority of calls well before the
-    # first polish attempt (measured p90 ~ 21 cycles on random instances)
-    projectors = [base.project] + [c.project for c in live_cuts]
-    x = anchor.copy()
-    corrections = [np.zeros_like(anchor) for _ in projectors]
-    next_polish = 64
-    prev_change = None
-    for cycle in range(max_cycles):
-        x_prev = x
-        change = 0.0
-        for i, proj in enumerate(projectors):
-            shifted = x + corrections[i]
-            y = proj(shifted)
-            change += norm(shifted - y - corrections[i])
-            corrections[i] = shifted - y
-            x = y
-        change += norm(x - x_prev)
-        if change <= tol:
-            if change == 0.0:
-                tail_bounded = True
-            elif prev_change is not None and 0.0 < change < prev_change:
-                rate = change / prev_change
-                tail_bounded = change * rate / (1.0 - rate) <= tol
-            else:
-                tail_bounded = False
-            if tail_bounded and base.contains(x, tol) and all(c.contains(x, tol) for c in live_cuts):
-                # snap to exact base feasibility: downstream objective values
-                # at slightly-outside points can dip below the optimal value
-                return base.project(x)
-        prev_change = change
-        if cycle >= next_polish:
-            next_polish *= 2
-            polished = _active_face_polish(base, live_cuts, anchor, x, change, tol)
-            if polished is not None:
-                return polished
-    raise DykstraError(
-        f"intersection projection did not converge within {max_cycles} cycles",
-        best=x,
-        cycles=max_cycles,
-    )
+    live = [c for c in cuts if not c.degenerate]
+    if len(live) > 2:
+        raise ValueError(f"project_intersection handles at most two live cuts, got {len(live)}")
+    # pattern none always yields a candidate, so tried is never empty below
+    loose, tried, anchor_size = [], [], norm(anchor)
+    for count in range(len(live) + 1):
+        for pinned in itertools.combinations(live, count):
+            found = _pinned_projection(base, [c.normal for c in pinned], [c.offset for c in pinned], anchor)
+            if found is None:
+                continue
+            x, lam = found
+            # (violation, allowance) per cut; pinned cuts must hold as equalities
+            values = [dot(c.normal, x) - c.offset for c in live]
+            allowed = [_slack(c.normal, c.offset, x, anchor_size) for c in live]
+            checks = [(abs(v) if c in pinned else v, s) for c, v, s in zip(live, values, allowed)]
+            if np.all(lam >= 0.0):
+                if all(v <= s for v, s in checks):
+                    return x
+                if all(v <= _LOOSE * s for v, s in checks):
+                    loose.append(x)
+            tried.append((max(values, default=0.0), x))
+    if loose:
+        # several patterns can hold within the loose allowance; the point
+        # nearest the anchor is the projection's own choice among them
+        return min(loose, key=lambda x: norm(x - anchor))
+    best = min(tried, key=lambda entry: entry[0])[1]
+    raise IntersectionError("no pattern of binding cuts certifies a projection onto the intersection", best=best)
 
 
-def _project_base_with_hyperplanes(
-    base: FeasibleSet, normals: list[Vec], offsets: list[float], anchor: Vec, tol: float
-) -> Optional[Vec]:
-    """Projection of anchor onto base intersected with hyperplanes.
-
-    Closed form for balls (split anchor - center into its components along
-    and orthogonal to the affine set, then stretch the in-plane component to
-    the sphere when the plain affine projection leaves the ball).  A single
-    hyperplane over any other base is solved by bisecting its dual
-    multiplier, which is immune to the tangency that slows the alternating
-    schemes.  Two hyperplanes over a polyhedral base fall back to a budgeted
-    inner Dykstra run; on failure the caller simply keeps cycling.
-    """
-    if not normals:
-        return base.project(anchor)
-    if isinstance(base, Ball):
-        A = np.asarray(normals, dtype=np.float64)
-        b = np.asarray(offsets, dtype=np.float64)
-        gram_pinv = np.linalg.pinv(A @ A.T)
-
-        def onto_affine(y: Vec) -> Vec:
-            return y - A.T @ (gram_pinv @ (A @ y - b))
-
-        proj_center = onto_affine(base.center)
-        if norm(A @ proj_center - b) > 1e-9 * max(1.0, norm(b)):
-            return None
-        u = proj_center - base.center
-        x_flat = onto_affine(anchor)
-        if norm(x_flat - base.center) <= base.radius:
-            return x_flat
-        v = x_flat - proj_center
-        vn = norm(v)
-        rho_sq = base.radius**2 - norm(u) ** 2
-        if rho_sq < 0.0 or vn <= 1e-14:
-            return None
-        return proj_center + (np.sqrt(rho_sq) / vn) * v
-    if len(normals) == 1:
-        lam = _dual_multiplier_root(base, normals[0], offsets[0], anchor)
-        if lam is None:
-            return None
-        return base.project(anchor - lam * normals[0])
-    return _dual_coordinate_face(base, normals, offsets, anchor)
+def _slack(normal: Vec, offset: float, x: Vec, size: float) -> float:
+    """Rounding allowance for <normal, x> against offset, x computed from
+    vectors of norm up to size; no absolute floor, as level cut normals vanish."""
+    return _REL_TOL * (abs(offset) + norm(normal) * (norm(x) + size))
 
 
-def _dual_multiplier_root(base: FeasibleSet, n: Vec, b: float, anchor: Vec) -> Optional[float]:
-    """Multiplier lam with <n, P_base(anchor - lam n)> = b.
-
-    The map lam -> <n, P_base(anchor - lam n)> - b is continuous and
-    nonincreasing (projection monotonicity), so the root is found by
-    bracketing and bisection.  Returns None when the plane never meets the
-    base.
-    """
-
-    def phi(lam: float) -> float:
-        return dot(n, base.project(anchor - lam * n)) - b
-
-    lo, hi = 0.0, 0.0
-    f0 = phi(0.0)
-    if f0 == 0.0:
-        return 0.0
-    step = max(1.0, abs(f0) / max(dot(n, n), 1e-300))
-    prev = f0
-    if f0 > 0.0:
-        hi = step
-        while (val := phi(hi)) > 0.0:
-            if val == prev:  # projection pinned: the plane is unreachable
-                return None
-            prev = val
-            lo, hi = hi, hi * 4.0
-            if hi > 1e18:
-                return None
-    else:
-        lo = -step
-        while (val := phi(lo)) < 0.0:
-            if val == prev:
-                return None
-            prev = val
-            hi, lo = lo, lo * 4.0
-            if lo < -1e18:
-                return None
-    for _ in range(120):
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _dual_coordinate_face(
+def _pinned_projection(
     base: FeasibleSet, normals: list[Vec], offsets: list[float], anchor: Vec
-) -> Optional[Vec]:
-    """Projection onto base and two pinned hyperplanes by nested bisection.
+) -> Optional[tuple[Vec, np.ndarray]]:
+    """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i,
+    with the planes' multipliers lam: anchor - x - sum_i lam_i n_i lies in
+    the normal cone of base at x.  None when the planes miss the base."""
+    if not normals:
+        return base.project(anchor), np.zeros(0)
+    if isinstance(base, (Box, Simplex)):
+        return _polyhedral_pinned(base, normals, offsets, anchor)
+    A, b = np.array(normals), np.array(offsets)
+    if isinstance(base, Ball):
+        return _ball_pinned(base, A, b, anchor)
+    if isinstance(base, WholeSpace):
+        return _affine_solve(A, b, anchor)
+    if isinstance(base, Halfspace):
+        found = _affine_solve(A, b, anchor)
+        if found is None or base.contains(found[0], _slack(base.normal, base.offset, found[0], norm(anchor))):
+            return found
+    # a hyperplane base pins its row; a halfspace base pins it once the
+    # planes' projection leaves it, and then needs a nonnegative multiplier
+    found = _affine_solve(np.vstack([A, base.normal]), np.append(b, base.offset), anchor)
+    if found is None or (isinstance(base, Halfspace) and found[1][-1] < 0.0):
+        return None
+    return found[0], found[1][:-1]
 
-    Solving the second multiplier exactly for a given first multiplier
-    amounts to projecting the shifted anchor onto the convex set
-    base-and-plane-2, so the residual of plane 1 as a function of the first
-    multiplier is again continuous and nonincreasing; both levels bisect
-    with guaranteed brackets, immune to the slow cross-coupling that plagues
-    alternating sweeps on nearly dependent faces.
+
+def _affine_solve(A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optional[tuple[Vec, np.ndarray]]:
+    """Projection onto {A x = b} with multipliers lam = (A A^T)^+ (A anchor - b);
+    the pseudoinverse tolerates dependent rows, inconsistent ones give None.
+    Rows are scaled to unit length first: a gradient row that vanishes near
+    the solution would otherwise sink the Gram matrix below pinv's cutoff."""
+    scale = 1.0 / np.linalg.norm(A, axis=1)
+    unit = A * scale[:, None]
+    lam = scale * (np.linalg.pinv(unit @ unit.T) @ (scale * (A @ anchor - b)))
+    x = anchor - A.T @ lam
+    # nearly parallel rows cancel large terms lam_i n_i, and the Gram solve
+    # loses digits to their conditioning; inconsistent rows miss by far more
+    size = norm(anchor) + float(np.abs(lam) @ (1.0 / scale))
+    if any(abs(dot(n, x) - off) > _LOOSE * _slack(n, off, x, size) for n, off in zip(A, b)):
+        return None
+    return x, lam
+
+
+def _ball_pinned(base: Ball, A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optional[tuple[Vec, np.ndarray]]:
+    """Closed form over a ball.
+
+    Project onto the planes; when that leaves the ball, pull the in-plane
+    part toward p, the planes' point closest to the center, onto the sphere:
+    x = p + t v with t = rho / ||v||.  Then anchor - x = mu (x - center) +
+    A^T lam with mu = (1 - t)/t and lam = lam0 + mu (A A^T)^+ (A center - b).
     """
-    n1, n2 = normals
-    b1, b2 = offsets
-    scale = max(1.0, norm(anchor))
-
-    def inner_point(lam1: float) -> Optional[Vec]:
-        shifted = anchor - lam1 * n1
-        lam2 = _dual_multiplier_root(base, n2, b2, shifted)
-        if lam2 is None:
-            return None
-        return base.project(shifted - lam2 * n2)
-
-    def psi(lam1: float) -> Optional[float]:
-        x = inner_point(lam1)
-        return None if x is None else dot(n1, x) - b1
-
-    f0 = psi(0.0)
-    if f0 is None:
+    flat, closest = _affine_solve(A, b, anchor), _affine_solve(A, b, base.center)
+    if flat is None or closest is None:
         return None
-    lo, hi = 0.0, 0.0
-    if f0 == 0.0:
-        return inner_point(0.0)
-    step = max(1.0, abs(f0) / max(dot(n1, n1), 1e-300))
-    prev = f0
-    if f0 > 0.0:
-        hi = step
-        while (val := psi(hi)) is not None and val > 0.0:
-            if val == prev:
-                return None
-            prev = val
-            lo, hi = hi, hi * 4.0
-            if hi > 1e18:
-                return None
-        if val is None:
-            return None
-    else:
-        lo = -step
-        while (val := psi(lo)) is not None and val < 0.0:
-            if val == prev:
-                return None
-            prev = val
-            hi, lo = lo, lo * 4.0
-            if lo < -1e18:
-                return None
-        if val is None:
-            return None
-    for _ in range(120):
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        val = psi(mid)
-        if val is None:
-            return None
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = inner_point(hi)
-    if x is None:
+    (x_flat, lam0), (p, w) = flat, closest
+    # rounding allowance: planes that touch the sphere hold p on it only in rounding
+    slack = _REL_TOL * max(1.0, base.radius)
+    if norm(x_flat - base.center) <= base.radius + slack:
+        return flat
+    rho_sq = base.radius**2 - norm(p - base.center) ** 2
+    if rho_sq < -slack * base.radius:
         return None
-    if abs(dot(n1, x) - b1) > 1e-9 * scale or abs(dot(n2, x) - b2) > 1e-9 * scale:
-        return None
-    return x
+    v = x_flat - p
+    t = math.sqrt(max(rho_sq, 0.0)) / norm(v)
+    if t == 0.0:
+        # tangent planes touch the ball only at p; as t -> 0 the multipliers
+        # grow like mu * w, and w >= 0 shows that no other point of the ball
+        # satisfies the pinned cuts, so p is the projection
+        return p, w
+    mu = (1.0 - t) / t
+    return p + t * v, lam0 + mu * w
 
 
-def _base_active_normals(base: FeasibleSet, x: Vec, tol: float) -> Optional[tuple[list[Vec], list[Vec]]]:
-    """Outward normals of the base constraints active at x.
+def _polyhedral_pinned(
+    base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], anchor: Vec
+) -> Optional[tuple[Vec, np.ndarray]]:
+    """Box or simplex: lam -> <n, P_C(a - lam n)> is continuous, nonincreasing
+    and piecewise affine, so one plane's multiplier is the root of that
+    residual.  The first plane's multiplier is searched with the remaining
+    planes solved for each of its values; x(lam1) is then the projection of
+    a - lam1 n1 onto base and those planes, so its residual has the same
+    shape and the same root search applies."""
+    n, off = normals[0], offsets[0]
 
-    Returns (free, cone): free normals may take either sign in the KKT
-    decomposition (equality constraints), cone normals need nonnegative
-    coefficients.  None means the base type is not supported by the polish.
-    """
-    free: list[Vec] = []
-    cone: list[Vec] = []
-    dim = x.shape[0]
+    def evaluate(lam: float):
+        inner = _pinned_projection(base, normals[1:], offsets[1:], anchor - lam * n)
+        return None if inner is None else (dot(n, inner[0]) - off, inner[0], np.append(lam, inner[1]))
+
+    found = _piecewise_affine_root(base, evaluate, dot(n, n))
+    return None if found is None else (found[1], found[2])
+
+
+def _face(base: Union[Box, Simplex], x: Vec) -> bytes:
+    # the exact bound mask that clip (or maximum) leaves: one face, one mask
     if isinstance(base, Box):
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            if np.isfinite(base.upper[i]) and x[i] >= base.upper[i] - tol:
-                cone.append(e)
-            if np.isfinite(base.lower[i]) and x[i] <= base.lower[i] + tol:
-                cone.append(-e)
-    elif isinstance(base, Ball):
-        if norm(x - base.center) >= base.radius - tol:
-            cone.append(x - base.center)
-    elif isinstance(base, Halfspace):
-        if dot(base.normal, x) >= base.offset - tol:
-            cone.append(base.normal)
-    elif isinstance(base, Hyperplane):
-        free.append(base.normal)
-    elif isinstance(base, Simplex):
-        free.append(np.ones(dim))
-        for i in range(dim):
-            if x[i] <= tol:
-                e = np.zeros(dim)
-                e[i] = -1.0
-                cone.append(e)
-    elif isinstance(base, WholeSpace):
-        pass
+        return (x == base.lower).tobytes() + (x == base.upper).tobytes()
+    return (x == 0.0).tobytes()
+
+
+def _piecewise_affine_root(base: Union[Box, Simplex], evaluate, curvature: float):
+    """Root of a continuous nonincreasing piecewise-affine residual.
+
+    evaluate(lam) returns (residual, x, multipliers) with x a base
+    projection, or None.  A step grows away from 0 until it brackets the
+    root; bisection runs only until both ends lie on the same face of the
+    base, where the residual is affine, and interpolation is then exact.
+    None when the residual keeps its sign (the plane misses the base).
+    """
+    at_zero = evaluate(0.0)
+    if at_zero is None or at_zero[0] == 0.0:
+        return at_zero
+    sign = math.copysign(1.0, at_zero[0])
+
+    def signed(mu: float):
+        # along mu >= 0 in the search direction the residual starts positive
+        at = evaluate(sign * mu)
+        return None if at is None else (sign * at[0],) + at[1:]
+
+    lo, at_lo = 0.0, (abs(at_zero[0]),) + at_zero[1:]
+    hi = abs(at_zero[0]) / curvature  # the step that would close it unclipped
+    for _ in range(_MAX_GROWTH):
+        at_hi = signed(hi)
+        if at_hi is None or at_hi[0] <= 0.0:
+            break
+        lo, at_lo, hi = hi, at_hi, 4.0 * hi
     else:
         return None
-    return free, cone
-
-
-def _active_face_polish(
-    base: FeasibleSet, cuts: list[Halfcut], anchor: Vec, x: Vec, change: float, tol: float
-) -> Optional[Vec]:
-    """Try to finish the intersection projection from the current iterate.
-
-    Cuts binding at x (within a band that shrinks with the cycle change) are
-    pinned as hyperplanes, the anchor is projected onto that face, and the
-    result is accepted only if it is feasible and anchor - candidate lies in
-    the cone of active-constraint normals, which certifies exact optimality.
-    The identified set can overshoot near tangency, so all its subsets are
-    tried until one candidate passes the certificate; cheap small faces go
-    first, which cannot cause a wrong answer since acceptance is gated on
-    the certificate alone.
-    """
-    band = max(1e3 * change, 10.0 * tol)
-    active = [c for c in cuts if dot(c.normal, x) >= c.offset - band * max(1.0, norm(c.normal))]
-    for size in range(len(active) + 1):
-        for pinned in itertools.combinations(active, size):
-            candidate = _verified_face_projection(base, cuts, list(pinned), anchor, tol)
-            if candidate is not None:
-                return candidate
-    return None
-
-
-def _verified_face_projection(
-    base: FeasibleSet, cuts: list[Halfcut], pinned: list[Halfcut], anchor: Vec, tol: float
-) -> Optional[Vec]:
-    normals = [c.normal for c in pinned]
-    offsets = [c.offset for c in pinned]
-    candidate = _project_base_with_hyperplanes(base, normals, offsets, anchor, tol)
-    if candidate is None:
-        return None
-    candidate = base.project(candidate)
-    if not all(c.contains(candidate, tol) for c in cuts):
-        return None
-    # activity must be judged tightly at the candidate itself: a loose band
-    # would admit cone directions for constraints that are not actually
-    # binding and make the certificate pass at suboptimal points
-    kkt = _base_active_normals(base, candidate, 1e-8 * max(1.0, norm(candidate)))
-    if kkt is None:
-        return None
-    free, cone = kkt
-    residual = anchor - candidate
-    # pinned cuts stay inequalities, so their multipliers join the cone part
-    columns = free + normals + cone
-    n_free = len(free)
-    if not columns:
-        return candidate if norm(residual) <= 1e-9 * max(1.0, norm(anchor)) else None
-    N = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(N, residual, rcond=None)
-    scale = max(1.0, norm(residual))
-    if norm(N @ coef - residual) > 1e-8 * scale:
-        return None
-    if np.any(coef[n_free:] < -1e-7 * max(1.0, float(np.max(np.abs(coef))))):
-        return None
-    return candidate
+    while at_hi is not None and at_hi[0] < 0.0 and _face(base, at_lo[1]) != _face(base, at_hi[1]):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        at_mid = signed(mid)
+        if at_mid is not None and at_mid[0] > 0.0:
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    if at_hi is None or at_hi[0] == 0.0:
+        return at_hi
+    return evaluate(sign * (lo + at_lo[0] * (hi - lo) / (at_lo[0] - at_hi[0])))

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
 from .objectives import Objective
-from .sets import DykstraError, FeasibleSet, Halfcut, InfeasibleCutError, project_intersection
+from .sets import FeasibleSet, Halfcut, InfeasibleCutError, IntersectionError, project_intersection
 from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
@@ -263,7 +263,7 @@ def anchored_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
                     break
             else:
                 stalled = 0
-    except (DykstraError, InfeasibleCutError):
+    except (IntersectionError, InfeasibleCutError):
         status = SolveStatus.INTERSECTION_FAILURE
     final_x = state.x
     final_f = inst.objective.value(final_x)
@@ -302,7 +302,9 @@ def classic_solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> Ru
                 if residual <= cfg.residual_tol:
                     status = SolveStatus.OPTIMAL_RESIDUAL
                     break
-                ls = armijo_boundary(obj, set_, x, cfg.beta_bar, cfg.theta, cfg.delta, cfg.max_inner_iters)
+                ls = armijo_boundary(
+                    obj, set_, x, cfg.beta_bar, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+                )
                 rec = IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual)
                 x_next = ls.trial_point
             else:

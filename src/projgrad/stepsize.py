@@ -102,6 +102,8 @@ def armijo_boundary(
     theta: float,
     delta: float,
     max_inner: int,
+    f_k: Optional[float] = None,
+    grad_k: Optional[Vec] = None,
 ) -> LineSearchResult:
     """Backtrack the pre-projection stepsize, projecting every trial.
 
@@ -112,8 +114,8 @@ def armijo_boundary(
     performing exactly l+1 projections.  At a stationary feasible point the
     first trial projects back to xk and is accepted with equality.
     """
-    fk = obj.value(xk)
-    gk = obj.gradient(xk)
+    fk = obj.value(xk) if f_k is None else f_k
+    gk = obj.gradient(xk) if grad_k is None else grad_k
     beta = beta_bar
     for ell in range(max_inner + 1):
         w = set_.project(xk - beta * gk)

@@ -178,14 +178,6 @@ def test_compare_flags_divergent_constant_step(tmp_path):
     assert by_strategy["c"].final_residual <= 1e-6
 
 
-def test_compare_parallel_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PROJGRAD_PARALLEL", "2")
-    spec_b = load_spec(write_spec(tmp_path, "b.json", {"problem": "line-1d", "strategy": "b"}))
-    spec_c = load_spec(write_spec(tmp_path, "c.json", {"problem": "line-1d", "strategy": "c"}))
-    rows = compare_specs([spec_b, spec_c])
-    assert [r.strategy for r in rows] == ["b", "c"]
-
-
 def test_oracle_check_quadratic_box_matches_clamp():
     report = oracle_check(get_instance("quadratic-box"))
     assert report.method == "active-set-qp"

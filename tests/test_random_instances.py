@@ -53,18 +53,14 @@ def test_solvers_track_qp_oracle_on_random_instances():
         assert all(m.passed for m in rep_a.monitors.values()), f"trial {trial}"
 
         rep_b = anchored_solve(inst, SolverConfig(max_outer_iters=80))
+        assert rep_b.status is not SolveStatus.INTERSECTION_FAILURE, f"trial {trial}"
         err = norm(rep_b.final_x - reference)
         if rep_b.status in STOPPED:
             assert err <= 1e-4, f"trial {trial}: stopped at error {err:.2e}"
         else:
-            # still crawling or a float-noise intersection diagnostic; the
-            # iterate must have made real progress and never diverge
+            # still crawling; the iterate must have made real progress and
+            # never diverge
             assert err <= 0.15, f"trial {trial}: {rep_b.status} at error {err:.2e}"
             assert err <= start_dist / 4 + 1e-12, f"trial {trial}: no progress"
         for name, monitor in rep_b.monitors.items():
-            if name == "anchor_monotone":
-                # computed intersection projections are only tol-accurate, so
-                # consecutive near-identical iterates may wobble at 1e-10
-                assert monitor.worst_margin >= -1e-8, f"trial {trial}: {name}"
-            else:
-                assert monitor.passed, f"trial {trial}: {name}"
+            assert monitor.passed, f"trial {trial}: {name}"

@@ -6,11 +6,11 @@ import pytest
 from projgrad import (
     Ball,
     Box,
-    DykstraError,
     Halfcut,
     Halfspace,
     Hyperplane,
     InfeasibleCutError,
+    IntersectionError,
     Simplex,
     WholeSpace,
     project_intersection,
@@ -88,24 +88,29 @@ def test_contains_examples():
 
 
 def test_halfcut_projection_examples():
+    # a single cut over the whole space: the halfspace projection
+    def onto(cut, x):
+        return project_intersection(WholeSpace(), [cut], x)
+
     cut = Halfcut(normal=np.array([0.0, 1.0]), offset=0.0)
-    assert np.allclose(cut.project(np.array([4.0, 3.0])), [4.0, 0.0])
+    assert np.allclose(onto(cut, np.array([4.0, 3.0])), [4.0, 0.0])
     boundary = Halfcut(normal=np.array([1.0, 1.0]), offset=2.0)
-    assert np.allclose(boundary.project(np.array([1.0, 1.0])), [1.0, 1.0])
+    assert np.allclose(onto(boundary, np.array([1.0, 1.0])), [1.0, 1.0])
     scaled = Halfcut(normal=np.array([2.0, 0.0]), offset=2.0)
-    assert np.allclose(scaled.project(np.array([3.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(onto(scaled, np.array([3.0, 0.0])), [1.0, 0.0])
 
 
 def test_degenerate_halfcuts():
     whole = Halfcut(normal=np.zeros(2), offset=0.0)
     assert whole.is_whole_space and not whole.is_empty
-    assert np.array_equal(whole.project(np.array([5.0, -1.0])), [5.0, -1.0])
+    x = np.array([5.0, -1.0])
+    assert np.array_equal(project_intersection(WholeSpace(), [whole], x), x)
     empty = Halfcut(normal=np.zeros(2), offset=-1.0)
     assert empty.is_empty
     with pytest.raises(InfeasibleCutError):
-        empty.project(np.zeros(2))
-    with pytest.raises(InfeasibleCutError):
         project_intersection(WholeSpace(), [empty], np.zeros(2))
+    with pytest.raises(InfeasibleCutError):
+        project_intersection(Box(lower=np.zeros(2), upper=np.ones(2)), [whole, empty], np.zeros(2))
 
 
 def test_intersection_examples():
@@ -133,15 +138,110 @@ def test_intersection_ball_cut_matches_qp_oracle():
 
 
 def test_intersection_nonconvergence_carries_best_iterate():
-    # empty intersection: two contradictory cuts; Dykstra cannot certify
+    # empty intersection: two contradictory cuts; no binding pattern certifies
     cuts = [
         Halfcut(normal=np.array([1.0]), offset=-1.0),  # x <= -1
         Halfcut(normal=np.array([-1.0]), offset=-1.0),  # x >= 1
     ]
-    with pytest.raises(DykstraError) as err:
-        project_intersection(WholeSpace(), cuts, np.array([0.0]), max_cycles=500)
+    with pytest.raises(IntersectionError) as err:
+        project_intersection(WholeSpace(), cuts, np.array([0.0]))
     assert err.value.best.shape == (1,)
-    assert err.value.cycles == 500
+
+
+def _least_squares_cone_coefficients(normals, residual):
+    """Minimum-norm coefficients of residual over the active normals, the
+    cone test of a least-squares KKT certificate; with dependent normals they
+    can come out negative at a true projection."""
+    coef, *_ = np.linalg.lstsq(np.column_stack(normals), residual, rcond=None)
+    return coef
+
+
+def test_intersection_dimension_one_ball_end_with_level_cut():
+    # both cuts read x >= 1.3256..., the right end of the interval ball, so
+    # the intersection is that point; ball boundary and cut normal are
+    # dependent (an anchored-solver step on a seeded random QP)
+    ball = Ball(center=np.array([0.37498336156697265]), radius=0.9506389868164933)
+    cuts = [
+        Halfcut(normal=np.array([-0.24847488407922047]), offset=-0.3293838593333055),
+        Halfcut(normal=np.array([-1.565048714847937]), offset=-2.07465309433236),
+    ]
+    anchor = np.array([-0.23943304892667738])
+    ref = projection_oracle(ball, cuts, anchor)
+    coef = _least_squares_cone_coefficients([cuts[0].normal, ref - ball.center], anchor - ref)
+    assert np.min(coef) < 0.0
+    assert norm(project_intersection(ball, cuts, anchor) - ref) <= 1e-9
+    # a cut pinned at the end of the interval, which rounding places just
+    # outside the ball
+    ball = Ball(center=np.array([-0.3410928453123001]), radius=0.99431886688172)
+    cut = Halfcut(normal=np.array([-0.5888070572341316]), offset=-0.3846240914690495)
+    anchor = np.array([-2.8075560139574836])
+    assert norm(project_intersection(ball, [cut], anchor) - projection_oracle(ball, [cut], anchor)) <= 1e-9
+
+
+def test_intersection_box_vertex_with_three_bounds_and_cut():
+    # the projection sits on three box bounds and on both cuts at once, four
+    # dependent normals in three dimensions (an anchored-solver step)
+    box = Box(
+        lower=np.array([-1.6534468043790633, -1.0242433579602057, -1.5587224158621673]),
+        upper=np.array([0.40626068363938583, 0.2664513538432305, -0.749821739636467]),
+    )
+    cuts = [
+        Halfcut(normal=np.array([-0.41864680176782115, 0.36730687363531866, -1.7941435263009926]),
+                offset=0.7989964585047777),
+        Halfcut(normal=np.array([0.0, 1.1830112059206084, 0.0]), offset=-1.2116912771808452),
+    ]
+    anchor = np.array([0.40626068363938583, 0.15876792646839188, -0.749821739636467])
+    ref = projection_oracle(box, cuts, anchor)
+    e = np.eye(3)
+    coef = _least_squares_cone_coefficients([cuts[0].normal, e[0], -e[1], e[2]], anchor - ref)
+    assert np.min(coef) < 0.0
+    assert norm(project_intersection(box, cuts, anchor) - ref) <= 1e-9
+
+
+def test_intersection_halfspace_base_with_two_cuts():
+    # base x3 <= 0 and cuts x1 <= 0, x2 <= 0 all bind, multipliers (1, 2, 3)
+    base = Halfspace(normal=np.array([0.0, 0.0, 1.0]), offset=0.0)
+    e = np.eye(3)
+    cuts = [Halfcut(normal=e[0], offset=0.0), Halfcut(normal=e[1], offset=0.0)]
+    got = project_intersection(base, cuts, np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(got, np.zeros(3), atol=1e-12)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = rng.standard_normal(3)
+        base = Halfspace(normal=n, offset=rng.uniform(-1, 1))
+        witness = base.project(rng.uniform(-2, 2, 3))
+        cuts = []
+        for _ in range(2):
+            m = rng.standard_normal(3)
+            cuts.append(Halfcut(normal=m, offset=float(m @ witness) + rng.uniform(0.0, 0.5)))
+        anchor = rng.uniform(-3, 3, 3)
+        assert norm(project_intersection(base, cuts, anchor) - projection_oracle(base, cuts, anchor)) <= 1e-9
+
+
+def test_intersection_ball_tangent_to_pinned_plane():
+    ball = Ball(center=np.zeros(2), radius=1.0)
+    # x1 >= 1 touches the ball only at (1, 0): no finite multipliers exist,
+    # yet that point is the projection
+    touching = Halfcut(normal=np.array([-1.0, 0.0]), offset=-1.0)
+    got = project_intersection(ball, [touching], np.array([0.0, 2.0]))
+    assert np.allclose(got, [1.0, 0.0], atol=1e-12)
+    # x1 <= 1 holds on the whole ball: pinning it must not certify (1, 0)
+    outside = Halfcut(normal=np.array([1.0, 0.0]), offset=1.0)
+    lifted = Halfcut(normal=np.array([0.0, -1.0]), offset=-0.5)  # x2 >= 0.5
+    anchor = np.array([3.0, 0.0])
+    got = project_intersection(ball, [outside, lifted], anchor)
+    assert np.allclose(got, [np.sqrt(0.75), 0.5], atol=1e-12)
+    assert norm(got - projection_oracle(ball, [outside, lifted], anchor)) <= 1e-9
+
+
+def test_intersection_rejects_more_than_two_cuts():
+    e = np.eye(3)
+    cuts = [Halfcut(normal=e[i], offset=1.0) for i in range(3)]
+    with pytest.raises(ValueError, match="at most two"):
+        project_intersection(WholeSpace(), cuts, np.zeros(3))
+    # whole-space cuts do not count
+    cuts[2] = Halfcut(normal=np.zeros(3), offset=0.0)
+    assert np.array_equal(project_intersection(WholeSpace(), cuts, np.zeros(3)), np.zeros(3))
 
 
 def test_projection_properties_random():

@@ -347,10 +347,10 @@ def test_classic_rejects_unknown_strategy():
 
 def test_intersection_failure_surfaces_in_status(monkeypatch):
     import projgrad.solver as solver_module
-    from projgrad.sets import DykstraError
+    from projgrad.sets import IntersectionError
 
-    def exploding(base, cuts, anchor, tol=1e-10, max_cycles=10_000):
-        raise DykstraError("forced", best=anchor, cycles=0)
+    def exploding(base, cuts, anchor):
+        raise IntersectionError("forced", best=anchor)
 
     monkeypatch.setattr(solver_module, "project_intersection", exploding)
     rep = anchored_solve(get_instance("flat-quadratic"), SolverConfig())
