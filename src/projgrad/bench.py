@@ -54,7 +54,6 @@ from .solver import (
     anchored_solve,
     armijo_solve,
     classic_solve,
-    natural_residual,
 )
 from .stepsize import constant_step
 
@@ -289,7 +288,7 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
         status=report.status.value,
         iterations=report.iterations,
         final_x=[float(v) for v in report.final_x],
-        final_residual=natural_residual(inst, report.final_x),
+        final_residual=report.final_residual,
         final_f=report.final_f,
         total_inner_trials=sum(r.inner_trials for r in report.trace),
         total_projections=sum(_projections_per_record(spec.strategy, r) for r in report.trace),
@@ -331,7 +330,7 @@ def write_trace_csv(path: str | Path, report: RunReport, inst: ProblemInstance) 
             [
                 report.iterations,
                 _fmt(report.final_f),
-                _fmt(natural_residual(inst, report.final_x)),
+                _fmt(report.final_residual),
                 "",
                 "",
                 "",

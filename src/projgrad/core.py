@@ -118,10 +118,12 @@ class IterateRecord:
     """Snapshot of iterate k together with the step taken from it.
 
     residual is the natural residual ||x - P_C(x - grad f(x))|| at the iterate.
-    f_lev and dist_anchor are filled only by the anchored solver, epsilon_qf
-    only by the Armijo solver.  stop marks a terminal no-step record: either
-    "fixed_point" (the projected point coincides with the iterate) or
-    "residual" (the natural residual is below tolerance).
+    f_lev and dist_anchor are filled only by the anchored solver; epsilon_qf,
+    gap (||x - w|| for the projected step w) and gap_margin
+    (<grad f(x), x - w> - gap^2 / beta) only by the Armijo solver.  stop
+    marks a terminal no-step record: either "fixed_point" (the projected
+    point coincides with the iterate) or "residual" (the natural residual is
+    below tolerance).
     """
 
     k: int
@@ -134,4 +136,6 @@ class IterateRecord:
     f_lev: Optional[float] = None
     epsilon_qf: Optional[float] = None
     dist_anchor: Optional[float] = None
+    gap: Optional[float] = None
+    gap_margin: Optional[float] = None
     stop: Optional[str] = None

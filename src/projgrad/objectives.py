@@ -2,18 +2,48 @@
 
 All objectives are total on the whole space, so line-search trial points that
 fall outside the feasible set are always evaluable.
+
+The objective protocol has four methods.  ``value(x)`` and ``gradient(x)``
+are required; ``value_and_grad(x)`` returns both from one evaluation, and
+``segment(x, f, g, d)`` returns a `Segment` along ``x + t d`` given the value
+f and gradient g at x.  The module functions `value_and_grad` and `segment`
+fall back to ``value``/``gradient`` for objectives that define only those.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Protocol, Union
 
 import numpy as np
 
 from .core import Vec, as_vector, norm
 
-__all__ = ["PNorm", "Quadratic", "LogSumExp", "Objective", "check_gradient"]
+__all__ = [
+    "PNorm",
+    "Quadratic",
+    "LogSumExp",
+    "Objective",
+    "Segment",
+    "value_and_grad",
+    "segment",
+    "check_gradient",
+]
+
+
+class Segment(Protocol):
+    """An objective restricted to the line x + t d.
+
+    decrease(t) is f(x + t d) - f(x).  The built-in objectives compute it
+    without subtracting two values of f, so a decrease far below the float
+    resolution of f stays visible.
+    gradient(t) is the gradient at x + t d.
+    """
+
+    def decrease(self, t: float) -> float: ...
+
+    def gradient(self, t: float) -> Vec: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,15 +73,50 @@ class PNorm:
 
     def gradient(self, x: Vec) -> Vec:
         self._check(x)
+        return _pnorm_gradient(self.p, x - self.shift)
+
+    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
+        self._check(x)
         r = x - self.shift
-        dist = norm(r)
-        if dist == 0.0:
-            return np.zeros_like(x)
-        return dist ** (self.p - 2.0) * r
+        return float(norm(r) ** self.p / self.p), _pnorm_gradient(self.p, r)
+
+    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+        self._check(x)
+        self._check(d)
+        return _PNormSegment(self.p, x - self.shift, d)
 
     def _check(self, x: Vec) -> None:
         if x.shape != self.shift.shape:
             raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
+
+
+def _pnorm_gradient(p: float, r: Vec) -> Vec:
+    dist = norm(r)
+    if dist == 0.0:
+        return np.zeros_like(r)
+    return dist ** (p - 2.0) * r
+
+
+class _PNormSegment:
+    """With r = x - shift, ||r + t d||^2 = ||r||^2 (1 + q(t)) for the
+    quadratic q(t) = t (2 <r, d> + t ||d||^2) / ||r||^2, so the decrease is
+    (||r||^p / p) expm1((p/2) log1p(q)) and no two powers are subtracted."""
+
+    def __init__(self, p: float, r: Vec, d: Vec) -> None:
+        self.p, self.r, self.d = p, r, d
+        self.rr, self.rd, self.dd = float(r @ r), float(r @ d), float(d @ d)
+
+    def decrease(self, t: float) -> float:
+        p = self.p
+        if self.rr == 0.0:
+            return (t * t * self.dd) ** (0.5 * p) / p
+        q = t * (2.0 * self.rd + t * self.dd) / self.rr
+        if q <= -1.0:  # the segment passes through shift (q < -1 by rounding)
+            return -(self.rr ** (0.5 * p)) / p
+        return self.rr ** (0.5 * p) / p * math.expm1(0.5 * p * math.log1p(q))
+
+    def gradient(self, t: float) -> Vec:
+        return _pnorm_gradient(self.p, self.r + t * self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +145,22 @@ class Quadratic:
         return self.b.shape[0]
 
     def value(self, x: Vec) -> float:
-        self._check(x)
-        return float(0.5 * x @ self.Q @ x + self.b @ x + self.c)
+        return self.value_and_grad(x)[0]
 
     def gradient(self, x: Vec) -> Vec:
         self._check(x)
         return self.Q @ x + self.b
+
+    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
+        """One product with Q for both the value and the gradient."""
+        self._check(x)
+        Qx = self.Q @ x
+        return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
+
+    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+        """One product with Q, for Qd; each decrease(t) is then O(1)."""
+        self._check(d)
+        return _QuadraticSegment(g, d, self.Q @ d)
 
     def _check(self, x: Vec) -> None:
         if x.shape != self.b.shape:
@@ -112,23 +187,108 @@ class LogSumExp:
         return self.rows.shape[1]
 
     def _scores(self, x: Vec) -> Vec:
-        if x.shape != (self.dim,):
-            raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
+        self._check(x)
         return self.rows @ x + self.offsets
 
+    def _check(self, x: Vec) -> None:
+        if x.shape != (self.dim,):
+            raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
+
     def value(self, x: Vec) -> float:
-        s = self._scores(x)
-        m = float(np.max(s))
-        return m + float(np.log(np.sum(np.exp(s - m))))
+        return _logsumexp(self._scores(x))
 
     def gradient(self, x: Vec) -> Vec:
+        return self.rows.T @ _softmax(self._scores(x))
+
+    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
         s = self._scores(x)
-        w = np.exp(s - np.max(s))
-        w /= np.sum(w)
-        return self.rows.T @ w
+        return _logsumexp(s), self.rows.T @ _softmax(s)
+
+    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+        """One pass over the rows for both the scores at x and A d."""
+        self._check(x)
+        self._check(d)
+        xd = self.rows @ np.column_stack((x, d))
+        return _LogSumExpSegment(self.rows, xd[:, 0] + self.offsets, xd[:, 1])
+
+
+def _logsumexp(s: Vec) -> float:
+    m = float(np.max(s))
+    return m + float(np.log(np.sum(np.exp(s - m))))
+
+
+def _softmax(s: Vec) -> Vec:
+    w = np.exp(s - np.max(s))
+    w /= np.sum(w)
+    return w
+
+
+class _QuadraticSegment:
+    """f(x + t d) - f(x) = t <g, d> + (t^2 / 2) <d, Qd> and the gradient
+    g + t Qd, both exact polynomials in t once Qd is known."""
+
+    def __init__(self, g: Vec, d: Vec, Qd: Vec) -> None:
+        self.g, self.Qd = g, Qd
+        self.gd, self.dQd = float(g @ d), float(d @ Qd)
+
+    def decrease(self, t: float) -> float:
+        return t * self.gd + 0.5 * t * t * self.dQd
+
+    def gradient(self, t: float) -> Vec:
+        return self.g + t * self.Qd
+
+
+class _LogSumExpSegment:
+    """Scores along the segment are s + t u with u = A d, so with
+    p = softmax(s) the decrease is log(sum_i p_i exp(t u_i)), evaluated as
+    log1p(sum_i p_i expm1(t u_i)): its rounding scales with |t u|, not with
+    the value.  When that sum overflows or falls near -1 the decrease is
+    at least log 2 in size and the plain difference of values is exact
+    enough."""
+
+    def __init__(self, rows: np.ndarray, s: Vec, u: Vec) -> None:
+        self.rows, self.s, self.u = rows, s, u
+        self.p = _softmax(s)
+
+    def decrease(self, t: float) -> float:
+        tu = t * self.u
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.p @ np.expm1(tu))
+        if -0.5 < total < np.inf:
+            return float(np.log1p(total))
+        return _logsumexp(self.s + tu) - _logsumexp(self.s)
+
+    def gradient(self, t: float) -> Vec:
+        return self.rows.T @ _softmax(self.s + t * self.u)
+
+
+class _ValueSegment:
+    """Segment of an objective that has only value and gradient."""
+
+    def __init__(self, obj, x: Vec, f: float, d: Vec) -> None:
+        self.obj, self.x, self.f, self.d = obj, x, f, d
+
+    def decrease(self, t: float) -> float:
+        return self.obj.value(self.x + t * self.d) - self.f
+
+    def gradient(self, t: float) -> Vec:
+        return self.obj.gradient(self.x + t * self.d)
 
 
 Objective = Union[PNorm, Quadratic, LogSumExp]
+
+
+def value_and_grad(obj: Objective, x: Vec) -> tuple[float, Vec]:
+    """The objective's value_and_grad, or its value and gradient."""
+    fused = getattr(obj, "value_and_grad", None)
+    return fused(x) if fused is not None else (obj.value(x), obj.gradient(x))
+
+
+def segment(obj: Objective, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+    """The objective's segment along x + t d, or one built from value and
+    gradient."""
+    build = getattr(obj, "segment", None)
+    return build(x, f, g, d) if build is not None else _ValueSegment(obj, x, f, d)
 
 
 def check_gradient(obj: Objective, x: Vec, h: float) -> float:

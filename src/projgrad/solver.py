@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
-from .objectives import Objective
+from .objectives import Objective, value_and_grad
 from .sets import FeasibleSet, Halfcut, InfeasibleCutError, IntersectionError, project_intersection
 from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
@@ -95,11 +95,15 @@ class MonitorResult:
 
 @dataclass
 class RunReport:
+    """Outcome of a solve.  final_f and final_residual (the natural residual)
+    are evaluated afresh at final_x."""
+
     status: SolveStatus
     iterations: int
     trace: list[IterateRecord]
     final_x: Vec
     final_f: float
+    final_residual: float
     monitors: dict[str, MonitorResult] = field(default_factory=dict)
 
 
@@ -121,15 +125,46 @@ def quasi_fejer_epsilon(
     return -alpha * norm(x_k - w_k) ** 2 + 2.0 * (cfg.beta_max / cfg.delta) * (f_k - f_next)
 
 
-def _step_prelude(inst: ProblemInstance, x: Vec, beta: float) -> tuple[Vec, Vec, float, float, float, float]:
-    """Shared per-iteration prelude: gradient, projected step, gap, residual."""
-    obj, set_ = inst.objective, inst.feasible_set
-    g = obj.gradient(x)
-    f = obj.value(x)
+def _projected_step(
+    inst: ProblemInstance, x: Vec, g: Vec, beta: float
+) -> tuple[Vec, float, float, float]:
+    """Shared per-iteration prelude from the gradient g at x: projected step
+    w, gap ||x - w||, natural residual and descent gap <g, x - w>."""
+    set_ = inst.feasible_set
     w = set_.project(x - beta * g)
     gap = norm(x - w)
     residual = gap if beta == 1.0 else norm(x - set_.project(x - g))
-    return g, w, f, gap, residual, dot(g, x - w)
+    return w, gap, residual, dot(g, x - w)
+
+
+def _armijo_step(
+    inst: ProblemInstance, xk: Vec, f: float, g: Vec, cfg: SolverConfig, k: int
+) -> tuple[Vec, float, Optional[Vec], IterateRecord]:
+    """armijo_step from the value f and gradient g at xk; also returns the
+    value and gradient at the next iterate (g is None on a stop record).
+
+    The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
+    and the gap ||x - w|| of the step, from which the monitors read the
+    projection_gap_bound and vanishing_product margins."""
+    beta = cfg.beta_at(k)
+    w, gap, residual, descent_gap = _projected_step(inst, xk, g, beta)
+    margin = descent_gap - gap**2 / beta
+    stop = None
+    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
+        stop = "fixed_point"
+    elif residual <= cfg.residual_tol:
+        stop = "residual"
+    if stop is not None:
+        rec = IterateRecord(
+            k, xk, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop
+        )
+        return xk, f, None, rec
+    ls = armijo_feasible_direction(
+        inst.objective, xk, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+    )
+    eps = quasi_fejer_epsilon(xk, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
+    rec = IterateRecord(k, xk, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
+    return ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha), rec
 
 
 def armijo_step(
@@ -142,29 +177,25 @@ def armijo_step(
     unchanged with the stop marker set.  Otherwise backtracks along the
     segment to w and returns the accepted convex combination.
     """
-    beta = cfg.beta_at(k)
-    g, w, f, gap, residual, descent_gap = _step_prelude(inst, xk, beta)
-    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
-        return xk, IterateRecord(k, xk, f, 0.0, beta, 0, residual, epsilon_qf=0.0, stop="fixed_point")
-    if residual <= cfg.residual_tol:
-        return xk, IterateRecord(k, xk, f, 0.0, beta, 0, residual, epsilon_qf=0.0, stop="residual")
-    ls = armijo_feasible_direction(
-        inst.objective, xk, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
-    )
-    eps = quasi_fejer_epsilon(xk, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
-    record = IterateRecord(k, xk, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps)
-    return ls.trial_point, record
+    f, g = value_and_grad(inst.objective, xk)
+    x_next, _, _, rec = _armijo_step(inst, xk, f, g, cfg, k)
+    return x_next, rec
 
 
 def armijo_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
     """Iterate armijo_step until the residual tolerance, a fixed point, or
-    the iteration cap; attaches the descent/quasi-Fejer monitor suite."""
+    the iteration cap; attaches the descent/quasi-Fejer monitor suite.
+
+    The value and gradient of each accepted point come from the segment of
+    the search that accepted it, so an iteration evaluates the objective
+    only through that segment: one matrix-vector product for a Quadratic."""
     x = inst.x0
+    f, g = value_and_grad(inst.objective, x)
     trace: list[IterateRecord] = []
     status = SolveStatus.ITERATION_CAP
     try:
         for k in range(cfg.max_outer_iters):
-            x_next, rec = armijo_step(inst, x, cfg, k)
+            x_next, f_next, g_next, rec = _armijo_step(inst, x, f, g, cfg, k)
             if rec.stop == "fixed_point":
                 status = SolveStatus.FIXED_POINT_STOP
                 break
@@ -172,14 +203,25 @@ def armijo_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
                 status = SolveStatus.OPTIMAL_RESIDUAL
                 break
             trace.append(rec)
-            x = x_next
+            x, f, g = x_next, f_next, g_next
     except LineSearchError:
         status = SolveStatus.LINE_SEARCH_FAILURE
-    final_f = inst.objective.value(x)
-    report = RunReport(status, len(trace), _strided(trace, cfg), x, final_f)
+    report = _report(inst, cfg, status, trace, x)
     if cfg.trace_stride == 1:
-        report.monitors = _armijo_monitors(inst, cfg, trace, x, final_f)
+        beta = cfg.beta_at(len(trace))
+        final_gap = report.final_residual if beta == 1.0 else norm(x - inst.feasible_set.project(x - beta * g))
+        report.monitors = _armijo_monitors(inst, cfg, trace, x, report.final_f, final_gap)
     return report
+
+
+def _report(
+    inst: ProblemInstance, cfg: SolverConfig, status: SolveStatus, trace: list[IterateRecord], x: Vec
+) -> RunReport:
+    """The run's report, with the value and natural residual at the final
+    point from one evaluation and one projection."""
+    f, g = value_and_grad(inst.objective, x)
+    residual = norm(x - inst.feasible_set.project(x - g))
+    return RunReport(status, len(trace), _strided(trace, cfg), x, f, residual)
 
 
 def anchored_step(
@@ -187,16 +229,19 @@ def anchored_step(
 ) -> tuple[AnchoredState, IterateRecord]:
     """One step of the anchored variant.
 
-    Runs the same entry test and feasible-direction search as armijo_step,
-    lowers the level value with the accepted trial, builds the gradient level
-    cut and the anchor cut, and projects the anchor onto base-set-and-cuts.
+    Evaluates the value and gradient at the iterate (the point the previous
+    intersection projection returned), runs the same entry test and
+    feasible-direction search as armijo_step, lowers the level value with the
+    accepted trial, builds the gradient level cut and the anchor cut, and
+    projects the anchor onto base-set-and-cuts.
     The level cut keeps every solution while excluding the current iterate;
     the anchor cut keeps the iterates moving away from the anchor.
     """
     obj = inst.objective
     x, k = state.x, state.k
     beta = cfg.beta_at(k)
-    g, w, f, gap, residual, descent_gap = _step_prelude(inst, x, beta)
+    f, g = value_and_grad(obj, x)
+    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
     dist_anchor = norm(x - state.anchor)
     if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
         rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
@@ -207,7 +252,11 @@ def anchored_step(
                             dist_anchor=dist_anchor, stop="residual")
         return state, rec
     ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
-    f_lev = min(state.f_lev, ls.f_trial)
+    # The level is the value at the accepted (feasible) trial point itself,
+    # not f + decrease, which carries the rounding of f at x: a level below
+    # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
+    # in distance on a curved base.
+    f_lev = min(state.f_lev, obj.value(ls.trial_point))
     level_cut = Halfcut(normal=g, offset=dot(g, x) - f + f_lev)
     anchor_cut = Halfcut(normal=state.anchor - x, offset=dot(state.anchor - x, x))
     x_next = project_intersection(inst.feasible_set, [level_cut, anchor_cut], state.anchor)
@@ -265,11 +314,9 @@ def anchored_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
                 stalled = 0
     except (IntersectionError, InfeasibleCutError):
         status = SolveStatus.INTERSECTION_FAILURE
-    final_x = state.x
-    final_f = inst.objective.value(final_x)
-    report = RunReport(status, len(trace), _strided(trace, cfg), final_x, final_f)
+    report = _report(inst, cfg, status, trace, state.x)
     if cfg.trace_stride == 1:
-        report.monitors = _anchored_monitors(inst, cfg, trace, final_x)
+        report.monitors = _anchored_monitors(inst, cfg, trace, state.x)
     return report
 
 
@@ -285,8 +332,7 @@ def classic_solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> Ru
     status = SolveStatus.ITERATION_CAP
     try:
         for k in range(cfg.max_outer_iters):
-            g = obj.gradient(x)
-            f = obj.value(x)
+            f, g = value_and_grad(obj, x)
             grad_norm = norm(g)
             residual = norm(x - set_.project(x - g))
             if strategy == "d" and grad_norm == 0.0:
@@ -325,10 +371,9 @@ def classic_solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> Ru
             x = x_next
     except LineSearchError:
         status = SolveStatus.LINE_SEARCH_FAILURE
-    final_f = obj.value(x)
-    report = RunReport(status, len(trace), _strided(trace, cfg), x, final_f)
+    report = _report(inst, cfg, status, trace, x)
     if cfg.trace_stride == 1:
-        report.monitors = _classic_monitors(inst, cfg, strategy, trace, x, final_f)
+        report.monitors = _classic_monitors(inst, cfg, strategy, trace, x, report.final_f)
     return report
 
 
@@ -353,38 +398,34 @@ def _gate(result: MonitorResult, tol: float) -> MonitorResult:
 
 
 def _armijo_monitors(
-    inst: ProblemInstance, cfg: SolverConfig, trace: list[IterateRecord], final_x: Vec, final_f: float
+    inst: ProblemInstance,
+    cfg: SolverConfig,
+    trace: list[IterateRecord],
+    final_x: Vec,
+    final_f: float,
+    final_gap: float,
 ) -> dict[str, MonitorResult]:
     """Invariant suite for the feasible-direction runs.
 
-    descent: objective nonincreasing along iterates.
+    descent: objective nonincreasing along iterates.  The recorded values
+        are carried from the accepted decreases, which the search keeps
+        negative, so the chain ends at final_f, evaluated afresh at final_x:
+        drift of the carried values or a wrong segment decrease shows in
+        that last link.
     projection_gap_bound: <g, x - w> >= ||x - w||^2 / beta at every step.
-    vanishing_product: running minimum of alpha ||x - w||^2.
+    vanishing_product: running minimum of alpha ||x - w||^2; the terminal
+        iterate has no step record, and alpha <= 1 bounds its product by its
+        squared projection gap final_gap.
     quasi_fejer: ||x+ - x*||^2 <= ||x - x*||^2 + eps_k against the known
         solution, and the sum of eps_k against its telescoped bound.
     """
     if not trace:
         return {}
-    obj, set_ = inst.objective, inst.feasible_set
     out: dict[str, MonitorResult] = {}
     fs = [r.f_val for r in trace] + [final_f]
     out["descent"] = _gate(_worst(fs[i] - fs[i + 1] for i in range(len(fs) - 1)), 1e-12)
-
-    gap_margins = []
-    products = []
-    for r in trace:
-        g = obj.gradient(r.x)
-        w = set_.project(r.x - r.beta * g)
-        gap = norm(r.x - w)
-        gap_margins.append(dot(g, r.x - w) - gap**2 / r.beta)
-        products.append(r.alpha * gap**2)
-    out["projection_gap_bound"] = _gate(_worst(gap_margins), 1e-10)
-    # the terminal iterate has no step record; alpha <= 1 bounds its product
-    # by the squared projection gap there
-    g_final = obj.gradient(final_x)
-    beta_final = cfg.beta_at(len(trace))
-    final_gap = norm(final_x - set_.project(final_x - beta_final * g_final))
-    running_min = min(products + [final_gap**2])
+    out["projection_gap_bound"] = _gate(_worst(r.gap_margin for r in trace), 1e-10)
+    running_min = min([r.alpha * r.gap**2 for r in trace] + [final_gap**2])
     out["vanishing_product"] = MonitorResult(passed=running_min < 1e-8, worst_margin=running_min)
 
     if inst.known_solution is not None:

@@ -2,8 +2,11 @@
 
 The feasible-direction search backtracks along the segment from the current
 iterate to the projected gradient point and needs a single projection per
-outer iteration (done by the caller).  The boundary search backtracks the
-pre-projection stepsize instead and pays one projection per inner trial.
+outer iteration (done by the caller).  It runs on the objective's segment
+evaluator, so for the built-in objectives a trial costs O(n) (O(m) for
+log-sum-exp) after one matrix-vector product per search.  The boundary
+search backtracks the pre-projection stepsize instead and pays one
+projection per inner trial.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vec, dot, norm
-from .objectives import Objective
+from .core import Vec, dot
+from .objectives import Objective, Segment, segment, value_and_grad
 from .sets import FeasibleSet
 
 __all__ = [
@@ -48,6 +51,8 @@ class LineSearchResult:
     alpha is the accepted convex-combination weight (feasible-direction
     search), beta the accepted pre-projection stepsize (boundary search);
     whichever the strategy does not control is left at its fixed value.
+    The feasible-direction search also returns the segment it searched:
+    segment.gradient(alpha) is the gradient at trial_point.
     """
 
     alpha: float
@@ -55,6 +60,7 @@ class LineSearchResult:
     trials: int
     trial_point: Vec
     f_trial: float
+    segment: Optional[Segment] = None
 
 
 def armijo_feasible_direction(
@@ -71,23 +77,31 @@ def armijo_feasible_direction(
 
     Accepts the smallest j with
 
-        f(theta^j * wk + (1 - theta^j) * xk) <= f(xk) - delta * theta^j * d,
+        f(xk + theta^j (wk - xk)) - f(xk) <= -delta * theta^j * d,
 
     where d = <grad f(xk), xk - wk> must be positive (it is whenever wk is
-    the projection of a gradient step from a non-stationary xk).  The
-    comparison is an exact float <=; no slack is added.
+    the projection of a gradient step from a non-stationary xk).  The left
+    side is the decrease of the objective's segment; the built-in objectives
+    compute it without subtracting two rounded values of f, so a decrease
+    below the float resolution of f(xk) is still seen.
+    The comparison is an exact float <=; no slack is added.  f_trial is
+    f(xk) plus the accepted decrease.
     """
-    fk = obj.value(xk) if f_k is None else f_k
-    gk = obj.gradient(xk) if grad_k is None else grad_k
-    d = dot(gk, xk - wk)
+    if f_k is None or grad_k is None:
+        f_k, grad_k = value_and_grad(obj, xk)
+    direction = wk - xk
+    d = -float(grad_k @ direction)
     if d <= 0.0:
         raise ValueError(f"feasible-direction search needs a descent gap, got <g, x-w> = {d}")
+    seg = segment(obj, xk, f_k, grad_k, direction)
     step = 1.0
     for j in range(max_inner + 1):
-        trial = step * wk + (1.0 - step) * xk
-        f_trial = obj.value(trial)
-        if f_trial <= fk - delta * step * d:
-            return LineSearchResult(alpha=step, beta=None, trials=j, trial_point=trial, f_trial=f_trial)
+        decrease = seg.decrease(step)
+        if decrease <= -delta * step * d:
+            trial = step * wk + (1.0 - step) * xk
+            return LineSearchResult(
+                alpha=step, beta=None, trials=j, trial_point=trial, f_trial=f_k + decrease, segment=seg
+            )
         step *= theta
     raise LineSearchError(
         f"feasible-direction search found no acceptable step within {max_inner} trials", trials=max_inner

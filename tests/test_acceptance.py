@@ -35,6 +35,7 @@ from projgrad import (
 from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 
+EPS = np.finfo(float).eps
 ARMIJO_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm1p5-box")
 UNIQUE_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm4-ball-far")
 
@@ -263,11 +264,20 @@ def test_criterion_8_gradient_validation():
     report("criterion-8 gradient validation", ok, f"worst central-difference error {worst:.2e}")
 
 
+def armijo_slack(obj, x, w, f, d, cfg, j):
+    """f(x + t (w - x)) - f + delta t d at t = theta^j, from two values of
+    the objective apart from the search, and the rounding allowance of those
+    two values: a slack within it decides nothing."""
+    t = cfg.theta**j
+    f_trial = obj.value(t * w + (1.0 - t) * x)
+    return f_trial - f + cfg.delta * t * d, 4.0 * EPS * (abs(f) + abs(f_trial))
+
+
 def test_criterion_9_armijo_trial_counts_and_minimality():
     # sweep the sufficient-decrease fraction so the search actually
     # backtracks: delta near 1 forces several contraction steps
     worst_trials = 0
-    minimality_ok = True
+    minimality_ok = accepted_ok = True
     backtracked = 0
     for iid in ARMIJO_INSTANCES + ("line-1d", "flat-quadratic", "pnorm4-ball-far"):
         inst = get_instance(iid)
@@ -285,15 +295,18 @@ def test_criterion_9_armijo_trial_counts_and_minimality():
                     )
                     if res.trials != rec.inner_trials:
                         minimality_ok = False
+                    slack, allowance = armijo_slack(inst.objective, rec.x, w, f, d, cfg, rec.inner_trials)
+                    if slack > allowance:
+                        accepted_ok = False
                     if rec.inner_trials > 0:
                         backtracked += 1
-                        t = cfg.theta ** (rec.inner_trials - 1)
-                        trial = t * w + (1.0 - t) * rec.x
-                        if inst.objective.value(trial) <= f - cfg.delta * t * d:
+                        slack, allowance = armijo_slack(inst.objective, rec.x, w, f, d, cfg, rec.inner_trials - 1)
+                        if slack < -allowance:
                             minimality_ok = False
-    ok = worst_trials < 80 and minimality_ok and backtracked > 0
+    ok = worst_trials < 80 and accepted_ok and minimality_ok and backtracked > 0
     report(
         "criterion-9 line-search trial counts",
         ok,
-        f"max trials {worst_trials}, minimality rechecked at {backtracked} backtracked steps: {minimality_ok}",
+        f"max trials {worst_trials}, accepted trials satisfy the test: {accepted_ok}, "
+        f"minimality rechecked at {backtracked} backtracked steps: {minimality_ok}",
     )

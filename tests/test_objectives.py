@@ -104,3 +104,90 @@ def test_objective_validation():
         PNorm(p=2.0, shift=np.zeros(2)).value(np.zeros(3))
     with pytest.raises(ValueError):
         check_gradient(Quadratic(Q=np.eye(1), b=np.zeros(1)), np.zeros(1), 0.0)
+
+
+def _segment_cases():
+    rng = np.random.default_rng(41)
+    n = 6
+    M = rng.standard_normal((n, n))
+    return [
+        Quadratic(Q=M.T @ M + 0.5 * np.eye(n), b=rng.standard_normal(n), c=500.0),
+        LogSumExp(rows=rng.standard_normal((2 * n, n)), offsets=rng.standard_normal(2 * n)),
+        PNorm(p=1.5, shift=rng.standard_normal(n)),
+        PNorm(p=4.0, shift=rng.standard_normal(n)),
+    ], rng
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_segment_matches_value_and_gradient(case):
+    objectives, rng = _segment_cases()
+    obj = objectives[case]
+    theta = 0.5
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        x = rng.uniform(-2, 2, 6)
+        d = rng.uniform(-2, 2, 6)
+        f, g = obj.value_and_grad(x)
+        assert f == obj.value(x)
+        assert np.array_equal(g, obj.gradient(x))
+        seg = obj.segment(x, f, g, d)
+        for t in (1.0, theta, theta**10):
+            y = x + t * d
+            diff = obj.value(y) - f
+            # the difference of two values carries their rounding; the
+            # segment's decrease must agree up to it
+            rounding = 8.0 * eps * (abs(f) + abs(obj.value(y)))
+            assert abs(seg.decrease(t) - diff) <= 1e-12 * abs(diff) + rounding
+            want = obj.gradient(y)
+            assert norm(seg.gradient(t) - want) <= 1e-12 * norm(want)
+
+
+def test_segment_sees_decrease_below_value_resolution():
+    # f ~ 500, so one ulp of f is ~1.1e-13; the decrease at t = 1e-9 is
+    # ~1e-18 and vanishes in value(x + t d) - value(x)
+    obj = Quadratic(Q=np.eye(2), b=np.zeros(2), c=500.0)
+    x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    f, g = obj.value_and_grad(x)
+    t = 1e-18
+    assert obj.value(x + t * d) - f == 0.0
+    assert obj.segment(x, f, g, d).decrease(t) == pytest.approx(-t + 0.5 * t * t, rel=1e-15)
+
+
+def test_logsumexp_segment_far_along_the_line():
+    # t * (A d) overflows expm1: the decrease falls back to the difference of values
+    obj = LogSumExp(rows=np.array([[1.0], [-1.0]]), offsets=np.zeros(2))
+    x, d = np.zeros(1), np.array([1000.0])
+    f, g = obj.value_and_grad(x)
+    seg = obj.segment(x, f, g, d)
+    assert seg.decrease(1.0) == pytest.approx(obj.value(x + d) - f, rel=1e-15)
+    assert seg.decrease(-1.0) == pytest.approx(obj.value(x - d) - f, rel=1e-15)
+
+
+def test_pnorm_segment_through_the_shift():
+    obj = PNorm(p=3.0, shift=np.array([1.0, 1.0]))
+    x, d = np.array([2.0, 3.0]), np.array([-1.0, -2.0])
+    f, g = obj.value_and_grad(x)
+    seg = obj.segment(x, f, g, d)
+    assert seg.decrease(1.0) == pytest.approx(-f, rel=1e-15)
+    assert np.array_equal(seg.gradient(1.0), [0.0, 0.0])
+    at_shift = obj.segment(obj.shift, 0.0, np.zeros(2), d)
+    assert at_shift.decrease(0.5) == pytest.approx(obj.value(obj.shift + 0.5 * d))
+
+
+def test_carried_quadratic_gradient_drift():
+    rng = np.random.default_rng(7)
+    n = 50
+    M = rng.standard_normal((n, n))
+    obj = Quadratic(Q=M.T @ M + 0.5 * np.eye(n), b=rng.standard_normal(n))
+    x = rng.uniform(-1, 1, n)
+    f, g = obj.value_and_grad(x)
+    worst = 0.0
+    for _ in range(5000):
+        w = rng.uniform(-1, 1, n)
+        t = 0.5 ** int(rng.integers(0, 11))
+        seg = obj.segment(x, f, g, w - x)
+        f, g = f + seg.decrease(t), seg.gradient(t)
+        x = t * w + (1.0 - t) * x  # the point the feasible-direction search returns
+        exact = obj.Q @ x + obj.b
+        worst = max(worst, norm(g - exact) / norm(exact))
+    assert worst <= 1e-10

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from projgrad import (
     Ball,
     Box,
     Halfcut,
+    LogSumExp,
     PNorm,
     ProblemInstance,
     Quadratic,
@@ -16,11 +18,13 @@ from projgrad import (
     anchored_solve,
     anchored_step,
     armijo_boundary,
+    armijo_feasible_direction,
     armijo_solve,
     armijo_step,
     classic_solve,
     constant_step,
     get_instance,
+    list_instances,
     natural_residual,
     quasi_fejer_epsilon,
 )
@@ -375,3 +379,141 @@ def test_trace_stride_subsamples():
     assert rep_strided.trace[-1].k == rep_full.trace[-1].k
     # pair-based monitors are skipped for strided traces
     assert rep_strided.monitors == {}
+
+
+def dense_box_qp(n, seed, b_scale=2.0):
+    """Q = M'M/n + I/2 with M ~ N(0, 1)^{n x n} and b = b_scale N(0, 1)^n
+    over [-1, 1]^n from the origin."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    b = b_scale * rng.standard_normal(n)
+    return ProblemInstance(
+        objective=Quadratic(Q=M.T @ M / n + 0.5 * np.eye(n), b=b),
+        feasible_set=Box(lower=-np.ones(n), upper=np.ones(n)),
+        x0=np.zeros(n),
+    )
+
+
+def test_armijo_solve_sees_decrease_below_value_resolution():
+    # f ~ -568 near the solution, so a comparison of two values of f cannot
+    # see a decrease below ~1e-13; the search compares the exact decrease,
+    # so the run reaches the tolerance
+    inst = dense_box_qp(500, seed=7)
+    rep = armijo_solve(inst, SolverConfig(residual_tol=1e-8))
+    assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+    assert rep.iterations <= 100
+    assert rep.final_residual <= 1e-8
+    assert all(m.passed for m in rep.monitors.values())
+
+
+def posthoc_armijo_margins(inst, cfg, rep):
+    """Reference: the projection_gap_bound and vanishing_product margins
+    recomputed after the solve from a fresh gradient and projection per
+    record."""
+    obj, set_ = inst.objective, inst.feasible_set
+    gap_margins, products = [], []
+    for r in rep.trace:
+        g = obj.gradient(r.x)
+        w = set_.project(r.x - r.beta * g)
+        gap = norm(r.x - w)
+        gap_margins.append(dot(g, r.x - w) - gap**2 / r.beta)
+        products.append(r.alpha * gap**2)
+    g_final = obj.gradient(rep.final_x)
+    beta_final = cfg.beta_at(len(rep.trace))
+    final_gap = norm(rep.final_x - set_.project(rep.final_x - beta_final * g_final))
+    return min(gap_margins), min(products + [final_gap**2])
+
+
+def test_in_step_monitor_margins_match_posthoc_recomputation():
+    instances = [get_instance(iid) for iid in list_instances()] + [dense_box_qp(200, seed=3)]
+    configs = (SolverConfig(), SolverConfig(beta_schedule=constant_step(0.5)))
+    for inst in instances:
+        for cfg in configs:
+            rep = armijo_solve(inst, cfg)
+            if not rep.trace:
+                continue
+            gap_ref, product_ref = posthoc_armijo_margins(inst, cfg, rep)
+            gap, product = rep.monitors["projection_gap_bound"], rep.monitors["vanishing_product"]
+            assert abs(gap.worst_margin - gap_ref) <= 1e-12 * max(1.0, abs(gap_ref))
+            assert abs(product.worst_margin - product_ref) <= 1e-12 * max(1.0, abs(product_ref))
+            assert gap.passed == (gap_ref >= -1e-10)
+            assert product.passed == (product_ref < 1e-8)
+
+
+class SkewedQuadratic(Quadratic):
+    """A Quadratic whose segment understates the curvature term of the
+    decrease by 2 %: the search still converges, but its carried values run
+    below the objective."""
+
+    def segment(self, x, f, g, d):
+        exact = super().segment(x, f, g, d)
+        return SimpleNamespace(
+            decrease=lambda t: t * exact.gd + 0.49 * t * t * exact.dQd, gradient=exact.gradient
+        )
+
+
+def test_descent_monitor_sees_wrong_segment_decrease():
+    inst = dense_box_qp(40, seed=7)
+    assert armijo_solve(inst, SolverConfig()).monitors["descent"].passed
+    obj = inst.objective
+    skewed = ProblemInstance(objective=SkewedQuadratic(Q=obj.Q, b=obj.b), feasible_set=inst.feasible_set, x0=inst.x0)
+    rep = armijo_solve(skewed, SolverConfig())
+    assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+    assert not rep.monitors["descent"].passed
+
+
+class CountingMatrix:
+    """Stands in for a Quadratic's Q and counts products with it."""
+
+    __array_ufunc__ = None  # numpy defers x @ Q to __rmatmul__
+
+    def __init__(self, Q):
+        self.Q = Q
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.Q @ v
+
+    def __rmatmul__(self, v):
+        self.products += 1
+        return v @ self.Q
+
+
+def test_feasible_direction_costs_one_product_per_iteration():
+    # value_and_grad at x0 and at the final point, plus Qd once per iteration
+    for inst in (dense_box_qp(500, seed=7), dense_box_qp(40, seed=11), get_instance("quadratic-box")):
+        counter = CountingMatrix(inst.objective.Q)
+        object.__setattr__(inst.objective, "Q", counter)
+        rep = armijo_solve(inst, SolverConfig())
+        assert rep.iterations > 0
+        assert counter.products == rep.iterations + 2
+
+
+def test_feasible_direction_search_makes_no_value_calls(monkeypatch):
+    rng = np.random.default_rng(13)
+    objectives = [
+        Quadratic(Q=np.diag([1.0, 50.0]), b=np.array([-1.0, 3.0])),
+        LogSumExp(rows=5.0 * rng.standard_normal((4, 2)), offsets=rng.standard_normal(4)),
+        PNorm(p=4.0, shift=np.array([3.0, -2.0])),
+    ]
+    calls = {"value": 0, "gradient": 0}
+    for cls in {type(obj) for obj in objectives}:
+        for name in calls:
+            original = getattr(cls, name)
+
+            def counted(self, x, original=original, name=name):
+                calls[name] += 1
+                return original(self, x)
+
+            monkeypatch.setattr(cls, name, counted)
+    box = Box(lower=np.full(2, -10.0), upper=np.full(2, 10.0))
+    trials = 0
+    for obj in objectives:
+        x = np.array([1.0, 1.0])
+        f, g = obj.value_and_grad(x)
+        w = box.project(x - 4.0 * g)
+        res = armijo_feasible_direction(obj, x, w, 0.5, 0.5, 100, f_k=f, grad_k=g)
+        trials += res.trials
+    assert trials > 0
+    assert calls == {"value": 0, "gradient": 0}
