@@ -1,6 +1,6 @@
 """Projected gradient methods for constrained convex optimization."""
 
-from .core import IterateRecord, SolverConfig, Vec, as_vector, axpby, dot, norm
+from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
 from .objectives import LogSumExp, Objective, PNorm, Quadratic, check_gradient
 from .sets import (
     Ball,
@@ -21,13 +21,11 @@ from .solver import (
     ProblemInstance,
     RunReport,
     SolveStatus,
-    anchored_solve,
     anchored_step,
-    armijo_solve,
     armijo_step,
-    classic_solve,
     natural_residual,
     quasi_fejer_epsilon,
+    solve,
 )
 from .stepsize import (
     ConstantStep,

@@ -47,14 +47,7 @@ from .oracle import (
 )
 from .registry import get_instance
 from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
-from .solver import (
-    ProblemInstance,
-    RunReport,
-    SolveStatus,
-    anchored_solve,
-    armijo_solve,
-    classic_solve,
-)
+from .solver import ProblemInstance, RunReport, SolveStatus, solve
 from .stepsize import constant_step
 
 __all__ = [
@@ -126,22 +119,6 @@ class SummaryRow:
     wall_time_s: float
     monitors: dict[str, bool] = field(default_factory=dict)
     dist_known_solution: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "strategy": self.strategy,
-            "status": self.status,
-            "iterations": self.iterations,
-            "final_x": self.final_x,
-            "final_residual": self.final_residual,
-            "final_f": self.final_f,
-            "total_inner_trials": self.total_inner_trials,
-            "total_projections": self.total_projections,
-            "wall_time_s": self.wall_time_s,
-            "monitors": self.monitors,
-            "dist_known_solution": self.dist_known_solution,
-        }
 
 
 def _objective_from_json(d: dict) -> Objective:
@@ -263,14 +240,6 @@ def load_spec(path: str | Path) -> RunSpec:
     return spec
 
 
-def _solve(spec: RunSpec) -> RunReport:
-    if spec.strategy == "c":
-        return armijo_solve(spec.problem, spec.config)
-    if spec.strategy == "A2":
-        return anchored_solve(spec.problem, spec.config)
-    return classic_solve(spec.problem, spec.config, spec.strategy)
-
-
 def _projections_per_record(strategy: str, rec: IterateRecord) -> int:
     # algorithmic projection cost: the boundary search projects every inner
     # trial, all other strategies project once per outer iteration
@@ -359,7 +328,7 @@ def run_spec(spec: RunSpec, out_prefix: Optional[str] = None) -> tuple[SummaryRo
     """Execute a run spec, write trace CSV and summary JSON when an output
     prefix is known, and return the summary with its exit code."""
     start = time.perf_counter()
-    report = _solve(spec)
+    report = solve(spec.problem, spec.config, spec.strategy)
     wall = time.perf_counter() - start
     row = summarize(spec, report, wall)
     prefix = out_prefix or spec.output
@@ -369,9 +338,10 @@ def run_spec(spec: RunSpec, out_prefix: Optional[str] = None) -> tuple[SummaryRo
             os.makedirs(prefix_path.parent, exist_ok=True)
         write_trace_csv(f"{prefix}_trace.csv", report, spec.problem)
         with open(f"{prefix}_summary.json", "w") as fh:
-            # no indent: indented output takes json's pure-Python encoder
-            json.dump(row.to_json(), fh)
-            fh.write("\n")
+            # json.dumps without indent is the C encoder (json.dump never
+            # is); vars, not dataclasses.asdict, which deep-copies each
+            # entry of final_x
+            fh.write(json.dumps(vars(row)) + "\n")
     return row, status_exit_code(report.status)
 
 
@@ -402,7 +372,7 @@ def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
     rows = []
     for spec in specs:
         start = time.perf_counter()
-        report = _solve(spec)
+        report = solve(spec.problem, spec.config, spec.strategy)
         row = summarize(spec, report, time.perf_counter() - start)
         expected = sum(_projections_per_record(spec.strategy, r) for r in report.trace)
         if spec.strategy == "c" and expected != len(report.trace):
@@ -434,18 +404,6 @@ class OracleReport:
     projection_of_start: Optional[list[float]] = None
     strategy_distances: dict[str, float] = field(default_factory=dict)
     strategy_status: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "reference": self.reference,
-            "f_reference": self.f_reference,
-            "method": self.method,
-            "converged": self.converged,
-            "unique": self.unique,
-            "projection_of_start": self.projection_of_start,
-            "strategy_distances": self.strategy_distances,
-            "strategy_status": self.strategy_status,
-        }
 
 
 def oracle_check(inst: ProblemInstance, strategies: tuple[str, ...] = ("b", "c", "A2")) -> OracleReport:
@@ -493,9 +451,7 @@ def oracle_check(inst: ProblemInstance, strategies: tuple[str, ...] = ("b", "c",
         projection_of_start=proj_start,
     )
     for strategy in strategies:
-        cfg = SolverConfig()
-        spec = RunSpec(problem=inst, problem_id="oracle", strategy=strategy, config=cfg)
-        solver_report = _solve(spec)
+        solver_report = solve(inst, SolverConfig(), strategy)
         report.strategy_distances[strategy] = norm(solver_report.final_x - reference)
         report.strategy_status[strategy] = solver_report.status.value
     return report

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
             if overrides:
                 spec = dataclasses.replace(spec, config=dataclasses.replace(spec.config, **overrides))
             row, code = run_spec(spec, out_prefix=args.out)
-            print(json.dumps(row.to_json(), indent=2))
+            print(json.dumps(dataclasses.asdict(row), indent=2))
             return code
         if args.command == "compare":
             rows = compare_specs([load_spec(p) for p in args.specs])
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             spec = load_spec(args.spec)
             report = oracle_check(spec.problem)
-            print(json.dumps(report.to_json(), indent=2))
+            print(json.dumps(dataclasses.asdict(report), indent=2))
             return 0
         if args.command == "instances":
             for name in list_instances():

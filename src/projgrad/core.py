@@ -15,7 +15,6 @@ __all__ = [
     "as_vector",
     "dot",
     "norm",
-    "axpby",
     "SolverConfig",
     "IterateRecord",
 ]
@@ -47,12 +46,6 @@ def norm(a: Vec) -> float:
     return float(np.linalg.norm(a))
 
 
-def axpby(s: float, a: Vec, t: float, b: Vec) -> Vec:
-    """Componentwise linear combination s*a + t*b."""
-    _check_same_dim(a, b)
-    return s * a + t * b
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters shared by every solver driver.
@@ -64,8 +57,9 @@ class SolverConfig:
     stepsize of the boundary line search, exo_constant the c in the exogenous
     schedule c/(k+1).  fixed_point_tol detects exact-fixed-point stops and is
     kept well below residual_tol so the two stopping semantics stay distinct.
-    trace_stride subsamples the recorded trace for long runs; the monitor
-    suites need consecutive iterates and are skipped when it exceeds 1.
+    trace_stride subsamples the recorded trace for long runs (every
+    trace_stride-th step record and the last); the runtime monitors are fed
+    every step, so they run at any trace_stride.
     """
 
     beta_min: float = 1e-4
@@ -118,9 +112,9 @@ class IterateRecord:
     """Snapshot of iterate k together with the step taken from it.
 
     residual is the natural residual ||x - P_C(x - grad f(x))|| at the iterate.
-    f_lev and dist_anchor are filled only by the anchored solver; epsilon_qf,
-    gap (||x - w|| for the projected step w) and gap_margin
-    (<grad f(x), x - w> - gap^2 / beta) only by the Armijo solver.  stop
+    f_lev and dist_anchor are filled only by the anchored solver, epsilon_qf
+    and gap_margin (<grad f(x), x - w> - gap^2 / beta) only by the Armijo
+    solver, and gap (||x - w|| for the projected step w) by both.  stop
     marks a terminal no-step record: either "fixed_point" (the projected
     point coincides with the iterate) or "residual" (the natural residual is
     below tolerance).

@@ -148,9 +148,11 @@ def min_distance_point(sys: ConstraintSystem, anchor: Vec, tol: float = 1e-9) ->
                 v = null_component(anchor - c)
                 vn = norm(v)
                 rho_sq = r**2 - norm(u) ** 2
-                if vn <= 1e-14 or rho_sq < 0.0:
+                # rounding allowance: a plane tangent to the sphere leaves
+                # rho_sq on either side of 0 by rounding alone
+                if vn <= 1e-14 or rho_sq < -1e-12 * max(1.0, r) * r:
                     continue
-                x = project(c) + (np.sqrt(rho_sq) / vn) * v
+                x = project(c) + (np.sqrt(max(rho_sq, 0.0)) / vn) * v
             if rows and norm(A @ x - b) > tol:
                 continue
             if not sys.feasible(x, tol):

@@ -1,17 +1,22 @@
 """Outer iterations of the projected gradient solvers.
 
-Two main drivers share the feasible-direction Armijo search:
+``solve(inst, cfg, strategy)`` is the one driver.  Each strategy supplies a
+step and a stop rule:
 
-* ``armijo_solve`` takes the projected gradient step and moves along the
-  segment to the projected point with the backtracked weight.
-* ``anchored_solve`` keeps projecting the initial point onto the feasible set
-  intersected with two halfspace cuts (a gradient level cut and an anchor
-  cut), which drives the iterates to the solution closest to the start.
+* ``c`` takes the projected gradient step and moves along the segment to the
+  projected point with the backtracked weight (``armijo_step``).
+* ``A2`` keeps projecting the initial point onto the feasible set intersected
+  with two halfspace cuts (a gradient level cut and an anchor cut), which
+  drives the iterates to the solution closest to the start
+  (``anchored_step``).
+* ``a`` (constant), ``b`` (boundary search) and ``d`` (exogenous) take the
+  plain projection step.
 
-``classic_solve`` runs the remaining stepsize strategies (constant, boundary
-search, exogenous) through the plain projection step.  Every driver records a
-per-iteration trace and evaluates a suite of runtime monitors derived from
-the inequalities the iteration is known to satisfy.
+The driver owns the loop, the mapping of stops and typed failures to a
+``SolveStatus``, the subsampled trace and the final report.  After every
+step it feeds the strategy's runtime monitors, accumulators over the
+inequalities the iteration is known to satisfy, with values the step
+already holds.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
 from .objectives import Objective, value_and_grad
@@ -35,10 +41,8 @@ __all__ = [
     "natural_residual",
     "quasi_fejer_epsilon",
     "armijo_step",
-    "armijo_solve",
     "anchored_step",
-    "anchored_solve",
-    "classic_solve",
+    "solve",
 ]
 
 
@@ -61,6 +65,9 @@ class ProblemInstance:
         object.__setattr__(self, "x0", as_vector(self.x0))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(self.known_solution))
+        dim = getattr(self.objective, "dim", None)
+        if dim is not None and dim != self.x0.shape[0]:
+            raise ValueError(f"objective dimension {dim} does not match x0 dimension {self.x0.shape[0]}")
         if not self.feasible_set.contains(self.x0, 1e-9):
             raise ValueError("starting point x0 must be feasible (within 1e-9)")
 
@@ -125,6 +132,16 @@ def quasi_fejer_epsilon(
     return -alpha * norm(x_k - w_k) ** 2 + 2.0 * (cfg.beta_max / cfg.delta) * (f_k - f_next)
 
 
+class _Point(NamedTuple):
+    """Iterate k, with the value and gradient there when the step carries
+    them (strategy c)."""
+
+    x: Vec
+    k: int
+    f: float = math.nan
+    g: Optional[Vec] = None
+
+
 def _projected_step(
     inst: ProblemInstance, x: Vec, g: Vec, beta: float
 ) -> tuple[Vec, float, float, float]:
@@ -137,34 +154,38 @@ def _projected_step(
     return w, gap, residual, dot(g, x - w)
 
 
-def _armijo_step(
-    inst: ProblemInstance, xk: Vec, f: float, g: Vec, cfg: SolverConfig, k: int
-) -> tuple[Vec, float, Optional[Vec], IterateRecord]:
-    """armijo_step from the value f and gradient g at xk; also returns the
-    value and gradient at the next iterate (g is None on a stop record).
+def _entry_stop(cfg: SolverConfig, gap: float, residual: float, descent_gap: float = math.inf) -> Optional[str]:
+    """Pre-step stop marker: "fixed_point" when the projected step does not
+    move (or gives no descent), "residual" at the residual tolerance."""
+    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
+        return "fixed_point"
+    if residual <= cfg.residual_tol:
+        return "residual"
+    return None
+
+
+def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord, Vec]:
+    """armijo_step from the value and gradient that state carries; the next
+    state carries the value and gradient at the accepted point, both from
+    the segment of the search that accepted it.
 
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
+    x, k, f, g = state
     beta = cfg.beta_at(k)
-    w, gap, residual, descent_gap = _projected_step(inst, xk, g, beta)
+    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
     margin = descent_gap - gap**2 / beta
-    stop = None
-    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
-        stop = "fixed_point"
-    elif residual <= cfg.residual_tol:
-        stop = "residual"
+    stop = _entry_stop(cfg, gap, residual, descent_gap)
     if stop is not None:
-        rec = IterateRecord(
-            k, xk, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop
-        )
-        return xk, f, None, rec
+        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop)
+        return state, rec, g
     ls = armijo_feasible_direction(
-        inst.objective, xk, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
-    eps = quasi_fejer_epsilon(xk, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
-    rec = IterateRecord(k, xk, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
-    return ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha), rec
+    eps = quasi_fejer_epsilon(x, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
+    return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec, g
 
 
 def armijo_step(
@@ -177,51 +198,36 @@ def armijo_step(
     unchanged with the stop marker set.  Otherwise backtracks along the
     segment to w and returns the accepted convex combination.
     """
-    f, g = value_and_grad(inst.objective, xk)
-    x_next, _, _, rec = _armijo_step(inst, xk, f, g, cfg, k)
-    return x_next, rec
+    state, rec, _ = _armijo_step(inst, cfg, _Point(xk, k, *value_and_grad(inst.objective, xk)))
+    return state.x, rec
 
 
-def armijo_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
-    """Iterate armijo_step until the residual tolerance, a fixed point, or
-    the iteration cap; attaches the descent/quasi-Fejer monitor suite.
-
-    The value and gradient of each accepted point come from the segment of
-    the search that accepted it, so an iteration evaluates the objective
-    only through that segment: one matrix-vector product for a Quadratic."""
-    x = inst.x0
-    f, g = value_and_grad(inst.objective, x)
-    trace: list[IterateRecord] = []
-    status = SolveStatus.ITERATION_CAP
-    try:
-        for k in range(cfg.max_outer_iters):
-            x_next, f_next, g_next, rec = _armijo_step(inst, x, f, g, cfg, k)
-            if rec.stop == "fixed_point":
-                status = SolveStatus.FIXED_POINT_STOP
-                break
-            if rec.stop == "residual":
-                status = SolveStatus.OPTIMAL_RESIDUAL
-                break
-            trace.append(rec)
-            x, f, g = x_next, f_next, g_next
-    except LineSearchError:
-        status = SolveStatus.LINE_SEARCH_FAILURE
-    report = _report(inst, cfg, status, trace, x)
-    if cfg.trace_stride == 1:
-        beta = cfg.beta_at(len(trace))
-        final_gap = report.final_residual if beta == 1.0 else norm(x - inst.feasible_set.project(x - beta * g))
-        report.monitors = _armijo_monitors(inst, cfg, trace, x, report.final_f, final_gap)
-    return report
-
-
-def _report(
-    inst: ProblemInstance, cfg: SolverConfig, status: SolveStatus, trace: list[IterateRecord], x: Vec
-) -> RunReport:
-    """The run's report, with the value and natural residual at the final
-    point from one evaluation and one projection."""
-    f, g = value_and_grad(inst.objective, x)
-    residual = norm(x - inst.feasible_set.project(x - g))
-    return RunReport(status, len(trace), _strided(trace, cfg), x, f, residual)
+def _anchored_step(
+    inst: ProblemInstance, cfg: SolverConfig, state: AnchoredState
+) -> tuple[AnchoredState, IterateRecord, Vec]:
+    """anchored_step, also returning the gradient at the iterate."""
+    obj = inst.objective
+    x, k = state.x, state.k
+    beta = cfg.beta_at(k)
+    f, g = value_and_grad(obj, x)
+    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
+    dist_anchor = norm(x - state.anchor)
+    stop = _entry_stop(cfg, gap, residual, descent_gap)
+    if stop is not None:
+        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
+                            dist_anchor=dist_anchor, gap=gap, stop=stop)
+        return state, rec, g
+    ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
+    # The level is the value at the accepted (feasible) trial point itself,
+    # not f + decrease, which carries the rounding of f at x: a level below
+    # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
+    # in distance on a curved base.
+    f_lev = min(state.f_lev, obj.value(ls.trial_point))
+    level_cut = Halfcut(normal=g, offset=dot(g, x) - f + f_lev)
+    anchor_cut = Halfcut(normal=state.anchor - x, offset=dot(state.anchor - x, x))
+    x_next = project_intersection(inst.feasible_set, [level_cut, anchor_cut], state.anchor)
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap)
+    return AnchoredState(x=x_next, f_lev=f_lev, anchor=state.anchor, k=k + 1), rec, g
 
 
 def anchored_step(
@@ -237,174 +243,162 @@ def anchored_step(
     The level cut keeps every solution while excluding the current iterate;
     the anchor cut keeps the iterates moving away from the anchor.
     """
-    obj = inst.objective
+    next_state, rec, _ = _anchored_step(inst, cfg, state)
+    return next_state, rec
+
+
+def _classic_step(
+    strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _Point
+) -> tuple[_Point, IterateRecord, Vec]:
+    """Plain projection step of strategy "a" (constant stepsize), "b"
+    (boundary search of the pre-projection stepsize) or "d" (exogenous
+    stepsize c / ((k + 1) ||g||), undefined where the gradient vanishes)."""
+    obj, set_ = inst.objective, inst.feasible_set
     x, k = state.x, state.k
-    beta = cfg.beta_at(k)
     f, g = value_and_grad(obj, x)
-    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
-    dist_anchor = norm(x - state.anchor)
-    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
-        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
-                            dist_anchor=dist_anchor, stop="fixed_point")
-        return state, rec
-    if residual <= cfg.residual_tol:
-        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
-                            dist_anchor=dist_anchor, stop="residual")
-        return state, rec
-    ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
-    # The level is the value at the accepted (feasible) trial point itself,
-    # not f + decrease, which carries the rounding of f at x: a level below
-    # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
-    # in distance on a curved base.
-    f_lev = min(state.f_lev, obj.value(ls.trial_point))
-    level_cut = Halfcut(normal=g, offset=dot(g, x) - f + f_lev)
-    anchor_cut = Halfcut(normal=state.anchor - x, offset=dot(state.anchor - x, x))
-    x_next = project_intersection(inst.feasible_set, [level_cut, anchor_cut], state.anchor)
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor)
-    return AnchoredState(x=x_next, f_lev=f_lev, anchor=state.anchor, k=k + 1), rec
+    residual = norm(x - set_.project(x - g))
+    if strategy == "b":
+        stop = _entry_stop(cfg, math.inf, residual)
+        if stop is not None:
+            return state, IterateRecord(k, x, f, 0.0, cfg.beta_bar, 0, residual, stop=stop), g
+        ls = armijo_boundary(obj, set_, x, cfg.beta_bar, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
+        return _Point(ls.trial_point, k + 1), IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual), g
+    if strategy == "a":
+        beta = cfg.beta_at(k)
+    else:
+        grad_norm = norm(g)
+        if grad_norm == 0.0:
+            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, residual, stop="fixed_point"), g
+        beta = exogenous_step(grad_norm, k, cfg.exo_constant)
+    w = set_.project(x - beta * g)
+    stop = _entry_stop(cfg, norm(x - w), residual)
+    return (state if stop else _Point(w, k + 1)), IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop), g
 
 
 _STALL_REL = 1e-9
 _STALL_PATIENCE = 3
 
 
-def anchored_solve(inst: ProblemInstance, cfg: SolverConfig) -> RunReport:
-    """Drive anchored_step to termination.
+def _never(x: Vec, x_next: Vec) -> bool:
+    return False
 
-    Stops on the residual tolerance, on a fixed point of the projected
-    gradient map, on consecutive iterates closer than fixed_point_tol, or on
-    the iteration cap.  Once the level value collapses onto the optimal
-    value at working precision, the anchor cut pins the step length near the
-    float noise floor while the iterate is already as close to the solution
-    as the level information allows; that regime is detected as a stall
-    (several consecutive steps below 1e-9 relative to the anchor distance)
-    and reported as a fixed-point stop, with the residual at the final
-    iterate left in the trace rather than claiming optimality.
 
-    A failed or infeasible intersection projection surfaces as a distinct
-    status: under the method's assumptions the cuts always keep the solution
-    set, so an infeasible intersection indicates a bug or numerically
-    violated assumption rather than a recoverable event.
-    """
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
-    trace: list[IterateRecord] = []
-    status = SolveStatus.ITERATION_CAP
+def _no_move(cfg: SolverConfig):
+    """Strategy b stops once a step moves the iterate by at most fixed_point_tol."""
+    return lambda x, x_next: norm(x_next - x) <= cfg.fixed_point_tol
+
+
+def _stall(inst: ProblemInstance, cfg: SolverConfig):
+    """Strategy A2 stops on consecutive iterates closer than fixed_point_tol,
+    or on a stall: once the level value collapses onto the optimal value at
+    working precision, the anchor cut pins the step length near the float
+    noise floor while the iterate is already as close to the solution as the
+    level information allows.  Several consecutive steps below 1e-9 relative
+    to the anchor distance are reported as a fixed-point stop, with the
+    residual at the final iterate left in the report rather than claiming
+    optimality."""
     stalled = 0
-    try:
-        for _ in range(cfg.max_outer_iters):
-            next_state, rec = anchored_step(inst, state, cfg)
-            if rec.stop == "fixed_point":
-                status = SolveStatus.FIXED_POINT_STOP
-                break
-            if rec.stop == "residual":
-                status = SolveStatus.OPTIMAL_RESIDUAL
-                break
-            trace.append(rec)
-            moved = norm(next_state.x - state.x)
-            state = next_state
-            if moved <= cfg.fixed_point_tol:
-                status = SolveStatus.FIXED_POINT_STOP
-                break
-            if moved <= _STALL_REL * max(1.0, norm(state.x - inst.x0)):
-                stalled += 1
-                if stalled >= _STALL_PATIENCE:
-                    status = SolveStatus.FIXED_POINT_STOP
-                    break
-            else:
-                stalled = 0
-    except (IntersectionError, InfeasibleCutError):
-        status = SolveStatus.INTERSECTION_FAILURE
-    report = _report(inst, cfg, status, trace, state.x)
-    if cfg.trace_stride == 1:
-        report.monitors = _anchored_monitors(inst, cfg, trace, state.x)
-    return report
+
+    def stop(x: Vec, x_next: Vec) -> bool:
+        nonlocal stalled
+        moved = norm(x_next - x)
+        if moved <= cfg.fixed_point_tol:
+            return True
+        stalled = stalled + 1 if moved <= _STALL_REL * max(1.0, norm(x_next - inst.x0)) else 0
+        return stalled >= _STALL_PATIENCE
+
+    return stop
 
 
-def classic_solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
-    """Plain projection iterations for strategies "a" (constant), "b"
-    (boundary search), and "d" (exogenous); the feasible-direction strategy
-    "c" is armijo_solve."""
-    if strategy not in ("a", "b", "d"):
-        raise ValueError(f"classic_solve handles strategies 'a', 'b', 'd'; got {strategy!r}")
-    obj, set_ = inst.objective, inst.feasible_set
-    x = inst.x0
+def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
+    """The strategy's initial state, step, post-step stop rule and monitors."""
+    if strategy == "c":
+        start = _Point(inst.x0, 0, *value_and_grad(inst.objective, inst.x0))
+        return start, _armijo_step, _never, _ArmijoMonitors(inst, cfg)
+    if strategy == "A2":
+        start = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
+        return start, _anchored_step, _stall(inst, cfg), _AnchoredMonitors(inst, cfg)
+    if strategy in ("a", "b", "d"):
+        stop = _no_move(cfg) if strategy == "b" else _never
+        return _Point(inst.x0, 0), partial(_classic_step, strategy), stop, _ClassicMonitors(cfg, strategy)
+    raise ValueError(f"unknown strategy {strategy!r}; expected one of 'a', 'b', 'c', 'd', 'A2'")
+
+
+_STOPS = {"fixed_point": SolveStatus.FIXED_POINT_STOP, "residual": SolveStatus.OPTIMAL_RESIDUAL}
+
+
+def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
+    """Run strategy "a", "b", "c", "d" or "A2" from inst.x0.
+
+    Stops on the residual tolerance or a fixed point of the projected
+    gradient map (tested before each step), on the strategy's post-step
+    stop rule, or on the iteration cap.  A failed line search ends the run
+    as LINE_SEARCH_FAILURE; a failed or infeasible intersection projection
+    as INTERSECTION_FAILURE: under the anchored method's assumptions the
+    cuts always keep the solution set, so an infeasible intersection
+    indicates a bug or numerically violated assumption rather than a
+    recoverable event.
+
+    The trace keeps every trace_stride-th step record and the last one; the
+    monitors see every step, so they are reported at any trace_stride.
+    """
+    state, step, stop, monitors = _strategy(inst, cfg, strategy)
     trace: list[IterateRecord] = []
+    last: Optional[IterateRecord] = None
+    n = 0
     status = SolveStatus.ITERATION_CAP
     try:
-        for k in range(cfg.max_outer_iters):
-            f, g = value_and_grad(obj, x)
-            grad_norm = norm(g)
-            residual = norm(x - set_.project(x - g))
-            if strategy == "d" and grad_norm == 0.0:
+        while n < cfg.max_outer_iters:
+            next_state, rec, g = step(inst, cfg, state)
+            if rec.stop is not None:
+                status = _STOPS[rec.stop]
+                break
+            if n % cfg.trace_stride == 0:
+                trace.append(rec)
+            n, last = n + 1, rec
+            monitors.add(rec, g, next_state)
+            x, state = state.x, next_state
+            if stop(x, state.x):
                 status = SolveStatus.FIXED_POINT_STOP
                 break
-            if strategy == "a":
-                beta = cfg.beta_at(k)
-            elif strategy == "b":
-                beta = cfg.beta_bar
-            else:
-                beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-            if strategy == "b":
-                if residual <= cfg.residual_tol:
-                    status = SolveStatus.OPTIMAL_RESIDUAL
-                    break
-                ls = armijo_boundary(
-                    obj, set_, x, cfg.beta_bar, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
-                )
-                rec = IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual)
-                x_next = ls.trial_point
-            else:
-                w = set_.project(x - beta * g)
-                if norm(x - w) <= cfg.fixed_point_tol:
-                    status = SolveStatus.FIXED_POINT_STOP
-                    break
-                if residual <= cfg.residual_tol:
-                    status = SolveStatus.OPTIMAL_RESIDUAL
-                    break
-                rec = IterateRecord(k, x, f, 1.0, beta, 0, residual)
-                x_next = w
-            trace.append(rec)
-            if strategy == "b" and norm(x_next - x) <= cfg.fixed_point_tol:
-                x = x_next
-                status = SolveStatus.FIXED_POINT_STOP
-                break
-            x = x_next
     except LineSearchError:
         status = SolveStatus.LINE_SEARCH_FAILURE
-    report = _report(inst, cfg, status, trace, x)
-    if cfg.trace_stride == 1:
-        report.monitors = _classic_monitors(inst, cfg, strategy, trace, x, report.final_f)
+    except (IntersectionError, InfeasibleCutError):
+        status = SolveStatus.INTERSECTION_FAILURE
+    if last is not None and trace[-1] is not last:
+        trace.append(last)
+    x = state.x
+    f, g = value_and_grad(inst.objective, x)
+    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)))
+    if n:
+        report.monitors = monitors.result(report)
     return report
 
 
-def _strided(trace: list[IterateRecord], cfg: SolverConfig) -> list[IterateRecord]:
-    if cfg.trace_stride == 1 or not trace:
-        return trace
-    kept = trace[:: cfg.trace_stride]
-    if kept[-1] is not trace[-1]:
-        kept.append(trace[-1])
-    return kept
+class _Worst:
+    """Running worst (smallest) margin of one monitor, gated at -tol.  link
+    adds the drop from the previously linked value (the rise when rising)."""
+
+    def __init__(self, tol: float, rising: bool = False) -> None:
+        self.tol, self.rising = tol, rising
+        self.worst: Optional[float] = None
+        self.prev: Optional[float] = None
+
+    def add(self, margin: float) -> None:
+        if self.worst is None or margin < self.worst:
+            self.worst = margin
+
+    def link(self, value: float) -> None:
+        if self.prev is not None:
+            self.add(value - self.prev if self.rising else self.prev - value)
+        self.prev = value
+
+    def result(self) -> MonitorResult:
+        worst = 0.0 if self.worst is None else self.worst
+        return MonitorResult(passed=worst >= -self.tol, worst_margin=worst)
 
 
-def _worst(margins) -> MonitorResult:
-    margins = list(margins)
-    worst = min(margins) if margins else 0.0
-    return MonitorResult(passed=True, worst_margin=worst)
-
-
-def _gate(result: MonitorResult, tol: float) -> MonitorResult:
-    result.passed = result.worst_margin >= -tol
-    return result
-
-
-def _armijo_monitors(
-    inst: ProblemInstance,
-    cfg: SolverConfig,
-    trace: list[IterateRecord],
-    final_x: Vec,
-    final_f: float,
-    final_gap: float,
-) -> dict[str, MonitorResult]:
+class _ArmijoMonitors:
     """Invariant suite for the feasible-direction runs.
 
     descent: objective nonincreasing along iterates.  The recorded values
@@ -415,36 +409,55 @@ def _armijo_monitors(
     projection_gap_bound: <g, x - w> >= ||x - w||^2 / beta at every step.
     vanishing_product: running minimum of alpha ||x - w||^2; the terminal
         iterate has no step record, and alpha <= 1 bounds its product by its
-        squared projection gap final_gap.
+        squared projection gap.
     quasi_fejer: ||x+ - x*||^2 <= ||x - x*||^2 + eps_k against the known
         solution, and the sum of eps_k against its telescoped bound.
     """
-    if not trace:
-        return {}
-    out: dict[str, MonitorResult] = {}
-    fs = [r.f_val for r in trace] + [final_f]
-    out["descent"] = _gate(_worst(fs[i] - fs[i + 1] for i in range(len(fs) - 1)), 1e-12)
-    out["projection_gap_bound"] = _gate(_worst(r.gap_margin for r in trace), 1e-10)
-    running_min = min([r.alpha * r.gap**2 for r in trace] + [final_gap**2])
-    out["vanishing_product"] = MonitorResult(passed=running_min < 1e-8, worst_margin=running_min)
 
-    if inst.known_solution is not None:
-        xs = [r.x for r in trace] + [final_x]
-        margins = []
-        for i, r in enumerate(trace):
-            lhs = norm(xs[i] - inst.known_solution) ** 2 + r.epsilon_qf
-            margins.append(lhs - norm(xs[i + 1] - inst.known_solution) ** 2)
-        out["quasi_fejer"] = _gate(_worst(margins), 1e-8)
-    if inst.known_fstar is not None:
-        total = sum(r.epsilon_qf for r in trace)
-        bound = 2.0 * (cfg.beta_max / cfg.delta) * (trace[0].f_val - inst.known_fstar)
-        out["epsilon_sum"] = MonitorResult(passed=total <= bound + 1e-6, worst_margin=bound + 1e-6 - total)
-    return out
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig) -> None:
+        self.inst, self.cfg = inst, cfg
+        self.descent = _Worst(1e-12)
+        self.gap_bound = _Worst(1e-10)
+        self.product = math.inf
+        self.quasi_fejer = _Worst(1e-8)
+        self.eps_total = 0.0
+        self.f0: Optional[float] = None
+        self.last: Optional[_Point] = None
+
+    def add(self, rec: IterateRecord, g: Vec, state: _Point) -> None:
+        self.descent.link(rec.f_val)
+        self.gap_bound.add(rec.gap_margin)
+        self.product = min(self.product, rec.alpha * rec.gap**2)
+        sol = self.inst.known_solution
+        if sol is not None:
+            self.quasi_fejer.add(norm(rec.x - sol) ** 2 + rec.epsilon_qf - norm(state.x - sol) ** 2)
+        self.eps_total += rec.epsilon_qf
+        if self.f0 is None:
+            self.f0 = rec.f_val
+        self.last = state
+
+    def result(self, report: RunReport) -> dict[str, MonitorResult]:
+        inst, cfg, x = self.inst, self.cfg, report.final_x
+        self.descent.link(report.final_f)
+        beta = cfg.beta_at(report.iterations)
+        final_gap = report.final_residual if beta == 1.0 else norm(x - inst.feasible_set.project(x - beta * self.last.g))
+        product = min(self.product, final_gap**2)
+        out = {
+            "descent": self.descent.result(),
+            "projection_gap_bound": self.gap_bound.result(),
+            "vanishing_product": MonitorResult(passed=product < 1e-8, worst_margin=product),
+        }
+        if inst.known_solution is not None:
+            out["quasi_fejer"] = self.quasi_fejer.result()
+        if inst.known_fstar is not None:
+            bound = 2.0 * (cfg.beta_max / cfg.delta) * (self.f0 - inst.known_fstar)
+            out["epsilon_sum"] = MonitorResult(
+                passed=self.eps_total <= bound + 1e-6, worst_margin=bound + 1e-6 - self.eps_total
+            )
+        return out
 
 
-def _anchored_monitors(
-    inst: ProblemInstance, cfg: SolverConfig, trace: list[IterateRecord], final_x: Vec
-) -> dict[str, MonitorResult]:
+class _AnchoredMonitors:
     """Invariant suite for the anchored runs.
 
     anchor_monotone: distance to the anchor never decreases.
@@ -456,69 +469,73 @@ def _anchored_monitors(
         stay in the ball spanned by anchor and solution, and the solution
         satisfies both cuts.
     """
-    if not trace:
-        return {}
-    obj = inst.objective
-    anchor = inst.x0
-    out: dict[str, MonitorResult] = {}
-    dists = [r.dist_anchor for r in trace] + [norm(final_x - anchor)]
-    out["anchor_monotone"] = _gate(_worst(dists[i + 1] - dists[i] for i in range(len(dists) - 1)), 1e-10)
 
-    levels = [r.f_lev for r in trace]
-    out["level_monotone"] = _gate(_worst(levels[i] - levels[i + 1] for i in range(len(levels) - 1)), 0.0)
-    sandwich = [r.f_val - r.f_lev for r in trace]
-    if inst.known_fstar is not None:
-        sandwich += [r.f_lev - inst.known_fstar for r in trace]
-    out["level_sandwich"] = _gate(_worst(sandwich), 1e-9)
-
-    xs = [r.x for r in trace] + [final_x]
-    step_margins = []
-    for i, r in enumerate(trace):
-        g = obj.gradient(r.x)
-        gn = norm(g)
-        if gn == 0.0:
-            continue
-        step_len = norm(xs[i] - xs[i + 1])
-        level_gap = (r.f_val - r.f_lev) / gn
-        w = inst.feasible_set.project(r.x - r.beta * g)
-        lower = cfg.delta * (r.alpha / cfg.beta_max) * norm(r.x - w) ** 2 / gn
-        step_margins.append(step_len - level_gap)
-        step_margins.append(level_gap - lower)
-    out["level_gap_step"] = _gate(_worst(step_margins), 1e-8)
-
-    if inst.known_solution is not None:
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig) -> None:
+        self.inst, self.cfg = inst, cfg
+        self.anchor_monotone = _Worst(1e-10, rising=True)
+        self.level_monotone = _Worst(0.0)
+        self.level_sandwich = _Worst(1e-9)
+        self.level_gap_step = _Worst(1e-8)
+        self.ball_containment = _Worst(1e-7)
+        self.cuts_keep_solution = _Worst(1e-8)
         sol = inst.known_solution
-        center = 0.5 * (anchor + sol)
-        radius = 0.5 * norm(sol - anchor)
-        out["ball_containment"] = _gate(_worst(radius - norm(x - center) for x in xs), 1e-7)
-        cut_margins = []
-        for r in trace:
-            g = obj.gradient(r.x)
-            cut_margins.append(-(dot(g, sol - r.x) + r.f_val - r.f_lev))
-            cut_margins.append(-dot(sol - r.x, anchor - r.x))
-        out["cuts_keep_solution"] = _gate(_worst(cut_margins), 1e-8)
-    return out
+        if sol is not None:
+            self.center = 0.5 * (inst.x0 + sol)
+            self.radius = 0.5 * norm(sol - inst.x0)
+
+    def add(self, rec: IterateRecord, g: Vec, state: AnchoredState) -> None:
+        inst, cfg = self.inst, self.cfg
+        self.anchor_monotone.link(rec.dist_anchor)
+        self.level_monotone.link(rec.f_lev)
+        self.level_sandwich.add(rec.f_val - rec.f_lev)
+        if inst.known_fstar is not None:
+            self.level_sandwich.add(rec.f_lev - inst.known_fstar)
+        gn = norm(g)
+        if gn != 0.0:
+            level_gap = (rec.f_val - rec.f_lev) / gn
+            lower = cfg.delta * (rec.alpha / cfg.beta_max) * rec.gap**2 / gn
+            self.level_gap_step.add(norm(rec.x - state.x) - level_gap)
+            self.level_gap_step.add(level_gap - lower)
+        sol = inst.known_solution
+        if sol is not None:
+            self.ball_containment.add(self.radius - norm(rec.x - self.center))
+            self.cuts_keep_solution.add(-(dot(g, sol - rec.x) + rec.f_val - rec.f_lev))
+            self.cuts_keep_solution.add(-dot(sol - rec.x, inst.x0 - rec.x))
+
+    def result(self, report: RunReport) -> dict[str, MonitorResult]:
+        x = report.final_x
+        self.anchor_monotone.link(norm(x - self.inst.x0))
+        out = {
+            "anchor_monotone": self.anchor_monotone.result(),
+            "level_monotone": self.level_monotone.result(),
+            "level_sandwich": self.level_sandwich.result(),
+            "level_gap_step": self.level_gap_step.result(),
+        }
+        if self.inst.known_solution is not None:
+            self.ball_containment.add(self.radius - norm(x - self.center))
+            out["ball_containment"] = self.ball_containment.result()
+            out["cuts_keep_solution"] = self.cuts_keep_solution.result()
+        return out
 
 
-def _classic_monitors(
-    inst: ProblemInstance,
-    cfg: SolverConfig,
-    strategy: str,
-    trace: list[IterateRecord],
-    final_x: Vec,
-    final_f: float,
-) -> dict[str, MonitorResult]:
-    if not trace:
-        return {}
-    out: dict[str, MonitorResult] = {}
-    xs = [r.x for r in trace] + [final_x]
-    if strategy == "b":
-        fs = [r.f_val for r in trace] + [final_f]
-        out["descent"] = _gate(_worst(fs[i] - fs[i + 1] for i in range(len(fs) - 1)), 1e-12)
-    if strategy == "d":
-        margins = []
-        for i, r in enumerate(trace):
-            delta_k = cfg.exo_constant / (r.k + 1)
-            margins.append(delta_k - norm(xs[i + 1] - xs[i]))
-        out["exogenous_step_bound"] = _gate(_worst(margins), 1e-12)
-    return out
+class _ClassicMonitors:
+    """descent for strategy b (the chain ends at final_f); for strategy d,
+    exogenous_step_bound: each step moves at most exo_constant / (k + 1)."""
+
+    _NAMES = {"b": "descent", "d": "exogenous_step_bound"}
+
+    def __init__(self, cfg: SolverConfig, strategy: str) -> None:
+        self.cfg, self.strategy = cfg, strategy
+        self.margins = _Worst(1e-12)
+
+    def add(self, rec: IterateRecord, g: Vec, state: _Point) -> None:
+        if self.strategy == "b":
+            self.margins.link(rec.f_val)
+        elif self.strategy == "d":
+            self.margins.add(self.cfg.exo_constant / (rec.k + 1) - norm(state.x - rec.x))
+
+    def result(self, report: RunReport) -> dict[str, MonitorResult]:
+        if self.strategy == "b":
+            self.margins.link(report.final_f)
+        name = self._NAMES.get(self.strategy)
+        return {} if name is None else {name: self.margins.result()}

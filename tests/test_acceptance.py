@@ -21,16 +21,14 @@ from projgrad import (
     SolveStatus,
     SolverConfig,
     WholeSpace,
-    anchored_solve,
     armijo_boundary,
     armijo_feasible_direction,
-    armijo_solve,
     armijo_step,
     check_gradient,
-    classic_solve,
     get_instance,
     natural_residual,
     project_intersection,
+    solve,
 )
 from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
@@ -110,7 +108,7 @@ def test_criterion_3_armijo_convergence():
     worst_resid, worst_dist, worst_iters = 0.0, 0.0, 0
     for iid in ARMIJO_INSTANCES:
         inst = get_instance(iid)
-        rep = armijo_solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=5000))
+        rep = solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=5000), "c")
         worst_iters = max(worst_iters, rep.iterations)
         worst_resid = max(worst_resid, natural_residual(inst, rep.final_x))
         worst_dist = max(worst_dist, norm(rep.final_x - inst.known_solution))
@@ -128,7 +126,7 @@ def test_criterion_4_armijo_monitor_suite():
     ok = True
     for iid in ARMIJO_INSTANCES:
         inst = get_instance(iid)
-        rep = armijo_solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=5000))
+        rep = solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=5000), "c")
         mon = rep.monitors
         checks = {
             "descent": mon["descent"].worst_margin >= -1e-12,
@@ -144,13 +142,13 @@ def test_criterion_4_armijo_monitor_suite():
 def test_criterion_5_anchored_targets():
     start = time.perf_counter()
     inst = get_instance("flat-quadratic")
-    rep = anchored_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "A2")
     flat_err = norm(rep.final_x - np.array([1.0, 1.7]))
     agree = 0.0
     for iid in UNIQUE_INSTANCES:
         unique = get_instance(iid)
-        r1 = armijo_solve(unique, SolverConfig())
-        r2 = anchored_solve(unique, SolverConfig())
+        r1 = solve(unique, SolverConfig(), "c")
+        r2 = solve(unique, SolverConfig(), "A2")
         agree = max(agree, norm(r1.final_x - r2.final_x))
     elapsed = time.perf_counter() - start
     ok = flat_err <= 1e-5 and agree <= 1e-5 and elapsed < 10.0
@@ -166,7 +164,7 @@ def test_criterion_6_anchored_monitor_suite():
     ok = True
     for iid in ("flat-quadratic",) + UNIQUE_INSTANCES:
         inst = get_instance(iid)
-        rep = anchored_solve(inst, SolverConfig())
+        rep = solve(inst, SolverConfig(), "A2")
         mon = rep.monitors
         checks = {
             "anchor_monotone": mon["anchor_monotone"].worst_margin >= -1e-10,
@@ -231,7 +229,7 @@ def test_criterion_7_strategy_comparison():
 
     # exogenous: per-step bound holds and it is at least 10x slower than (c)
     cfg_d = SolverConfig(exo_constant=0.2, residual_tol=1e-2, max_outer_iters=100_000)
-    rep_d = classic_solve(inst, cfg_d, "d")
+    rep_d = solve(inst, cfg_d, "d")
     bound_ok = rep_d.monitors["exogenous_step_bound"].passed
     ratio = rep_d.iterations / max(1, c_iters)
     ok = one_each and b_ok and bound_ok and ratio >= 10.0
@@ -283,7 +281,7 @@ def test_criterion_9_armijo_trial_counts_and_minimality():
         inst = get_instance(iid)
         for delta in (1e-4, 0.5, 0.9):
             cfg = SolverConfig(delta=delta, residual_tol=1e-6, max_outer_iters=5000)
-            for rep in (armijo_solve(inst, cfg), anchored_solve(inst, cfg)):
+            for rep in (solve(inst, cfg, "c"), solve(inst, cfg, "A2")):
                 for rec in rep.trace:
                     worst_trials = max(worst_trials, rec.inner_trials)
                     g = inst.objective.gradient(rec.x)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from projgrad import SolveStatus, get_instance, list_instances, natural_residual
+from projgrad import SolveStatus, get_instance, list_instances, natural_residual, solve
 from projgrad.bench import (
     RunSpec,
     compare_specs,
@@ -93,9 +94,7 @@ def test_run_spec_writes_roundtrippable_trace(tmp_path):
     # formatted fields reproduce the in-memory floats exactly
     report_rows = rows[:-1]
     spec2 = load_spec(write_spec(tmp_path, "qb2.json", {"problem": "quadratic-box", "strategy": "c"}))
-    from projgrad.bench import _solve
-
-    report = _solve(spec2)
+    report = solve(spec2.problem, spec2.config, spec2.strategy)
     for parsed, rec in zip(report_rows, report.trace):
         assert parsed["k"] == rec.k
         assert parsed["f"] == rec.f_val
@@ -104,6 +103,13 @@ def test_run_spec_writes_roundtrippable_trace(tmp_path):
         assert parsed["epsilon_qf"] == rec.epsilon_qf
     summary = json.loads((tmp_path / "run_summary.json").read_text())
     assert summary["status"] in ("optimal_residual", "fixed_point_stop")
+
+
+def test_summary_file_is_json_dumps_of_the_row(tmp_path):
+    spec = load_spec(write_spec(tmp_path, "flat.json", {"problem": "flat-quadratic", "strategy": "A2"}))
+    row, _ = run_spec(spec, out_prefix=str(tmp_path / "run"))
+    assert (tmp_path / "run_summary.json").read_text() == json.dumps(dataclasses.asdict(row)) + "\n"
+    assert list(json.loads((tmp_path / "run_summary.json").read_text())) == [f.name for f in dataclasses.fields(row)]
 
 
 def test_run_spec_deterministic_traces(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projgrad import IterateRecord, SolverConfig, as_vector, axpby, constant_step, dot, norm
+from projgrad import IterateRecord, SolverConfig, as_vector, constant_step, dot, norm
 
 
 def test_dot_examples():
@@ -23,14 +23,6 @@ def test_norm_examples():
     assert norm(np.array([-2.0])) == 2.0
 
 
-def test_axpby_examples():
-    assert np.array_equal(axpby(1.0, np.array([1.0, 1.0]), 0.0, np.array([9.0, 9.0])), [1.0, 1.0])
-    assert np.array_equal(axpby(0.5, np.array([2.0, 0.0]), 0.5, np.array([0.0, 2.0])), [1.0, 1.0])
-    assert np.array_equal(axpby(1.0, np.array([1.0, 2.0]), -1.0, np.array([1.0, 2.0])), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        axpby(1.0, np.zeros(2), 1.0, np.zeros(3))
-
-
 def test_cauchy_schwarz_random():
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -46,7 +38,7 @@ def test_parallelogram_law_random():
         dim = int(rng.integers(1, 12))
         a = rng.standard_normal(dim)
         b = rng.standard_normal(dim)
-        lhs = norm(axpby(1, a, 1, b)) ** 2 + norm(axpby(1, a, -1, b)) ** 2
+        lhs = norm(a + b) ** 2 + norm(a - b) ** 2
         rhs = 2 * norm(a) ** 2 + 2 * norm(b) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -17,8 +17,7 @@ from projgrad import (
     Simplex,
     SolveStatus,
     SolverConfig,
-    anchored_solve,
-    armijo_solve,
+    solve,
 )
 from projgrad.core import norm
 from projgrad.oracle import quadratic_oracle, system_from_set
@@ -48,11 +47,11 @@ def test_solvers_track_qp_oracle_on_random_instances():
         reference = quadratic_oracle(obj, system_from_set(base, dim))
         start_dist = norm(x0 - reference)
 
-        rep_a = armijo_solve(inst, SolverConfig())
+        rep_a = solve(inst, SolverConfig(), "c")
         assert norm(rep_a.final_x - reference) <= 1e-5, f"trial {trial}"
         assert all(m.passed for m in rep_a.monitors.values()), f"trial {trial}"
 
-        rep_b = anchored_solve(inst, SolverConfig(max_outer_iters=80))
+        rep_b = solve(inst, SolverConfig(max_outer_iters=80), "A2")
         assert rep_b.status is not SolveStatus.INTERSECTION_FAILURE, f"trial {trial}"
         err = norm(rep_b.final_x - reference)
         if rep_b.status in STOPPED:

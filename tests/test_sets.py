@@ -234,6 +234,32 @@ def test_intersection_ball_tangent_to_pinned_plane():
     assert norm(got - projection_oracle(ball, [outside, lifted], anchor)) <= 1e-9
 
 
+def test_oracle_keeps_ball_candidate_on_tangent_cut():
+    # a cut touching the ball only at p = c + r u: rho_sq of the oracle's
+    # ball-active candidate falls on either side of 0 by rounding alone.  The
+    # intersection is one point, so a rounding d of the cut offset moves it
+    # by ~sqrt(2 r d); both projections are held to that scale around p
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        dim = int(rng.integers(1, 5))
+        c = rng.standard_normal(dim)
+        r = rng.uniform(0.1, 2.0)
+        u = rng.standard_normal(dim)
+        u /= norm(u)
+        n = -rng.uniform(0.1, 3.0) * u
+        p = c + r * u
+        cut = Halfcut(normal=n, offset=dot(n, p))
+        anchor = c + 3.0 * rng.standard_normal(dim)
+        ball = Ball(center=c, radius=r)
+        ref = projection_oracle(ball, [cut], anchor)
+        got = project_intersection(ball, [cut], anchor)
+        scale = 8.0 * np.sqrt(eps * r * max(1.0, norm(p)))
+        assert norm(ref - p) <= scale
+        assert norm(got - p) <= scale
+        assert norm(ref - got) <= scale
+
+
 def test_intersection_rejects_more_than_two_cuts():
     e = np.eye(3)
     cuts = [Halfcut(normal=e[i], offset=1.0) for i in range(3)]

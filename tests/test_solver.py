@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,18 +16,16 @@ from projgrad import (
     Quadratic,
     SolveStatus,
     SolverConfig,
-    anchored_solve,
     anchored_step,
     armijo_boundary,
     armijo_feasible_direction,
-    armijo_solve,
     armijo_step,
-    classic_solve,
     constant_step,
     get_instance,
     list_instances,
     natural_residual,
     quasi_fejer_epsilon,
+    solve,
 )
 from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
@@ -102,7 +101,7 @@ def test_armijo_step_descent_on_catalog():
 
 def test_armijo_solve_quadratic_box():
     inst = get_instance("quadratic-box")
-    rep = armijo_solve(inst, SolverConfig(residual_tol=1e-6))
+    rep = solve(inst, SolverConfig(residual_tol=1e-6), "c")
     assert rep.status in (SolveStatus.OPTIMAL_RESIDUAL, SolveStatus.FIXED_POINT_STOP)
     assert natural_residual(inst, rep.final_x) <= 1e-6
     assert norm(rep.final_x - np.array([1.0, 1.0])) <= 1e-5
@@ -111,7 +110,7 @@ def test_armijo_solve_quadratic_box():
 
 def test_armijo_solve_pnorm_over_ball():
     inst = get_instance("pnorm4-ball")
-    rep = armijo_solve(inst, SolverConfig(residual_tol=1e-6))
+    rep = solve(inst, SolverConfig(residual_tol=1e-6), "c")
     assert natural_residual(inst, rep.final_x) <= 1e-6
     assert norm(rep.final_x - np.array([1.0, 0.0])) <= 1e-5
 
@@ -125,7 +124,7 @@ def test_armijo_solve_starts_optimal():
         known_solution=base.known_solution,
         known_fstar=base.known_fstar,
     )
-    rep = armijo_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "c")
     assert rep.status is SolveStatus.FIXED_POINT_STOP
     assert rep.iterations == 0
     assert np.array_equal(rep.final_x, [1.0, 1.0])
@@ -134,7 +133,7 @@ def test_armijo_solve_starts_optimal():
 def test_armijo_solve_optimal_status_implies_residual_bound():
     inst = get_instance("pnorm1p5-box")
     cfg = SolverConfig(residual_tol=1e-6)
-    rep = armijo_solve(inst, cfg)
+    rep = solve(inst, cfg, "c")
     if rep.status is SolveStatus.OPTIMAL_RESIDUAL:
         assert natural_residual(inst, rep.final_x) <= cfg.residual_tol
 
@@ -152,7 +151,7 @@ def test_line_search_failure_surfaces_in_status():
         feasible_set=Box(lower=np.full(2, -10.0), upper=np.full(2, 10.0)),
         x0=np.array([1.0, 1.0]),
     )
-    rep = armijo_solve(inst, SolverConfig(max_inner_iters=30))
+    rep = solve(inst, SolverConfig(max_inner_iters=30), "c")
     assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
 
 
@@ -165,7 +164,7 @@ def test_quasi_fejer_epsilon_stationary_is_zero():
 def test_quasi_fejer_sum_bound():
     inst = get_instance("quadratic-box")
     cfg = SolverConfig()
-    rep = armijo_solve(inst, cfg)
+    rep = solve(inst, cfg, "c")
     total = sum(r.epsilon_qf for r in rep.trace)
     bound = 2.0 * (cfg.beta_max / cfg.delta) * (inst.objective.value(inst.x0) - inst.known_fstar)
     assert total <= bound + 1e-6
@@ -237,7 +236,7 @@ def test_anchored_level_value_monotone():
 
 def test_anchored_solve_flat_instance_hits_closest_solution():
     inst = get_instance("flat-quadratic")
-    rep = anchored_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "A2")
     assert norm(rep.final_x - np.array([1.0, 1.7])) <= 1e-5
     assert all(m.passed for m in rep.monitors.values())
 
@@ -247,7 +246,7 @@ def test_anchored_solve_starts_optimal():
     inst = ProblemInstance(
         objective=base.objective, feasible_set=base.feasible_set, x0=np.array([1.0, 1.0])
     )
-    rep = anchored_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "A2")
     assert rep.status is SolveStatus.FIXED_POINT_STOP
     assert rep.iterations == 0
 
@@ -255,15 +254,15 @@ def test_anchored_solve_starts_optimal():
 def test_anchored_matches_armijo_on_unique_solutions():
     for iid in ("quadratic-box", "pnorm4-ball-far"):
         inst = get_instance(iid)
-        r1 = armijo_solve(inst, SolverConfig())
-        r2 = anchored_solve(inst, SolverConfig())
+        r1 = solve(inst, SolverConfig(), "c")
+        r2 = solve(inst, SolverConfig(), "A2")
         assert norm(r1.final_x - r2.final_x) <= 1e-5
         assert all(m.passed for m in r2.monitors.values())
 
 
 def test_anchored_monitor_suite_details():
     inst = get_instance("flat-quadratic")
-    rep = anchored_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "A2")
     mon = rep.monitors
     assert mon["anchor_monotone"].worst_margin >= -1e-10
     assert mon["ball_containment"].worst_margin >= -1e-7
@@ -279,7 +278,7 @@ def test_armijo_solve_logsumexp_over_simplex():
 
     obj = LogSumExp(rows=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), offsets=np.zeros(3))
     inst = ProblemInstance(objective=obj, feasible_set=Simplex(scale=1.0), x0=np.array([0.9, 0.1]))
-    rep = armijo_solve(inst, SolverConfig())
+    rep = solve(inst, SolverConfig(), "c")
     assert norm(rep.final_x - np.array([0.5, 0.5])) <= 1e-6
 
 
@@ -290,21 +289,21 @@ def test_solvers_on_halfspace_and_hyperplane_bases():
     halfspace = Halfspace(normal=np.array([1.0, 1.0]), offset=2.0)
     inst = ProblemInstance(objective=quadratic, feasible_set=halfspace, x0=np.zeros(2))
     expected = halfspace.project(np.array([2.0, 2.0]))
-    assert norm(armijo_solve(inst, SolverConfig()).final_x - expected) <= 1e-6
-    assert norm(anchored_solve(inst, SolverConfig()).final_x - expected) <= 1e-5
+    assert norm(solve(inst, SolverConfig(), "c").final_x - expected) <= 1e-6
+    assert norm(solve(inst, SolverConfig(), "A2").final_x - expected) <= 1e-5
 
     hyperplane = Hyperplane(normal=np.array([1.0, 1.0]), offset=2.0)
     inst2 = ProblemInstance(objective=quadratic, feasible_set=hyperplane, x0=np.array([2.0, 0.0]))
-    assert norm(armijo_solve(inst2, SolverConfig()).final_x - expected) <= 1e-6
+    assert norm(solve(inst2, SolverConfig(), "c").final_x - expected) <= 1e-6
 
 
 def test_classic_constant_step_converges_under_curvature_bound():
     # L = 1 for the unit quadratic, so beta = 0.5 < 2/L converges
     inst = get_instance("quadratic-box")
     cfg = SolverConfig(beta_schedule=constant_step(0.5), residual_tol=1e-6)
-    rep = classic_solve(inst, cfg, "a")
+    rep = solve(inst, cfg, "a")
     assert natural_residual(inst, rep.final_x) <= 1e-6
-    ref = armijo_solve(inst, SolverConfig()).final_x
+    ref = solve(inst, SolverConfig(), "c").final_x
     assert norm(rep.final_x - ref) <= 1e-6
 
 
@@ -317,15 +316,15 @@ def test_classic_constant_step_divergence_witness():
         x0=np.zeros(2),
     )
     cfg = SolverConfig(beta_schedule=constant_step(2.5), max_outer_iters=300)
-    rep = classic_solve(inst, cfg, "a")
+    rep = solve(inst, cfg, "a")
     assert rep.status is SolveStatus.ITERATION_CAP
     assert natural_residual(inst, rep.final_x) > 1e-2
 
 
 def test_classic_boundary_matches_armijo_limit():
     inst, cfg = line_1d(delta=1e-4)
-    rep_b = classic_solve(inst, cfg, "b")
-    rep_c = armijo_solve(inst, cfg)
+    rep_b = solve(inst, cfg, "b")
+    rep_c = solve(inst, cfg, "c")
     assert norm(rep_b.final_x - rep_c.final_x) <= 1e-6
     assert rep_b.monitors["descent"].passed
 
@@ -333,7 +332,7 @@ def test_classic_boundary_matches_armijo_limit():
 def test_classic_exogenous_step_bound_and_slow_convergence():
     inst = get_instance("quadratic-box")
     cfg = SolverConfig(exo_constant=1.0, residual_tol=1e-2, max_outer_iters=10_000)
-    rep = classic_solve(inst, cfg, "d")
+    rep = solve(inst, cfg, "d")
     assert rep.status in (SolveStatus.OPTIMAL_RESIDUAL, SolveStatus.FIXED_POINT_STOP)
     assert rep.iterations <= 10_000
     assert rep.monitors["exogenous_step_bound"].passed
@@ -345,8 +344,8 @@ def test_classic_exogenous_step_bound_and_slow_convergence():
 
 def test_classic_rejects_unknown_strategy():
     inst = get_instance("quadratic-box")
-    with pytest.raises(ValueError):
-        classic_solve(inst, SolverConfig(), "c")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        solve(inst, SolverConfig(), "A1")
 
 
 def test_intersection_failure_surfaces_in_status(monkeypatch):
@@ -357,7 +356,7 @@ def test_intersection_failure_surfaces_in_status(monkeypatch):
         raise IntersectionError("forced", best=anchor)
 
     monkeypatch.setattr(solver_module, "project_intersection", exploding)
-    rep = anchored_solve(get_instance("flat-quadratic"), SolverConfig())
+    rep = solve(get_instance("flat-quadratic"), SolverConfig(), "A2")
     assert rep.status is SolveStatus.INTERSECTION_FAILURE
 
 
@@ -372,13 +371,68 @@ def test_instance_requires_feasible_start():
 
 def test_trace_stride_subsamples():
     inst = get_instance("pnorm4-ball-far")
-    rep_full = armijo_solve(inst, SolverConfig())
-    rep_strided = armijo_solve(inst, SolverConfig(trace_stride=5))
+    rep_full = solve(inst, SolverConfig(), "c")
+    rep_strided = solve(inst, SolverConfig(trace_stride=5), "c")
     assert rep_strided.iterations == rep_full.iterations
     assert len(rep_strided.trace) < len(rep_full.trace)
     assert rep_strided.trace[-1].k == rep_full.trace[-1].k
-    # pair-based monitors are skipped for strided traces
-    assert rep_strided.monitors == {}
+    # the monitors see every step, whatever the stride of the stored trace
+    configs = {"a": SolverConfig(beta_schedule=constant_step(0.5)), "d": SolverConfig(max_outer_iters=2000)}
+    for iid in list_instances():
+        inst = get_instance(iid)
+        for strategy in ("a", "b", "c", "d", "A2"):
+            cfg = configs.get(strategy, SolverConfig())
+            full = solve(inst, cfg, strategy).monitors
+            strided = solve(inst, replace(cfg, trace_stride=5), strategy).monitors
+            assert full or strategy == "a", f"{iid}/{strategy}"
+            assert list(strided) == list(full), f"{iid}/{strategy}"
+            for name, m in full.items():
+                assert strided[name].passed == m.passed, f"{iid}/{strategy}/{name}"
+                assert abs(strided[name].worst_margin - m.worst_margin) <= 1e-12, f"{iid}/{strategy}/{name}"
+
+
+def test_anchored_monitors_make_no_gradient_or_projection_calls(monkeypatch):
+    import projgrad.solver as solver_module
+
+    inside = {"monitors": False}
+    calls = {"monitors": 0, "steps": 0}
+
+    def counted(method):
+        def wrapper(self, *args, **kwargs):
+            calls["monitors" if inside["monitors"] else "steps"] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    def flagged(method):
+        def wrapper(*args, **kwargs):
+            inside["monitors"] = True
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside["monitors"] = False
+
+        return wrapper
+
+    for cls in (Quadratic, PNorm):
+        for name in ("gradient", "value_and_grad"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    for cls in (Box, Ball):
+        monkeypatch.setattr(cls, "project", counted(cls.project))
+    for name in ("add", "result"):
+        monkeypatch.setattr(solver_module._AnchoredMonitors, name, flagged(getattr(solver_module._AnchoredMonitors, name)))
+    for iid in ("quadratic-box", "pnorm4-ball", "flat-quadratic", "pnorm4-ball-far"):
+        rep = solve(get_instance(iid), SolverConfig(), "A2")
+        assert rep.iterations > 0 and "cuts_keep_solution" in rep.monitors, iid
+    assert calls["steps"] > 0
+    assert calls["monitors"] == 0
+
+
+def test_instance_rejects_objective_of_other_dimension():
+    from projgrad import Simplex
+
+    with pytest.raises(ValueError, match="dimension"):
+        ProblemInstance(objective=PNorm(p=2.0, shift=np.zeros(3)), feasible_set=Simplex(scale=1.0), x0=np.array([0.5, 0.5]))
 
 
 def dense_box_qp(n, seed, b_scale=2.0):
@@ -399,7 +453,7 @@ def test_armijo_solve_sees_decrease_below_value_resolution():
     # see a decrease below ~1e-13; the search compares the exact decrease,
     # so the run reaches the tolerance
     inst = dense_box_qp(500, seed=7)
-    rep = armijo_solve(inst, SolverConfig(residual_tol=1e-8))
+    rep = solve(inst, SolverConfig(residual_tol=1e-8), "c")
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
     assert rep.iterations <= 100
     assert rep.final_residual <= 1e-8
@@ -429,7 +483,7 @@ def test_in_step_monitor_margins_match_posthoc_recomputation():
     configs = (SolverConfig(), SolverConfig(beta_schedule=constant_step(0.5)))
     for inst in instances:
         for cfg in configs:
-            rep = armijo_solve(inst, cfg)
+            rep = solve(inst, cfg, "c")
             if not rep.trace:
                 continue
             gap_ref, product_ref = posthoc_armijo_margins(inst, cfg, rep)
@@ -454,10 +508,10 @@ class SkewedQuadratic(Quadratic):
 
 def test_descent_monitor_sees_wrong_segment_decrease():
     inst = dense_box_qp(40, seed=7)
-    assert armijo_solve(inst, SolverConfig()).monitors["descent"].passed
+    assert solve(inst, SolverConfig(), "c").monitors["descent"].passed
     obj = inst.objective
     skewed = ProblemInstance(objective=SkewedQuadratic(Q=obj.Q, b=obj.b), feasible_set=inst.feasible_set, x0=inst.x0)
-    rep = armijo_solve(skewed, SolverConfig())
+    rep = solve(skewed, SolverConfig(), "c")
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
     assert not rep.monitors["descent"].passed
 
@@ -485,7 +539,7 @@ def test_feasible_direction_costs_one_product_per_iteration():
     for inst in (dense_box_qp(500, seed=7), dense_box_qp(40, seed=11), get_instance("quadratic-box")):
         counter = CountingMatrix(inst.objective.Q)
         object.__setattr__(inst.objective, "Q", counter)
-        rep = armijo_solve(inst, SolverConfig())
+        rep = solve(inst, SolverConfig(), "c")
         assert rep.iterations > 0
         assert counter.products == rep.iterations + 2
 
