@@ -6,10 +6,8 @@ from .sets import (
     Ball,
     Box,
     FeasibleSet,
-    Halfcut,
     Halfspace,
     Hyperplane,
-    InfeasibleCutError,
     IntersectionError,
     Simplex,
     WholeSpace,

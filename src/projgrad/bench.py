@@ -30,13 +30,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import IterateRecord, SolverConfig, Vec, as_vector, norm
+from .core import SolverConfig, Vec, as_vector, norm
 from .objectives import LogSumExp, Objective, PNorm, Quadratic
 from .oracle import (
     grid_refine_minimize,
@@ -162,23 +162,15 @@ def problem_from_json(d: dict) -> ProblemInstance:
     )
 
 
+# the schedule is given as "beta" and built by constant_step
+_CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "beta_schedule")
+
+
 def config_from_json(d: dict) -> SolverConfig:
     d = dict(d)
     beta = d.pop("beta", None)
     kwargs = {}
-    for key in (
-        "beta_min",
-        "beta_max",
-        "theta",
-        "delta",
-        "residual_tol",
-        "max_outer_iters",
-        "max_inner_iters",
-        "exo_constant",
-        "beta_bar",
-        "fixed_point_tol",
-        "trace_stride",
-    ):
+    for key in _CONFIG_KEYS:
         if key in d:
             kwargs[key] = d.pop(key)
     if d:
@@ -240,12 +232,6 @@ def load_spec(path: str | Path) -> RunSpec:
     return spec
 
 
-def _projections_per_record(strategy: str, rec: IterateRecord) -> int:
-    # algorithmic projection cost: the boundary search projects every inner
-    # trial, all other strategies project once per outer iteration
-    return rec.inner_trials + 1 if strategy == "b" else 1
-
-
 def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
     inst = spec.problem
     dist = None
@@ -259,8 +245,10 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
         final_x=[float(v) for v in report.final_x],
         final_residual=report.final_residual,
         final_f=report.final_f,
-        total_inner_trials=sum(r.inner_trials for r in report.trace),
-        total_projections=sum(_projections_per_record(spec.strategy, r) for r in report.trace),
+        total_inner_trials=report.inner_trials,
+        # algorithmic projection cost: the boundary search projects every
+        # inner trial, all other strategies project once per outer iteration
+        total_projections=report.iterations + (report.inner_trials if spec.strategy == "b" else 0),
         wall_time_s=wall_time,
         monitors={name: m.passed for name, m in report.monitors.items()},
         dist_known_solution=dist,
@@ -357,11 +345,7 @@ def _same_problem(a: RunSpec, b: RunSpec) -> bool:
 
 def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
     """Run several strategies on one instance and tabulate their cost.
-
-    Verifies the per-iteration projection accounting (one per outer step for
-    the feasible-direction search, inner trials + 1 for the boundary
-    search).  Requires at least two specs over the same instance.
-    """
+    Requires at least two specs over the same instance."""
     if len(specs) < 2:
         raise ValueError("compare needs at least two specs")
     for other in specs[1:]:
@@ -373,13 +357,7 @@ def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
     for spec in specs:
         start = time.perf_counter()
         report = solve(spec.problem, spec.config, spec.strategy)
-        row = summarize(spec, report, time.perf_counter() - start)
-        expected = sum(_projections_per_record(spec.strategy, r) for r in report.trace)
-        if spec.strategy == "c" and expected != len(report.trace):
-            raise AssertionError("feasible-direction accounting must be one projection per iteration")
-        if row.total_projections != expected:
-            raise AssertionError("projection accounting mismatch")
-        rows.append(row)
+        rows.append(summarize(spec, report, time.perf_counter() - start))
     return rows
 
 

@@ -7,7 +7,7 @@ import dataclasses
 import json
 import sys
 
-from .bench import compare_specs, format_comparison, load_spec, oracle_check, run_spec
+from .bench import STRATEGIES, compare_specs, format_comparison, load_spec, oracle_check, run_spec
 from .registry import list_instances
 
 
@@ -17,7 +17,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one spec and emit trace/summary files")
     solve.add_argument("--spec", required=True, help="path to a run spec JSON file")
-    solve.add_argument("--strategy", choices=["a", "b", "c", "d", "A2"], help="override the spec strategy")
+    solve.add_argument("--strategy", choices=STRATEGIES, help="override the spec strategy")
     solve.add_argument("--max-iters", type=int, help="override max_outer_iters")
     solve.add_argument("--tol", type=float, help="override residual_tol")
     solve.add_argument("--out", help="output path prefix for trace/summary files")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Vec, dot, norm
 from .objectives import Objective, Quadratic
-from .sets import Ball, Box, FeasibleSet, Halfcut, Halfspace, Hyperplane, InfeasibleCutError, Simplex, WholeSpace
+from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
 
 __all__ = [
     "ConstraintSystem",
@@ -165,14 +165,10 @@ def min_distance_point(sys: ConstraintSystem, anchor: Vec, tol: float = 1e-9) ->
     return best
 
 
-def projection_oracle(base: FeasibleSet, cuts: list[Halfcut], anchor: Vec, tol: float = 1e-9) -> Vec:
-    """Projection of ``anchor`` onto base-set-and-halfcuts by enumeration."""
+def projection_oracle(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec, tol: float = 1e-9) -> Vec:
+    """Projection of ``anchor`` onto base-set-and-halfspace-cuts by enumeration."""
     sys = system_from_set(base, anchor.shape[0])
     for cut in cuts:
-        if cut.is_empty:
-            raise InfeasibleCutError("cut system contains an empty degenerate cut")
-        if cut.is_whole_space:
-            continue
         sys.add_ineq(cut.normal, cut.offset)
     return min_distance_point(sys, anchor, tol)
 

@@ -2,10 +2,9 @@
 
 Every set exposes ``project(x)`` returning the unique closest member and
 ``contains(x, tol)`` testing membership up to a per-constraint violation of
-``tol``.  ``Halfcut`` is a lightweight halfspace used for the cutting planes
-of the anchored solver, and ``project_intersection`` projects exactly onto
-the intersection of a base set with at most two halfcuts by solving the
-dual for the cut multipliers.
+``tol``.  ``project_intersection`` projects exactly onto the intersection
+of a base set with at most two ``Halfspace`` cuts, the cutting planes of the
+anchored solver, by solving the dual for the cut multipliers.
 """
 
 from __future__ import annotations
@@ -27,15 +26,9 @@ __all__ = [
     "Simplex",
     "WholeSpace",
     "FeasibleSet",
-    "Halfcut",
-    "InfeasibleCutError",
     "IntersectionError",
     "project_intersection",
 ]
-
-
-class InfeasibleCutError(ValueError):
-    """A degenerate halfcut describes the empty set."""
 
 
 class IntersectionError(RuntimeError):
@@ -230,43 +223,8 @@ class WholeSpace:
 FeasibleSet = Union[Box, Ball, Halfspace, Hyperplane, Simplex, WholeSpace]
 
 
-@dataclass(frozen=True, eq=False)
-class Halfcut:
-    """Halfspace cut {x : <normal, x> <= offset}, tolerating a zero normal.
-
-    A zero normal makes the cut degenerate: it is the whole space when
-    0 <= offset and the empty set otherwise.
-    """
-
-    normal: Vec
-    offset: float
-
-    def __post_init__(self) -> None:
-        n = np.asarray(self.normal, dtype=np.float64)
-        if n.ndim != 1 or not np.all(np.isfinite(n)):
-            raise ValueError("cut normal must be a finite 1-D vector")
-        object.__setattr__(self, "normal", n)
-
-    @property
-    def degenerate(self) -> bool:
-        return norm(self.normal) == 0.0
-
-    @property
-    def is_whole_space(self) -> bool:
-        return self.degenerate and self.offset >= 0.0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.degenerate and self.offset < 0.0
-
-    def contains(self, x: Vec, tol: float = 0.0) -> bool:
-        if self.degenerate:
-            return not self.is_empty
-        return dot(self.normal, x) <= self.offset + tol
-
-
-def project_intersection(base: FeasibleSet, cuts: list[Halfcut], anchor: Vec) -> Vec:
-    """Project ``anchor`` onto the intersection of ``base`` with at most two halfcuts.
+def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) -> Vec:
+    """Project ``anchor`` onto the intersection of ``base`` with at most two halfspaces.
 
     Solves the dual exactly.  With multipliers lam >= 0 on the cuts the
     nearest point is x = P_base(anchor - sum_i lam_i n_i), so the patterns
@@ -276,29 +234,23 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfcut], anchor: Vec) ->
     ones as equalities) satisfies the KKT system of the projection, which
     certifies the point.
 
-    Whole-space cuts are dropped and an empty degenerate cut raises
-    InfeasibleCutError; more than two live cuts raise ValueError.  When no
-    pattern certifies, IntersectionError carries the candidate that violates
-    the cuts least.
+    More than two cuts raise ValueError.  When no pattern certifies,
+    IntersectionError carries the candidate that violates the cuts least.
     """
-    for cut in cuts:
-        if cut.is_empty:
-            raise InfeasibleCutError("intersection contains an empty degenerate cut")
-    live = [c for c in cuts if not c.degenerate]
-    if len(live) > 2:
-        raise ValueError(f"project_intersection handles at most two live cuts, got {len(live)}")
+    if len(cuts) > 2:
+        raise ValueError(f"project_intersection handles at most two cuts, got {len(cuts)}")
     # pattern none always yields a candidate, so tried is never empty below
     loose, tried, anchor_size = [], [], norm(anchor)
-    for count in range(len(live) + 1):
-        for pinned in itertools.combinations(live, count):
+    for count in range(len(cuts) + 1):
+        for pinned in itertools.combinations(cuts, count):
             found = _pinned_projection(base, [c.normal for c in pinned], [c.offset for c in pinned], anchor)
             if found is None:
                 continue
             x, lam = found
             # (violation, allowance) per cut; pinned cuts must hold as equalities
-            values = [dot(c.normal, x) - c.offset for c in live]
-            allowed = [_slack(c.normal, c.offset, x, anchor_size) for c in live]
-            checks = [(abs(v) if c in pinned else v, s) for c, v, s in zip(live, values, allowed)]
+            values = [dot(c.normal, x) - c.offset for c in cuts]
+            allowed = [_slack(c.normal, c.offset, x, anchor_size) for c in cuts]
+            checks = [(abs(v) if c in pinned else v, s) for c, v, s in zip(cuts, values, allowed)]
             if np.all(lam >= 0.0):
                 if all(v <= s for v, s in checks):
                     return x

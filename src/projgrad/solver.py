@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
 from .objectives import Objective, value_and_grad
-from .sets import FeasibleSet, Halfcut, InfeasibleCutError, IntersectionError, project_intersection
+from .sets import FeasibleSet, Halfspace, IntersectionError, project_intersection
 from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
@@ -74,12 +74,11 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class AnchoredState:
-    """State of the anchored solver: current iterate, running level value,
-    the fixed anchor (initial point), and the iteration index."""
+    """State of the anchored solver: current iterate, running level value
+    and the iteration index.  The anchor is always the instance's x0."""
 
     x: Vec
     f_lev: float
-    anchor: Vec
     k: int
 
 
@@ -103,7 +102,8 @@ class MonitorResult:
 @dataclass
 class RunReport:
     """Outcome of a solve.  final_f and final_residual (the natural residual)
-    are evaluated afresh at final_x."""
+    are evaluated afresh at final_x; inner_trials sums the line-search trials
+    of every step, whatever the trace keeps."""
 
     status: SolveStatus
     iterations: int
@@ -111,6 +111,7 @@ class RunReport:
     final_x: Vec
     final_f: float
     final_residual: float
+    inner_trials: int
     monitors: dict[str, MonitorResult] = field(default_factory=dict)
 
 
@@ -211,7 +212,7 @@ def _anchored_step(
     beta = cfg.beta_at(k)
     f, g = value_and_grad(obj, x)
     w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
-    dist_anchor = norm(x - state.anchor)
+    dist_anchor = norm(x - inst.x0)
     stop = _entry_stop(cfg, gap, residual, descent_gap)
     if stop is not None:
         rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
@@ -223,11 +224,14 @@ def _anchored_step(
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
     f_lev = min(state.f_lev, obj.value(ls.trial_point))
-    level_cut = Halfcut(normal=g, offset=dot(g, x) - f + f_lev)
-    anchor_cut = Halfcut(normal=state.anchor - x, offset=dot(state.anchor - x, x))
-    x_next = project_intersection(inst.feasible_set, [level_cut, anchor_cut], state.anchor)
+    # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
+    cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
+    if dist_anchor > 0.0:
+        # the anchor cut is the whole space while the iterate is the anchor
+        cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
+    x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap)
-    return AnchoredState(x=x_next, f_lev=f_lev, anchor=state.anchor, k=k + 1), rec, g
+    return AnchoredState(x=x_next, f_lev=f_lev, k=k + 1), rec, g
 
 
 def anchored_step(
@@ -238,8 +242,9 @@ def anchored_step(
     Evaluates the value and gradient at the iterate (the point the previous
     intersection projection returned), runs the same entry test and
     feasible-direction search as armijo_step, lowers the level value with the
-    accepted trial, builds the gradient level cut and the anchor cut, and
-    projects the anchor onto base-set-and-cuts.
+    accepted trial, builds the gradient level cut and (once the iterate has
+    left the anchor, so not at the first step) the anchor cut, and projects
+    the anchor onto base-set-and-cuts.
     The level cut keeps every solution while excluding the current iterate;
     the anchor cut keeps the iterates moving away from the anchor.
     """
@@ -316,7 +321,7 @@ def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
         start = _Point(inst.x0, 0, *value_and_grad(inst.objective, inst.x0))
         return start, _armijo_step, _never, _ArmijoMonitors(inst, cfg)
     if strategy == "A2":
-        start = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
+        start = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
         return start, _anchored_step, _stall(inst, cfg), _AnchoredMonitors(inst, cfg)
     if strategy in ("a", "b", "d"):
         stop = _no_move(cfg) if strategy == "b" else _never
@@ -333,11 +338,10 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     Stops on the residual tolerance or a fixed point of the projected
     gradient map (tested before each step), on the strategy's post-step
     stop rule, or on the iteration cap.  A failed line search ends the run
-    as LINE_SEARCH_FAILURE; a failed or infeasible intersection projection
-    as INTERSECTION_FAILURE: under the anchored method's assumptions the
-    cuts always keep the solution set, so an infeasible intersection
-    indicates a bug or numerically violated assumption rather than a
-    recoverable event.
+    as LINE_SEARCH_FAILURE; a failed intersection projection as
+    INTERSECTION_FAILURE: under the anchored method's assumptions the cuts
+    always keep the solution set, so a failed projection indicates a bug or
+    numerically violated assumption rather than a recoverable event.
 
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
@@ -345,7 +349,7 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     state, step, stop, monitors = _strategy(inst, cfg, strategy)
     trace: list[IterateRecord] = []
     last: Optional[IterateRecord] = None
-    n = 0
+    n = trials = 0
     status = SolveStatus.ITERATION_CAP
     try:
         while n < cfg.max_outer_iters:
@@ -355,7 +359,7 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
                 break
             if n % cfg.trace_stride == 0:
                 trace.append(rec)
-            n, last = n + 1, rec
+            n, last, trials = n + 1, rec, trials + rec.inner_trials
             monitors.add(rec, g, next_state)
             x, state = state.x, next_state
             if stop(x, state.x):
@@ -363,13 +367,13 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
                 break
     except LineSearchError:
         status = SolveStatus.LINE_SEARCH_FAILURE
-    except (IntersectionError, InfeasibleCutError):
+    except IntersectionError:
         status = SolveStatus.INTERSECTION_FAILURE
     if last is not None and trace[-1] is not last:
         trace.append(last)
     x = state.x
     f, g = value_and_grad(inst.objective, x)
-    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)))
+    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials)
     if n:
         report.monitors = monitors.result(report)
     return report

@@ -144,7 +144,7 @@ def armijo_boundary(
 
 @dataclass(frozen=True)
 class ConstantStep:
-    """Constant stepsize rule: beta at every iteration, full steps (alpha = 1).
+    """Constant stepsize rule: beta at every iteration.
 
     Convergence of the constant-stepsize method requires beta < 2/L where L
     is a Lipschitz constant of the gradient; the rule itself does not check
@@ -152,7 +152,6 @@ class ConstantStep:
     """
 
     beta: float
-    alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if self.beta <= 0.0:

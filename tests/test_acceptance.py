@@ -10,7 +10,6 @@ import numpy as np
 from projgrad import (
     Ball,
     Box,
-    Halfcut,
     Halfspace,
     Hyperplane,
     LogSumExp,
@@ -93,7 +92,7 @@ def test_criterion_2_intersection_oracle_equivalence():
         for _ in range(int(rng.integers(0, 3))):
             n = rng.standard_normal(dim)
             n *= rng.uniform(0.5, 2.0) / max(norm(n), 1e-12)
-            cuts.append(Halfcut(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
+            cuts.append(Halfspace(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
         anchor = rng.uniform(-3, 3, dim)
         got = project_intersection(base, cuts, anchor)
         ref = projection_oracle(base, cuts, anchor)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from projgrad import SolveStatus, get_instance, list_instances, natural_residual, solve
+from projgrad import SolveStatus, SolverConfig, get_instance, list_instances, natural_residual, solve
 from projgrad.bench import (
     RunSpec,
     compare_specs,
@@ -162,6 +162,24 @@ def test_compare_projection_accounting(tmp_path):
     assert by_strategy["c"].total_projections <= by_strategy["b"].total_projections
     table = format_comparison(rows)
     assert "strategy" in table and " b " not in table.splitlines()[0]
+
+
+@pytest.mark.parametrize("strategy, delta", [("b", 1e-4), ("c", 0.9)])
+def test_summary_totals_count_every_step_at_any_trace_stride(strategy, delta):
+    inst = get_instance("pnorm4-ball-far")
+
+    def totals(stride):
+        spec = RunSpec(problem=inst, problem_id="pnorm4-ball-far", strategy=strategy,
+                       config=SolverConfig(delta=delta, trace_stride=stride))
+        row, _code = run_spec(spec)
+        return row.iterations, row.total_inner_trials, row.total_projections
+
+    # at stride 1 the trace holds every step: b takes 17 iterations, and the
+    # searches of c backtrack at delta = 0.9 (61 trials in 34 iterations)
+    rep = solve(inst, SolverConfig(delta=delta), strategy)
+    trials = sum(r.inner_trials for r in rep.trace)
+    assert totals(1) == (rep.iterations, trials, rep.iterations + (trials if strategy == "b" else 0))
+    assert totals(5) == totals(1)
 
 
 def test_compare_requires_two_specs_and_same_instance(tmp_path):

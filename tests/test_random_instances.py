@@ -43,12 +43,15 @@ def test_solvers_track_qp_oracle_on_random_instances():
         obj = Quadratic(Q=M.T @ M + 0.1 * np.eye(dim), b=rng.standard_normal(dim))
         base = random_bounded_base(rng, dim)
         x0 = base.project(rng.uniform(-2, 2, dim))
-        inst = ProblemInstance(objective=obj, feasible_set=base, x0=x0)
+        # Q is positive definite, so the reference is the only solution
         reference = quadratic_oracle(obj, system_from_set(base, dim))
+        inst = ProblemInstance(objective=obj, feasible_set=base, x0=x0,
+                               known_solution=reference, known_fstar=obj.value(reference))
         start_dist = norm(x0 - reference)
 
         rep_a = solve(inst, SolverConfig(), "c")
         assert norm(rep_a.final_x - reference) <= 1e-5, f"trial {trial}"
+        assert {"quasi_fejer", "epsilon_sum"} <= rep_a.monitors.keys()
         assert all(m.passed for m in rep_a.monitors.values()), f"trial {trial}"
 
         rep_b = solve(inst, SolverConfig(max_outer_iters=80), "A2")
@@ -61,5 +64,6 @@ def test_solvers_track_qp_oracle_on_random_instances():
             # never diverge
             assert err <= 0.15, f"trial {trial}: {rep_b.status} at error {err:.2e}"
             assert err <= start_dist / 4 + 1e-12, f"trial {trial}: no progress"
+        assert {"ball_containment", "cuts_keep_solution"} <= rep_b.monitors.keys()
         for name, monitor in rep_b.monitors.items():
             assert monitor.passed, f"trial {trial}: {name}"

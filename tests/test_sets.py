@@ -6,10 +6,8 @@ import pytest
 from projgrad import (
     Ball,
     Box,
-    Halfcut,
     Halfspace,
     Hyperplane,
-    InfeasibleCutError,
     IntersectionError,
     Simplex,
     WholeSpace,
@@ -92,43 +90,27 @@ def test_halfcut_projection_examples():
     def onto(cut, x):
         return project_intersection(WholeSpace(), [cut], x)
 
-    cut = Halfcut(normal=np.array([0.0, 1.0]), offset=0.0)
+    cut = Halfspace(normal=np.array([0.0, 1.0]), offset=0.0)
     assert np.allclose(onto(cut, np.array([4.0, 3.0])), [4.0, 0.0])
-    boundary = Halfcut(normal=np.array([1.0, 1.0]), offset=2.0)
+    boundary = Halfspace(normal=np.array([1.0, 1.0]), offset=2.0)
     assert np.allclose(onto(boundary, np.array([1.0, 1.0])), [1.0, 1.0])
-    scaled = Halfcut(normal=np.array([2.0, 0.0]), offset=2.0)
+    scaled = Halfspace(normal=np.array([2.0, 0.0]), offset=2.0)
     assert np.allclose(onto(scaled, np.array([3.0, 0.0])), [1.0, 0.0])
-
-
-def test_degenerate_halfcuts():
-    whole = Halfcut(normal=np.zeros(2), offset=0.0)
-    assert whole.is_whole_space and not whole.is_empty
-    x = np.array([5.0, -1.0])
-    assert np.array_equal(project_intersection(WholeSpace(), [whole], x), x)
-    empty = Halfcut(normal=np.zeros(2), offset=-1.0)
-    assert empty.is_empty
-    with pytest.raises(InfeasibleCutError):
-        project_intersection(WholeSpace(), [empty], np.zeros(2))
-    with pytest.raises(InfeasibleCutError):
-        project_intersection(Box(lower=np.zeros(2), upper=np.ones(2)), [whole, empty], np.zeros(2))
 
 
 def test_intersection_examples():
     # single halfspace over the whole space
-    got = project_intersection(WholeSpace(), [Halfcut(normal=np.array([1.0, 0.0]), offset=1.0)], np.array([3.0, 0.0]))
+    got = project_intersection(WholeSpace(), [Halfspace(normal=np.array([1.0, 0.0]), offset=1.0)], np.array([3.0, 0.0]))
     assert np.allclose(got, [1.0, 0.0], atol=1e-9)
     # no cuts reduces exactly to the base projection
     box = Box(lower=np.zeros(2), upper=np.full(2, 2.0))
     got = project_intersection(box, [], np.array([-1.0, 3.0]))
     assert np.array_equal(got, [0.0, 2.0])
-    # whole-space cuts are dropped
-    got = project_intersection(box, [Halfcut(normal=np.zeros(2), offset=0.0)], np.array([-1.0, 3.0]))
-    assert np.array_equal(got, [0.0, 2.0])
 
 
 def test_intersection_ball_cut_matches_qp_oracle():
     ball = Ball(center=np.zeros(2), radius=1.0)
-    cut = Halfcut(normal=np.array([-1.0, 0.0]), offset=-0.5)  # x1 >= 0.5
+    cut = Halfspace(normal=np.array([-1.0, 0.0]), offset=-0.5)  # x1 >= 0.5
     anchor = np.array([0.0, 2.0])
     got = project_intersection(ball, [cut], anchor)
     ref = projection_oracle(ball, [cut], anchor)
@@ -140,8 +122,8 @@ def test_intersection_ball_cut_matches_qp_oracle():
 def test_intersection_nonconvergence_carries_best_iterate():
     # empty intersection: two contradictory cuts; no binding pattern certifies
     cuts = [
-        Halfcut(normal=np.array([1.0]), offset=-1.0),  # x <= -1
-        Halfcut(normal=np.array([-1.0]), offset=-1.0),  # x >= 1
+        Halfspace(normal=np.array([1.0]), offset=-1.0),  # x <= -1
+        Halfspace(normal=np.array([-1.0]), offset=-1.0),  # x >= 1
     ]
     with pytest.raises(IntersectionError) as err:
         project_intersection(WholeSpace(), cuts, np.array([0.0]))
@@ -162,8 +144,8 @@ def test_intersection_dimension_one_ball_end_with_level_cut():
     # dependent (an anchored-solver step on a seeded random QP)
     ball = Ball(center=np.array([0.37498336156697265]), radius=0.9506389868164933)
     cuts = [
-        Halfcut(normal=np.array([-0.24847488407922047]), offset=-0.3293838593333055),
-        Halfcut(normal=np.array([-1.565048714847937]), offset=-2.07465309433236),
+        Halfspace(normal=np.array([-0.24847488407922047]), offset=-0.3293838593333055),
+        Halfspace(normal=np.array([-1.565048714847937]), offset=-2.07465309433236),
     ]
     anchor = np.array([-0.23943304892667738])
     ref = projection_oracle(ball, cuts, anchor)
@@ -173,7 +155,7 @@ def test_intersection_dimension_one_ball_end_with_level_cut():
     # a cut pinned at the end of the interval, which rounding places just
     # outside the ball
     ball = Ball(center=np.array([-0.3410928453123001]), radius=0.99431886688172)
-    cut = Halfcut(normal=np.array([-0.5888070572341316]), offset=-0.3846240914690495)
+    cut = Halfspace(normal=np.array([-0.5888070572341316]), offset=-0.3846240914690495)
     anchor = np.array([-2.8075560139574836])
     assert norm(project_intersection(ball, [cut], anchor) - projection_oracle(ball, [cut], anchor)) <= 1e-9
 
@@ -186,9 +168,9 @@ def test_intersection_box_vertex_with_three_bounds_and_cut():
         upper=np.array([0.40626068363938583, 0.2664513538432305, -0.749821739636467]),
     )
     cuts = [
-        Halfcut(normal=np.array([-0.41864680176782115, 0.36730687363531866, -1.7941435263009926]),
+        Halfspace(normal=np.array([-0.41864680176782115, 0.36730687363531866, -1.7941435263009926]),
                 offset=0.7989964585047777),
-        Halfcut(normal=np.array([0.0, 1.1830112059206084, 0.0]), offset=-1.2116912771808452),
+        Halfspace(normal=np.array([0.0, 1.1830112059206084, 0.0]), offset=-1.2116912771808452),
     ]
     anchor = np.array([0.40626068363938583, 0.15876792646839188, -0.749821739636467])
     ref = projection_oracle(box, cuts, anchor)
@@ -202,7 +184,7 @@ def test_intersection_halfspace_base_with_two_cuts():
     # base x3 <= 0 and cuts x1 <= 0, x2 <= 0 all bind, multipliers (1, 2, 3)
     base = Halfspace(normal=np.array([0.0, 0.0, 1.0]), offset=0.0)
     e = np.eye(3)
-    cuts = [Halfcut(normal=e[0], offset=0.0), Halfcut(normal=e[1], offset=0.0)]
+    cuts = [Halfspace(normal=e[0], offset=0.0), Halfspace(normal=e[1], offset=0.0)]
     got = project_intersection(base, cuts, np.array([1.0, 2.0, 3.0]))
     assert np.allclose(got, np.zeros(3), atol=1e-12)
     rng = np.random.default_rng(8)
@@ -213,7 +195,7 @@ def test_intersection_halfspace_base_with_two_cuts():
         cuts = []
         for _ in range(2):
             m = rng.standard_normal(3)
-            cuts.append(Halfcut(normal=m, offset=float(m @ witness) + rng.uniform(0.0, 0.5)))
+            cuts.append(Halfspace(normal=m, offset=float(m @ witness) + rng.uniform(0.0, 0.5)))
         anchor = rng.uniform(-3, 3, 3)
         assert norm(project_intersection(base, cuts, anchor) - projection_oracle(base, cuts, anchor)) <= 1e-9
 
@@ -222,12 +204,12 @@ def test_intersection_ball_tangent_to_pinned_plane():
     ball = Ball(center=np.zeros(2), radius=1.0)
     # x1 >= 1 touches the ball only at (1, 0): no finite multipliers exist,
     # yet that point is the projection
-    touching = Halfcut(normal=np.array([-1.0, 0.0]), offset=-1.0)
+    touching = Halfspace(normal=np.array([-1.0, 0.0]), offset=-1.0)
     got = project_intersection(ball, [touching], np.array([0.0, 2.0]))
     assert np.allclose(got, [1.0, 0.0], atol=1e-12)
     # x1 <= 1 holds on the whole ball: pinning it must not certify (1, 0)
-    outside = Halfcut(normal=np.array([1.0, 0.0]), offset=1.0)
-    lifted = Halfcut(normal=np.array([0.0, -1.0]), offset=-0.5)  # x2 >= 0.5
+    outside = Halfspace(normal=np.array([1.0, 0.0]), offset=1.0)
+    lifted = Halfspace(normal=np.array([0.0, -1.0]), offset=-0.5)  # x2 >= 0.5
     anchor = np.array([3.0, 0.0])
     got = project_intersection(ball, [outside, lifted], anchor)
     assert np.allclose(got, [np.sqrt(0.75), 0.5], atol=1e-12)
@@ -249,7 +231,7 @@ def test_oracle_keeps_ball_candidate_on_tangent_cut():
         u /= norm(u)
         n = -rng.uniform(0.1, 3.0) * u
         p = c + r * u
-        cut = Halfcut(normal=n, offset=dot(n, p))
+        cut = Halfspace(normal=n, offset=dot(n, p))
         anchor = c + 3.0 * rng.standard_normal(dim)
         ball = Ball(center=c, radius=r)
         ref = projection_oracle(ball, [cut], anchor)
@@ -262,12 +244,9 @@ def test_oracle_keeps_ball_candidate_on_tangent_cut():
 
 def test_intersection_rejects_more_than_two_cuts():
     e = np.eye(3)
-    cuts = [Halfcut(normal=e[i], offset=1.0) for i in range(3)]
+    cuts = [Halfspace(normal=e[i], offset=1.0) for i in range(3)]
     with pytest.raises(ValueError, match="at most two"):
         project_intersection(WholeSpace(), cuts, np.zeros(3))
-    # whole-space cuts do not count
-    cuts[2] = Halfcut(normal=np.zeros(3), offset=0.0)
-    assert np.array_equal(project_intersection(WholeSpace(), cuts, np.zeros(3)), np.zeros(3))
 
 
 def test_projection_properties_random():
@@ -299,7 +278,7 @@ def test_intersection_oracle_equivalence_small():
         for _ in range(int(rng.integers(0, 3))):
             n = rng.standard_normal(dim)
             n *= rng.uniform(0.5, 2.0) / max(norm(n), 1e-12)
-            cuts.append(Halfcut(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
+            cuts.append(Halfspace(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
         anchor = rng.uniform(-3, 3, dim)
         got = project_intersection(base, cuts, anchor)
         ref = projection_oracle(base, cuts, anchor)
@@ -320,7 +299,7 @@ def test_intersection_oracle_equivalence_regression_seeds():
             for _ in range(int(rng.integers(0, 3))):
                 n = rng.standard_normal(dim)
                 n *= rng.uniform(0.5, 2.0) / max(norm(n), 1e-12)
-                cuts.append(Halfcut(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
+                cuts.append(Halfspace(normal=n, offset=float(n @ witness) + rng.uniform(0.05, 1.0)))
             anchor = rng.uniform(-3, 3, dim)
             got = project_intersection(base, cuts, anchor)
             ref = projection_oracle(base, cuts, anchor)

@@ -9,7 +9,7 @@ from projgrad import (
     AnchoredState,
     Ball,
     Box,
-    Halfcut,
+    Halfspace,
     LogSumExp,
     PNorm,
     ProblemInstance,
@@ -193,30 +193,30 @@ def test_boundary_search_uses_trials_plus_one_projections():
     assert counting.projections == res.trials + 1
 
 
-def test_anchored_step_first_iteration_degenerate_anchor_cut():
-    # at k=0 the anchor cut has a zero normal and is dropped, so the step is
-    # the projection onto the base intersected with the level cut alone
+def test_anchored_step_first_iteration_builds_no_anchor_cut():
+    # at k=0 the iterate is the anchor, so the step builds no anchor cut and
+    # projects onto the base intersected with the level cut alone
     inst = get_instance("quadratic-box")
     cfg = SolverConfig()
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
+    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
     next_state, rec = anchored_step(inst, state, cfg)
     g = inst.objective.gradient(inst.x0)
     f = inst.objective.value(inst.x0)
-    level = Halfcut(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
+    level = Halfspace(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
     ref = projection_oracle(inst.feasible_set, [level], inst.x0)
     assert norm(next_state.x - ref) <= 1e-8
 
 
 def test_anchored_step_1d_worked_example():
     inst, cfg = line_1d(theta=0.5, delta=0.5)
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
+    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
     next_state, rec = anchored_step(inst, state, cfg)
     assert next_state.f_lev == 0.5
     assert np.allclose(next_state.x, [1.25], atol=1e-10)
     # cross-check against the enumeration oracle on the same cut system
     g = inst.objective.gradient(inst.x0)
     f = inst.objective.value(inst.x0)
-    level = Halfcut(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
+    level = Halfspace(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
     ref = projection_oracle(inst.feasible_set, [level], inst.x0)
     assert np.allclose(ref, [1.25], atol=1e-10)
 
@@ -224,7 +224,7 @@ def test_anchored_step_1d_worked_example():
 def test_anchored_level_value_monotone():
     inst = get_instance("pnorm4-ball")
     cfg = SolverConfig()
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, anchor=inst.x0, k=0)
+    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
     prev_lev = math.inf
     for _ in range(8):
         state, rec = anchored_step(inst, state, cfg)

@@ -160,7 +160,6 @@ def test_constant_step():
     assert rule(0) == 0.1
     assert rule(5) == 0.1
     assert rule(100) == 0.1
-    assert rule.alpha == 1.0
     with pytest.raises(ValueError):
         constant_step(0.0)
 
