@@ -26,12 +26,10 @@ from .solver import (
     solve,
 )
 from .stepsize import (
-    ConstantStep,
     LineSearchError,
     LineSearchResult,
     armijo_boundary,
     armijo_feasible_direction,
-    constant_step,
     exogenous_step,
 )
 from .registry import get_instance, list_instances

@@ -48,7 +48,6 @@ from .oracle import (
 from .registry import get_instance
 from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
 from .solver import ProblemInstance, RunReport, SolveStatus, solve
-from .stepsize import constant_step
 
 __all__ = [
     "RunSpec",
@@ -162,23 +161,20 @@ def problem_from_json(d: dict) -> ProblemInstance:
     )
 
 
-# the schedule is given as "beta" and built by constant_step
-_CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "beta_schedule")
+_CONFIG_KEYS = frozenset(f.name for f in fields(SolverConfig))
 
 
 def config_from_json(d: dict) -> SolverConfig:
-    d = dict(d)
-    beta = d.pop("beta", None)
-    kwargs = {}
-    for key in _CONFIG_KEYS:
-        if key in d:
-            kwargs[key] = d.pop(key)
-    if d:
-        raise ValueError(f"unknown config keys: {sorted(d)}")
-    if beta is not None:
-        kwargs["beta_schedule"] = constant_step(float(beta))
-        kwargs.setdefault("beta_min", min(1e-4, float(beta)))
-        kwargs.setdefault("beta_max", max(10.0, float(beta)))
+    """SolverConfig from a spec's config object; a beta outside the default
+    [beta_min, beta_max] widens whichever bound is not given."""
+    unknown = set(d) - _CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = dict(d)
+    if "beta" in kwargs:
+        beta = kwargs["beta"] = float(kwargs["beta"])
+        kwargs.setdefault("beta_min", min(1e-4, beta))
+        kwargs.setdefault("beta_max", max(10.0, beta))
     return SolverConfig(**kwargs)
 
 
@@ -246,8 +242,9 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
         final_residual=report.final_residual,
         final_f=report.final_f,
         total_inner_trials=report.inner_trials,
-        # algorithmic projection cost: the boundary search projects every
-        # inner trial, all other strategies project once per outer iteration
+        # algorithmic projection cost: one projected step per outer
+        # iteration, which is also the first boundary trial, and one more per
+        # rejected boundary trial
         total_projections=report.iterations + (report.inner_trials if spec.strategy == "b" else 0),
         wall_time_s=wall_time,
         monitors={name: m.passed for name, m in report.monitors.items()},
@@ -333,12 +330,17 @@ def run_spec(spec: RunSpec, out_prefix: Optional[str] = None) -> tuple[SummaryRo
     return row, status_exit_code(report.status)
 
 
+def _same_fields(a, b) -> bool:
+    """Two objectives (or two sets) of one type with equal data fields."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 def _same_problem(a: RunSpec, b: RunSpec) -> bool:
     if a.problem_id != "inline" or b.problem_id != "inline":
         return a.problem_id == b.problem_id
     return (
-        type(a.problem.objective) is type(b.problem.objective)
-        and type(a.problem.feasible_set) is type(b.problem.feasible_set)
+        _same_fields(a.problem.objective, b.problem.objective)
+        and _same_fields(a.problem.feasible_set, b.problem.feasible_set)
         and np.array_equal(a.problem.x0, b.problem.x0)
     )
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,12 +51,13 @@ class SolverConfig:
     """Parameters shared by every solver driver.
 
     beta_min/beta_max bound the gradient stepsizes, theta is the backtracking
-    contraction factor, delta the sufficient-decrease fraction.  beta_schedule
-    maps the iteration index to a stepsize inside [beta_min, beta_max]; when
-    None a constant stepsize of 1 is used.  beta_bar is the initial trial
-    stepsize of the boundary line search, exo_constant the c in the exogenous
-    schedule c/(k+1).  fixed_point_tol detects exact-fixed-point stops and is
-    kept well below residual_tol so the two stopping semantics stay distinct.
+    contraction factor, delta the sufficient-decrease fraction.  beta is the
+    constant gradient stepsize of strategies a, c and A2 and must lie in
+    [beta_min, beta_max].  beta_bar is the initial trial stepsize of the
+    boundary line search (strategy b), exo_constant the c in the exogenous
+    schedule c/(k+1) (strategy d).  fixed_point_tol detects exact-fixed-point
+    stops and is kept well below residual_tol so the two stopping semantics
+    stay distinct.
     trace_stride subsamples the recorded trace for long runs (every
     trace_stride-th step record and the last); the runtime monitors are fed
     every step, so they run at any trace_stride.
@@ -66,7 +67,7 @@ class SolverConfig:
     beta_max: float = 10.0
     theta: float = 0.5
     delta: float = 1e-4
-    beta_schedule: Optional[Callable[[int], float]] = None
+    beta: float = 1.0
     residual_tol: float = 1e-8
     max_outer_iters: int = 5000
     max_inner_iters: int = 100
@@ -78,6 +79,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.beta_min <= self.beta_max < np.inf):
             raise ValueError(f"need 0 < beta_min <= beta_max < inf, got [{self.beta_min}, {self.beta_max}]")
+        if not (self.beta_min <= self.beta <= self.beta_max):
+            raise ValueError(f"beta {self.beta} lies outside [{self.beta_min}, {self.beta_max}]")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not (0.0 < self.delta < 1.0):
@@ -96,15 +99,6 @@ class SolverConfig:
             raise ValueError("beta_bar must be positive")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be at least 1")
-
-    def beta_at(self, k: int) -> float:
-        """Stepsize for iteration k; rejects schedules that leave [beta_min, beta_max]."""
-        beta = 1.0 if self.beta_schedule is None else float(self.beta_schedule(k))
-        if not (self.beta_min <= beta <= self.beta_max):
-            raise ValueError(
-                f"beta schedule produced {beta} at k={k}, outside [{self.beta_min}, {self.beta_max}]"
-            )
-        return beta
 
 
 @dataclass

@@ -12,6 +12,10 @@ step and a stop rule:
 * ``a`` (constant), ``b`` (boundary search) and ``d`` (exogenous) take the
   plain projection step.
 
+Every strategy starts its step with the same prelude: one projection of a
+gradient step at the strategy's own stepsize, whose gap to the iterate gives
+the natural residual when that stepsize is 1.
+
 The driver owns the loop, the mapping of stops and typed failures to a
 ``SolveStatus``, the subsampled trace and the final report.  After every
 step it feeds the strategy's runtime monitors, accumulators over the
@@ -146,8 +150,9 @@ class _Point(NamedTuple):
 def _projected_step(
     inst: ProblemInstance, x: Vec, g: Vec, beta: float
 ) -> tuple[Vec, float, float, float]:
-    """Shared per-iteration prelude from the gradient g at x: projected step
-    w, gap ||x - w||, natural residual and descent gap <g, x - w>."""
+    """Per-iteration prelude of every strategy, from the gradient g at x:
+    projected step w = P_C(x - beta g), gap ||x - w||, natural residual (the
+    gap itself when beta is 1) and descent gap <g, x - w>."""
     set_ = inst.feasible_set
     w = set_.project(x - beta * g)
     gap = norm(x - w)
@@ -174,7 +179,7 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
     x, k, f, g = state
-    beta = cfg.beta_at(k)
+    beta = cfg.beta
     w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
     margin = descent_gap - gap**2 / beta
     stop = _entry_stop(cfg, gap, residual, descent_gap)
@@ -194,7 +199,7 @@ def armijo_step(
 ) -> tuple[Vec, IterateRecord]:
     """One projected gradient step with the feasible-direction search.
 
-    Computes w = P_C(xk - beta_k grad f(xk)); when xk is a fixed point of
+    Computes w = P_C(xk - beta grad f(xk)); when xk is a fixed point of
     that map (or the natural residual is already below tolerance) returns xk
     unchanged with the stop marker set.  Otherwise backtracks along the
     segment to w and returns the accepted convex combination.
@@ -209,7 +214,7 @@ def _anchored_step(
     """anchored_step, also returning the gradient at the iterate."""
     obj = inst.objective
     x, k = state.x, state.k
-    beta = cfg.beta_at(k)
+    beta = cfg.beta
     f, g = value_and_grad(obj, x)
     w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
     dist_anchor = norm(x - inst.x0)
@@ -255,28 +260,30 @@ def anchored_step(
 def _classic_step(
     strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _Point
 ) -> tuple[_Point, IterateRecord, Vec]:
-    """Plain projection step of strategy "a" (constant stepsize), "b"
-    (boundary search of the pre-projection stepsize) or "d" (exogenous
-    stepsize c / ((k + 1) ||g||), undefined where the gradient vanishes)."""
-    obj, set_ = inst.objective, inst.feasible_set
+    """Plain projection step of strategy "a" (constant stepsize beta), "b"
+    (boundary search of the pre-projection stepsize from beta_bar, whose
+    first trial is the prelude's projected point; the entry test reads the
+    residual alone) or "d" (exogenous stepsize c / ((k + 1) ||g||),
+    undefined where the gradient vanishes)."""
     x, k = state.x, state.k
-    f, g = value_and_grad(obj, x)
-    residual = norm(x - set_.project(x - g))
-    if strategy == "b":
-        stop = _entry_stop(cfg, math.inf, residual)
-        if stop is not None:
-            return state, IterateRecord(k, x, f, 0.0, cfg.beta_bar, 0, residual, stop=stop), g
-        ls = armijo_boundary(obj, set_, x, cfg.beta_bar, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
-        return _Point(ls.trial_point, k + 1), IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual), g
+    f, g = value_and_grad(inst.objective, x)
     if strategy == "a":
-        beta = cfg.beta_at(k)
+        beta = cfg.beta
+    elif strategy == "b":
+        beta = cfg.beta_bar
     else:
         grad_norm = norm(g)
         if grad_norm == 0.0:
-            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, residual, stop="fixed_point"), g
+            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop="fixed_point"), g
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w = set_.project(x - beta * g)
-    stop = _entry_stop(cfg, norm(x - w), residual)
+    w, gap, residual, _ = _projected_step(inst, x, g, beta)
+    stop = _entry_stop(cfg, math.inf if strategy == "b" else gap, residual)
+    if strategy == "b" and stop is None:
+        ls = armijo_boundary(
+            inst.objective, inst.feasible_set, x, beta, cfg.theta, cfg.delta, cfg.max_inner_iters,
+            f_k=f, grad_k=g, w_k=w,
+        )
+        return _Point(ls.trial_point, k + 1), IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual), g
     return (state if stop else _Point(w, k + 1)), IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop), g
 
 
@@ -286,11 +293,6 @@ _STALL_PATIENCE = 3
 
 def _never(x: Vec, x_next: Vec) -> bool:
     return False
-
-
-def _no_move(cfg: SolverConfig):
-    """Strategy b stops once a step moves the iterate by at most fixed_point_tol."""
-    return lambda x, x_next: norm(x_next - x) <= cfg.fixed_point_tol
 
 
 def _stall(inst: ProblemInstance, cfg: SolverConfig):
@@ -324,8 +326,7 @@ def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
         start = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
         return start, _anchored_step, _stall(inst, cfg), _AnchoredMonitors(inst, cfg)
     if strategy in ("a", "b", "d"):
-        stop = _no_move(cfg) if strategy == "b" else _never
-        return _Point(inst.x0, 0), partial(_classic_step, strategy), stop, _ClassicMonitors(cfg, strategy)
+        return _Point(inst.x0, 0), partial(_classic_step, strategy), _never, _ClassicMonitors(cfg, strategy)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of 'a', 'b', 'c', 'd', 'A2'")
 
 
@@ -443,7 +444,7 @@ class _ArmijoMonitors:
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         inst, cfg, x = self.inst, self.cfg, report.final_x
         self.descent.link(report.final_f)
-        beta = cfg.beta_at(report.iterations)
+        beta = cfg.beta
         final_gap = report.final_residual if beta == 1.0 else norm(x - inst.feasible_set.project(x - beta * self.last.g))
         product = min(self.product, final_gap**2)
         out = {

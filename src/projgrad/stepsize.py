@@ -1,4 +1,4 @@
-"""Stepsize strategies: constant, two Armijo backtracking searches, exogenous.
+"""Stepsize strategies: two Armijo backtracking searches and the exogenous step.
 
 The feasible-direction search backtracks along the segment from the current
 iterate to the projected gradient point and needs a single projection per
@@ -6,7 +6,10 @@ outer iteration (done by the caller).  It runs on the objective's segment
 evaluator, so for the built-in objectives a trial costs O(n) (O(m) for
 log-sum-exp) after one matrix-vector product per search.  The boundary
 search backtracks the pre-projection stepsize instead and pays one
-projection per inner trial.
+projection per trial (the first can be the caller's projected step); it
+tests each trial's decrease on the segment from the iterate to the trial
+point.  Both searches compare the segment's decrease, never two rounded
+values of the objective.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vec, dot
+from .core import Vec
 from .objectives import Objective, Segment, segment, value_and_grad
 from .sets import FeasibleSet
 
@@ -25,8 +28,6 @@ __all__ = [
     "LineSearchError",
     "armijo_feasible_direction",
     "armijo_boundary",
-    "ConstantStep",
-    "constant_step",
     "exogenous_step",
 ]
 
@@ -51,8 +52,10 @@ class LineSearchResult:
     alpha is the accepted convex-combination weight (feasible-direction
     search), beta the accepted pre-projection stepsize (boundary search);
     whichever the strategy does not control is left at its fixed value.
-    The feasible-direction search also returns the segment it searched:
-    segment.gradient(alpha) is the gradient at trial_point.
+    segment is the segment the accepting test ran on, from the iterate
+    toward the trial point of the search: segment.gradient(alpha) is the
+    gradient at trial_point.  f_trial is the value at the iterate plus the
+    accepted decrease.
     """
 
     alpha: float
@@ -60,7 +63,7 @@ class LineSearchResult:
     trials: int
     trial_point: Vec
     f_trial: float
-    segment: Optional[Segment] = None
+    segment: Segment
 
 
 def armijo_feasible_direction(
@@ -118,52 +121,37 @@ def armijo_boundary(
     max_inner: int,
     f_k: Optional[float] = None,
     grad_k: Optional[Vec] = None,
+    w_k: Optional[Vec] = None,
 ) -> LineSearchResult:
     """Backtrack the pre-projection stepsize, projecting every trial.
 
-    Accepts the smallest l with
+    With w_l = P_C(xk - beta_bar * theta^l * g), accepts the smallest l with
 
-        f(P_C(xk - beta_bar * theta^l * g)) <= f(xk) - delta * <g, xk - P_C(...)>,
+        f(w_l) - f(xk) <= -delta * <g, xk - w_l>,
 
-    performing exactly l+1 projections.  At a stationary feasible point the
-    first trial projects back to xk and is accepted with equality.
+    where the left side is the decrease of the objective's segment from xk
+    to w_l, as in the feasible-direction search, so a decrease below the
+    float resolution of f(xk) is still seen.  w_k, when given, is the first
+    trial w_0 (the caller's projected step); the search then makes l
+    projections, otherwise l+1.  At a stationary feasible point the first
+    trial projects back to xk and is accepted with equality.
     """
-    fk = obj.value(xk) if f_k is None else f_k
-    gk = obj.gradient(xk) if grad_k is None else grad_k
+    if f_k is None or grad_k is None:
+        f_k, grad_k = value_and_grad(obj, xk)
     beta = beta_bar
     for ell in range(max_inner + 1):
-        w = set_.project(xk - beta * gk)
-        f_w = obj.value(w)
-        if f_w <= fk - delta * dot(gk, xk - w):
-            return LineSearchResult(alpha=1.0, beta=beta, trials=ell, trial_point=w, f_trial=f_w)
+        w = w_k if ell == 0 and w_k is not None else set_.project(xk - beta * grad_k)
+        direction = w - xk
+        seg = segment(obj, xk, f_k, grad_k, direction)
+        decrease = seg.decrease(1.0)
+        if decrease <= delta * float(grad_k @ direction):
+            return LineSearchResult(
+                alpha=1.0, beta=beta, trials=ell, trial_point=w, f_trial=f_k + decrease, segment=seg
+            )
         beta *= theta
     raise LineSearchError(
         f"boundary search found no acceptable step within {max_inner} trials", trials=max_inner
     )
-
-
-@dataclass(frozen=True)
-class ConstantStep:
-    """Constant stepsize rule: beta at every iteration.
-
-    Convergence of the constant-stepsize method requires beta < 2/L where L
-    is a Lipschitz constant of the gradient; the rule itself does not check
-    this since L is typically unknown.
-    """
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.beta <= 0.0:
-            raise ValueError(f"constant stepsize must be positive, got {self.beta}")
-
-    def __call__(self, k: int) -> float:
-        return self.beta
-
-
-def constant_step(beta: float) -> ConstantStep:
-    """Build the constant-stepsize rule."""
-    return ConstantStep(beta)
 
 
 def exogenous_step(grad_norm: float, k: int, c: float) -> float:

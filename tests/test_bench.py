@@ -74,7 +74,7 @@ def test_load_spec_strategy_parameter_presence(tmp_path):
     with pytest.raises(ValueError, match="exo_constant"):
         load_spec(path_d)
     ok = write_spec(tmp_path, "a_ok.json", {"problem": "quadratic-box", "strategy": "a", "config": {"beta": 0.5}})
-    assert load_spec(ok).config.beta_at(0) == 0.5
+    assert load_spec(ok).config.beta == 0.5
 
 
 def test_load_spec_parse_error_carries_location(tmp_path):
@@ -189,6 +189,15 @@ def test_compare_requires_two_specs_and_same_instance(tmp_path):
     other = load_spec(write_spec(tmp_path, "other.json", {"problem": "quadratic-box", "strategy": "c"}))
     with pytest.raises(ValueError, match="instance"):
         compare_specs([spec_c, other])
+    # inline problems of the same kinds from the same start, with other data
+    objective = {"kind": "quadratic", "Q": [[5.0, 0.0], [0.0, 1.0]], "b": [3.0, -0.5]}
+    box = {"kind": "box", "lower": [0.0, 0.0], "upper": [2.0, 2.0]}
+    centered = load_spec(write_spec(tmp_path, "centered.json", {"problem": CENTERED_QUADRATIC, "strategy": "c"}))
+    for other in ({"objective": objective, "set": box}, {"objective": objective}, {"set": box}):
+        problem = dict(CENTERED_QUADRATIC, known_solution=None, known_fstar=None, **other)
+        spec = load_spec(write_spec(tmp_path, "other.json", {"problem": problem, "strategy": "c"}))
+        with pytest.raises(ValueError, match="instance"):
+            compare_specs([centered, spec])
 
 
 def test_compare_flags_divergent_constant_step(tmp_path):

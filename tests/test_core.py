@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projgrad import IterateRecord, SolverConfig, as_vector, constant_step, dot, norm
+from projgrad import IterateRecord, SolverConfig, as_vector, dot, norm
 
 
 def test_dot_examples():
@@ -70,17 +70,18 @@ def test_config_validation():
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer_iters=0)
-
-
-def test_beta_schedule_range_enforced():
-    cfg = SolverConfig(beta_schedule=constant_step(0.5))
-    assert cfg.beta_at(0) == 0.5
-    assert cfg.beta_at(100) == 0.5
-    bad = SolverConfig(beta_schedule=lambda k: 100.0)
     with pytest.raises(ValueError):
-        bad.beta_at(0)
-    # default schedule is the constant 1
-    assert SolverConfig().beta_at(7) == 1.0
+        SolverConfig(beta=0.0)
+
+
+def test_beta_range_enforced():
+    assert SolverConfig(beta=0.5).beta == 0.5
+    with pytest.raises(ValueError, match="beta"):
+        SolverConfig(beta=100.0)
+    with pytest.raises(ValueError, match="beta"):
+        SolverConfig(beta=1e-5)
+    # the default stepsize is 1
+    assert SolverConfig().beta == 1.0
 
 
 def test_record_defaults():

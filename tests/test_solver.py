@@ -20,7 +20,6 @@ from projgrad import (
     armijo_boundary,
     armijo_feasible_direction,
     armijo_step,
-    constant_step,
     get_instance,
     list_instances,
     natural_residual,
@@ -300,7 +299,7 @@ def test_solvers_on_halfspace_and_hyperplane_bases():
 def test_classic_constant_step_converges_under_curvature_bound():
     # L = 1 for the unit quadratic, so beta = 0.5 < 2/L converges
     inst = get_instance("quadratic-box")
-    cfg = SolverConfig(beta_schedule=constant_step(0.5), residual_tol=1e-6)
+    cfg = SolverConfig(beta=0.5, residual_tol=1e-6)
     rep = solve(inst, cfg, "a")
     assert natural_residual(inst, rep.final_x) <= 1e-6
     ref = solve(inst, SolverConfig(), "c").final_x
@@ -315,7 +314,7 @@ def test_classic_constant_step_divergence_witness():
         feasible_set=Box(lower=np.zeros(2), upper=np.ones(2)),
         x0=np.zeros(2),
     )
-    cfg = SolverConfig(beta_schedule=constant_step(2.5), max_outer_iters=300)
+    cfg = SolverConfig(beta=2.5, max_outer_iters=300)
     rep = solve(inst, cfg, "a")
     assert rep.status is SolveStatus.ITERATION_CAP
     assert natural_residual(inst, rep.final_x) > 1e-2
@@ -377,7 +376,7 @@ def test_trace_stride_subsamples():
     assert len(rep_strided.trace) < len(rep_full.trace)
     assert rep_strided.trace[-1].k == rep_full.trace[-1].k
     # the monitors see every step, whatever the stride of the stored trace
-    configs = {"a": SolverConfig(beta_schedule=constant_step(0.5)), "d": SolverConfig(max_outer_iters=2000)}
+    configs = {"a": SolverConfig(beta=0.5), "d": SolverConfig(max_outer_iters=2000)}
     for iid in list_instances():
         inst = get_instance(iid)
         for strategy in ("a", "b", "c", "d", "A2"):
@@ -449,15 +448,52 @@ def dense_box_qp(n, seed, b_scale=2.0):
 
 
 def test_armijo_solve_sees_decrease_below_value_resolution():
-    # f ~ -568 near the solution, so a comparison of two values of f cannot
-    # see a decrease below ~1e-13; the search compares the exact decrease,
-    # so the run reaches the tolerance
-    inst = dense_box_qp(500, seed=7)
-    rep = solve(inst, SolverConfig(residual_tol=1e-8), "c")
+    # f ~ -568 near the solution at n = 500, so a comparison of two values of
+    # f cannot see a decrease below ~1e-13; both searches compare the exact
+    # decrease, so the runs reach the tolerance
+    for strategy, n in (("c", 500), ("b", 50), ("b", 500)):
+        inst = dense_box_qp(n, seed=7)
+        rep = solve(inst, SolverConfig(residual_tol=1e-8), strategy)
+        assert rep.status is SolveStatus.OPTIMAL_RESIDUAL, (strategy, n)
+        assert rep.iterations <= 100
+        assert rep.final_residual <= 1e-8
+        assert all(m.passed for m in rep.monitors.values())
+
+
+@pytest.mark.parametrize("iid", ["flat-quadratic", "pnorm4-ball", "pnorm4-ball-far"])
+def test_boundary_solve_reaches_tol_after_long_backtracks(iid):
+    # at delta = 0.9 some boundary searches backtrack 30-50 trials, down to
+    # steps whose decrease is below the resolution of f
+    rep = solve(get_instance(iid), SolverConfig(delta=0.9), "b")
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
-    assert rep.iterations <= 100
     assert rep.final_residual <= 1e-8
-    assert all(m.passed for m in rep.monitors.values())
+    assert rep.monitors["descent"].passed
+
+
+@pytest.mark.parametrize(
+    "iid, strategy, cfg, projections",
+    [
+        ("pnorm4-ball-far", "b", SolverConfig(), 19),
+        ("pnorm1p5-box", "a", SolverConfig(beta=1.0), 5),
+        ("pnorm4-ball-far", "c", SolverConfig(), 19),
+        ("pnorm1p5-box", "c", SolverConfig(), 5),
+        # searches that backtrack: 296 boundary and 61 feasible-direction trials
+        ("pnorm4-ball-far", "b", SolverConfig(delta=0.9), 354),
+        ("pnorm4-ball-far", "c", SolverConfig(delta=0.9), 36),
+    ],
+)
+def test_solve_projects_once_per_iteration_and_rejected_trial(iid, strategy, cfg, projections):
+    # one projection per iteration (the projected step, which is the first
+    # trial of b and gives the residual at unit stepsize), one per rejected
+    # boundary trial, one for the entry test that ends the run and one for
+    # the final residual; the feasible-direction trials project nothing
+    base = get_instance(iid)
+    counting = CountingSet(base.feasible_set)
+    inst = ProblemInstance(objective=base.objective, feasible_set=counting, x0=base.x0)
+    rep = solve(inst, cfg, strategy)
+    assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+    projecting_trials = rep.inner_trials if strategy == "b" else 0
+    assert counting.projections == rep.iterations + projecting_trials + 2 == projections
 
 
 def posthoc_armijo_margins(inst, cfg, rep):
@@ -473,14 +509,13 @@ def posthoc_armijo_margins(inst, cfg, rep):
         gap_margins.append(dot(g, r.x - w) - gap**2 / r.beta)
         products.append(r.alpha * gap**2)
     g_final = obj.gradient(rep.final_x)
-    beta_final = cfg.beta_at(len(rep.trace))
-    final_gap = norm(rep.final_x - set_.project(rep.final_x - beta_final * g_final))
+    final_gap = norm(rep.final_x - set_.project(rep.final_x - cfg.beta * g_final))
     return min(gap_margins), min(products + [final_gap**2])
 
 
 def test_in_step_monitor_margins_match_posthoc_recomputation():
     instances = [get_instance(iid) for iid in list_instances()] + [dense_box_qp(200, seed=3)]
-    configs = (SolverConfig(), SolverConfig(beta_schedule=constant_step(0.5)))
+    configs = (SolverConfig(), SolverConfig(beta=0.5))
     for inst in instances:
         for cfg in configs:
             rep = solve(inst, cfg, "c")
@@ -562,12 +597,15 @@ def test_feasible_direction_search_makes_no_value_calls(monkeypatch):
 
             monkeypatch.setattr(cls, name, counted)
     box = Box(lower=np.full(2, -10.0), upper=np.full(2, 10.0))
-    trials = 0
+    trials = {"feasible_direction": 0, "boundary": 0}
     for obj in objectives:
         x = np.array([1.0, 1.0])
         f, g = obj.value_and_grad(x)
         w = box.project(x - 4.0 * g)
         res = armijo_feasible_direction(obj, x, w, 0.5, 0.5, 100, f_k=f, grad_k=g)
-        trials += res.trials
-    assert trials > 0
+        trials["feasible_direction"] += res.trials
+        res = armijo_boundary(obj, box, x, 4.0, 0.5, 0.5, 100, f_k=f, grad_k=g, w_k=w)
+        assert res.f_trial == f + res.segment.decrease(1.0)
+        trials["boundary"] += res.trials
+    assert min(trials.values()) > 0
     assert calls == {"value": 0, "gradient": 0}

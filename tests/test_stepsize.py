@@ -9,7 +9,6 @@ from projgrad import (
     Quadratic,
     armijo_boundary,
     armijo_feasible_direction,
-    constant_step,
     exogenous_step,
 )
 from projgrad.core import dot, norm
@@ -153,15 +152,6 @@ def test_boundary_descent():
         xk = box.project(rng.uniform(0, 1, 2))
         res = armijo_boundary(obj, box, xk, beta_bar=1.0, theta=0.5, delta=1e-4, max_inner=100)
         assert res.f_trial <= obj.value(xk)
-
-
-def test_constant_step():
-    rule = constant_step(0.1)
-    assert rule(0) == 0.1
-    assert rule(5) == 0.1
-    assert rule(100) == 0.1
-    with pytest.raises(ValueError):
-        constant_step(0.0)
 
 
 def test_exogenous_step():
