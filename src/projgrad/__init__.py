@@ -14,13 +14,10 @@ from .sets import (
     project_intersection,
 )
 from .solver import (
-    AnchoredState,
     MonitorResult,
     ProblemInstance,
     RunReport,
     SolveStatus,
-    anchored_step,
-    armijo_step,
     natural_residual,
     quasi_fejer_epsilon,
     solve,

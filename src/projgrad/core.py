@@ -48,23 +48,19 @@ def norm(a: Vec) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters shared by every solver driver.
+    """Parameters shared by every strategy.
 
-    beta_min/beta_max bound the gradient stepsizes, theta is the backtracking
-    contraction factor, delta the sufficient-decrease fraction.  beta is the
-    constant gradient stepsize of strategies a, c and A2 and must lie in
-    [beta_min, beta_max].  beta_bar is the initial trial stepsize of the
-    boundary line search (strategy b), exo_constant the c in the exogenous
-    schedule c/(k+1) (strategy d).  fixed_point_tol detects exact-fixed-point
-    stops and is kept well below residual_tol so the two stopping semantics
-    stay distinct.
+    theta is the backtracking contraction factor, delta the
+    sufficient-decrease fraction.  beta is the constant gradient stepsize of
+    strategies a, c and A2, the first trial stepsize of the boundary search
+    (strategy b), and the upper stepsize bound the monitors' inequalities
+    read, exact for a constant stepsize.  exo_constant is the c in the
+    exogenous schedule c/(k+1) (strategy d).
     trace_stride subsamples the recorded trace for long runs (every
     trace_stride-th step record and the last); the runtime monitors are fed
     every step, so they run at any trace_stride.
     """
 
-    beta_min: float = 1e-4
-    beta_max: float = 10.0
     theta: float = 0.5
     delta: float = 1e-4
     beta: float = 1.0
@@ -72,31 +68,23 @@ class SolverConfig:
     max_outer_iters: int = 5000
     max_inner_iters: int = 100
     exo_constant: float = 1.0
-    beta_bar: float = 1.0
-    fixed_point_tol: float = 1e-12
     trace_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta_min <= self.beta_max < np.inf):
-            raise ValueError(f"need 0 < beta_min <= beta_max < inf, got [{self.beta_min}, {self.beta_max}]")
-        if not (self.beta_min <= self.beta <= self.beta_max):
-            raise ValueError(f"beta {self.beta} lies outside [{self.beta_min}, {self.beta_max}]")
+        if not (0.0 < self.beta < np.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
-        if self.fixed_point_tol <= 0.0:
-            raise ValueError("fixed_point_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
         if self.max_inner_iters < 1:
             raise ValueError("max_inner_iters must be at least 1")
         if self.exo_constant <= 0.0:
             raise ValueError("exo_constant must be positive")
-        if self.beta_bar <= 0.0:
-            raise ValueError("beta_bar must be positive")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be at least 1")
 
@@ -108,7 +96,10 @@ class IterateRecord:
     residual is the natural residual ||x - P_C(x - grad f(x))|| at the iterate.
     f_lev and dist_anchor are filled only by the anchored solver, epsilon_qf
     and gap_margin (<grad f(x), x - w> - gap^2 / beta) only by the Armijo
-    solver, and gap (||x - w|| for the projected step w) by both.  stop
+    solver, and gap (||x - w|| for the projected step w) by both.
+    projections counts the base projections of the projected gradient step:
+    the projected point, the residual's own projection when the stepsize is
+    not 1, and the rejected trials of the boundary search.  stop
     marks a terminal no-step record: either "fixed_point" (the projected
     point coincides with the iterate) or "residual" (the natural residual is
     below tolerance).
@@ -126,4 +117,5 @@ class IterateRecord:
     dist_anchor: Optional[float] = None
     gap: Optional[float] = None
     gap_margin: Optional[float] = None
+    projections: int = 0
     stop: Optional[str] = None

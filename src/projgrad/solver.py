@@ -1,26 +1,27 @@
 """Outer iterations of the projected gradient solvers.
 
-``solve(inst, cfg, strategy)`` is the one driver.  Each strategy supplies a
-step and a stop rule:
+``solve(inst, cfg, strategy)`` is the one driver and the one entry.  Each
+strategy supplies a step and a stop rule:
 
 * ``c`` takes the projected gradient step and moves along the segment to the
-  projected point with the backtracked weight (``armijo_step``).
+  projected point with the backtracked weight.
 * ``A2`` keeps projecting the initial point onto the feasible set intersected
   with two halfspace cuts (a gradient level cut and an anchor cut), which
-  drives the iterates to the solution closest to the start
-  (``anchored_step``).
+  drives the iterates to the solution closest to the start.
 * ``a`` (constant), ``b`` (boundary search) and ``d`` (exogenous) take the
   plain projection step.
 
-Every strategy starts its step with the same prelude: one projection of a
-gradient step at the strategy's own stepsize, whose gap to the iterate gives
-the natural residual when that stepsize is 1.
+Every step maps one state, the iterate with its value and gradient, to the
+next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
+the same prelude: one projection of a gradient step at the strategy's own
+stepsize, whose gap to the iterate gives the natural residual when that
+stepsize is 1.
 
 The driver owns the loop, the mapping of stops and typed failures to a
 ``SolveStatus``, the subsampled trace and the final report.  After every
 step it feeds the strategy's runtime monitors, accumulators over the
-inequalities the iteration is known to satisfy, with values the step
-already holds.
+inequalities the iteration is known to satisfy, with the step's record and
+the two states, values the step already holds.
 """
 
 from __future__ import annotations
@@ -38,16 +39,18 @@ from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_directio
 
 __all__ = [
     "ProblemInstance",
-    "AnchoredState",
     "SolveStatus",
     "MonitorResult",
     "RunReport",
     "natural_residual",
     "quasi_fejer_epsilon",
-    "armijo_step",
-    "anchored_step",
     "solve",
 ]
+
+# a projected step shorter than this is a fixed point of the projected
+# gradient map; well below any residual tolerance, so the two stops stay
+# distinct
+_FIXED_POINT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +76,10 @@ class ProblemInstance:
         if dim is not None and dim != self.x0.shape[0]:
             raise ValueError(f"objective dimension {dim} does not match x0 dimension {self.x0.shape[0]}")
         if not self.feasible_set.contains(self.x0, 1e-9):
-            raise ValueError("starting point x0 must be feasible (within 1e-9)")
-
-
-@dataclass(frozen=True, eq=False)
-class AnchoredState:
-    """State of the anchored solver: current iterate, running level value
-    and the iteration index.  The anchor is always the instance's x0."""
-
-    x: Vec
-    f_lev: float
-    k: int
+            distance = norm(self.x0 - self.feasible_set.project(self.x0))
+            raise ValueError(
+                f"starting point x0 is infeasible: {distance:.3e} from the feasible set (tolerance 1e-9)"
+            )
 
 
 class SolveStatus(enum.Enum):
@@ -106,8 +102,9 @@ class MonitorResult:
 @dataclass
 class RunReport:
     """Outcome of a solve.  final_f and final_residual (the natural residual)
-    are evaluated afresh at final_x; inner_trials sums the line-search trials
-    of every step, whatever the trace keeps."""
+    are evaluated afresh at final_x; inner_trials and projections sum the
+    line-search trials and the base projections of every step's projected
+    gradient step, whatever the trace keeps."""
 
     status: SolveStatus
     iterations: int
@@ -116,6 +113,7 @@ class RunReport:
     final_f: float
     final_residual: float
     inner_trials: int
+    projections: int
     monitors: dict[str, MonitorResult] = field(default_factory=dict)
 
 
@@ -128,163 +126,151 @@ def natural_residual(inst: ProblemInstance, x: Vec) -> float:
 def quasi_fejer_epsilon(
     x_k: Vec, x_next: Vec, alpha: float, w_k: Vec, f_k: float, f_next: float, cfg: SolverConfig
 ) -> float:
-    """Per-step slack -alpha ||x - w||^2 + 2 (beta_max / delta) (f_k - f_next).
+    """Per-step slack -alpha ||x - w||^2 + 2 (beta / delta) (f_k - f_next).
 
-    These slacks are nonnegative, summable (their sum telescopes against the
-    total objective decrease), and bound the growth of the squared distance
-    to any solution from one iterate to the next.
+    beta stands for the upper bound of the stepsizes, which for the
+    constant stepsize cfg.beta is exact.  These slacks are nonnegative,
+    summable (their sum telescopes against the total objective decrease),
+    and bound the growth of the squared distance to any solution from one
+    iterate to the next.
     """
-    return -alpha * norm(x_k - w_k) ** 2 + 2.0 * (cfg.beta_max / cfg.delta) * (f_k - f_next)
+    return -alpha * norm(x_k - w_k) ** 2 + 2.0 * (cfg.beta / cfg.delta) * (f_k - f_next)
 
 
 class _Point(NamedTuple):
-    """Iterate k, with the value and gradient there when the step carries
-    them (strategy c)."""
+    """Iterate k with the value and gradient there, and the level value of
+    strategy A2 (inf for the others)."""
 
     x: Vec
     k: int
-    f: float = math.nan
-    g: Optional[Vec] = None
+    f: float
+    g: Vec
+    f_lev: float = math.inf
+
+
+def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _Point:
+    return _Point(x, k, *value_and_grad(obj, x), f_lev)
 
 
 def _projected_step(
     inst: ProblemInstance, x: Vec, g: Vec, beta: float
-) -> tuple[Vec, float, float, float]:
+) -> tuple[Vec, float, float, float, int]:
     """Per-iteration prelude of every strategy, from the gradient g at x:
     projected step w = P_C(x - beta g), gap ||x - w||, natural residual (the
-    gap itself when beta is 1) and descent gap <g, x - w>."""
+    gap itself when beta is 1), descent gap <g, x - w> and the number of
+    projections made."""
     set_ = inst.feasible_set
     w = set_.project(x - beta * g)
     gap = norm(x - w)
-    residual = gap if beta == 1.0 else norm(x - set_.project(x - g))
-    return w, gap, residual, dot(g, x - w)
+    if beta == 1.0:
+        return w, gap, gap, dot(g, x - w), 1
+    return w, gap, norm(x - set_.project(x - g)), dot(g, x - w), 2
 
 
 def _entry_stop(cfg: SolverConfig, gap: float, residual: float, descent_gap: float = math.inf) -> Optional[str]:
     """Pre-step stop marker: "fixed_point" when the projected step does not
     move (or gives no descent), "residual" at the residual tolerance."""
-    if gap <= cfg.fixed_point_tol or descent_gap <= 0.0:
+    if gap <= _FIXED_POINT_TOL or descent_gap <= 0.0:
         return "fixed_point"
     if residual <= cfg.residual_tol:
         return "residual"
     return None
 
 
-def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord, Vec]:
-    """armijo_step from the value and gradient that state carries; the next
-    state carries the value and gradient at the accepted point, both from
-    the segment of the search that accepted it.
+def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
+    """One projected gradient step with the feasible-direction search.
+
+    Computes w = P_C(x - beta grad f(x)); when x is a fixed point of that
+    map (or the natural residual is already below tolerance) returns the
+    state unchanged with the stop marker set.  Otherwise backtracks along
+    the segment to w and moves to the accepted convex combination; the next
+    state carries the value and gradient there, both from the segment of
+    the search that accepted it.
 
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
-    x, k, f, g = state
+    x, k, f, g, _ = state
     beta = cfg.beta
-    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
+    w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
     margin = descent_gap - gap**2 / beta
     stop = _entry_stop(cfg, gap, residual, descent_gap)
     if stop is not None:
         rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop)
-        return state, rec, g
+        return state, rec
     ls = armijo_feasible_direction(
         inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
     eps = quasi_fejer_epsilon(x, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
-    return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec, g
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin,
+                        projections=projections)
+    return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
 
 
-def armijo_step(
-    inst: ProblemInstance, xk: Vec, cfg: SolverConfig, k: int
-) -> tuple[Vec, IterateRecord]:
-    """One projected gradient step with the feasible-direction search.
+def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
+    """One step of the anchored variant.
 
-    Computes w = P_C(xk - beta grad f(xk)); when xk is a fixed point of
-    that map (or the natural residual is already below tolerance) returns xk
-    unchanged with the stop marker set.  Otherwise backtracks along the
-    segment to w and returns the accepted convex combination.
+    Runs the same entry test and feasible-direction search as strategy c,
+    lowers the level value with the accepted trial, builds the gradient
+    level cut and (once the iterate has left the anchor, so not at the first
+    step) the anchor cut, and projects the anchor onto base-set-and-cuts.
+    The level cut keeps every solution while excluding the current iterate;
+    the anchor cut keeps the iterates moving away from the anchor.
     """
-    state, rec, _ = _armijo_step(inst, cfg, _Point(xk, k, *value_and_grad(inst.objective, xk)))
-    return state.x, rec
-
-
-def _anchored_step(
-    inst: ProblemInstance, cfg: SolverConfig, state: AnchoredState
-) -> tuple[AnchoredState, IterateRecord, Vec]:
-    """anchored_step, also returning the gradient at the iterate."""
     obj = inst.objective
-    x, k = state.x, state.k
+    x, k, f, g, f_lev = state
     beta = cfg.beta
-    f, g = value_and_grad(obj, x)
-    w, gap, residual, descent_gap = _projected_step(inst, x, g, beta)
+    w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
     dist_anchor = norm(x - inst.x0)
     stop = _entry_stop(cfg, gap, residual, descent_gap)
     if stop is not None:
-        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=state.f_lev,
-                            dist_anchor=dist_anchor, gap=gap, stop=stop)
-        return state, rec, g
+        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap, stop=stop)
+        return state, rec
     ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
-    f_lev = min(state.f_lev, obj.value(ls.trial_point))
+    f_lev = min(f_lev, obj.value(ls.trial_point))
     # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
     cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
     if dist_anchor > 0.0:
         # the anchor cut is the whole space while the iterate is the anchor
         cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
     x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap)
-    return AnchoredState(x=x_next, f_lev=f_lev, k=k + 1), rec, g
-
-
-def anchored_step(
-    inst: ProblemInstance, state: AnchoredState, cfg: SolverConfig
-) -> tuple[AnchoredState, IterateRecord]:
-    """One step of the anchored variant.
-
-    Evaluates the value and gradient at the iterate (the point the previous
-    intersection projection returned), runs the same entry test and
-    feasible-direction search as armijo_step, lowers the level value with the
-    accepted trial, builds the gradient level cut and (once the iterate has
-    left the anchor, so not at the first step) the anchor cut, and projects
-    the anchor onto base-set-and-cuts.
-    The level cut keeps every solution while excluding the current iterate;
-    the anchor cut keeps the iterates moving away from the anchor.
-    """
-    next_state, rec, _ = _anchored_step(inst, cfg, state)
-    return next_state, rec
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap,
+                        projections=projections)
+    return _evaluated(obj, x_next, k + 1, f_lev), rec
 
 
 def _classic_step(
     strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _Point
-) -> tuple[_Point, IterateRecord, Vec]:
+) -> tuple[_Point, IterateRecord]:
     """Plain projection step of strategy "a" (constant stepsize beta), "b"
-    (boundary search of the pre-projection stepsize from beta_bar, whose
-    first trial is the prelude's projected point; the entry test reads the
+    (boundary search of the pre-projection stepsize from beta, whose first
+    trial is the prelude's projected point; the entry test reads the
     residual alone) or "d" (exogenous stepsize c / ((k + 1) ||g||),
     undefined where the gradient vanishes)."""
-    x, k = state.x, state.k
-    f, g = value_and_grad(inst.objective, x)
-    if strategy == "a":
-        beta = cfg.beta
-    elif strategy == "b":
-        beta = cfg.beta_bar
-    else:
+    x, k, f, g, _ = state
+    beta = cfg.beta
+    if strategy == "d":
         grad_norm = norm(g)
         if grad_norm == 0.0:
-            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop="fixed_point"), g
+            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop="fixed_point")
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w, gap, residual, _ = _projected_step(inst, x, g, beta)
+    w, gap, residual, _, projections = _projected_step(inst, x, g, beta)
     stop = _entry_stop(cfg, math.inf if strategy == "b" else gap, residual)
-    if strategy == "b" and stop is None:
+    if stop is not None:
+        return state, IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop)
+    trials = 0
+    if strategy == "b":
         ls = armijo_boundary(
             inst.objective, inst.feasible_set, x, beta, cfg.theta, cfg.delta, cfg.max_inner_iters,
             f_k=f, grad_k=g, w_k=w,
         )
-        return _Point(ls.trial_point, k + 1), IterateRecord(k, x, f, 1.0, ls.beta, ls.trials, residual), g
-    return (state if stop else _Point(w, k + 1)), IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop), g
+        w, beta, trials = ls.trial_point, ls.beta, ls.trials
+    rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=projections + trials)
+    return _evaluated(inst.objective, w, k + 1), rec
 
 
 _STALL_REL = 1e-9
@@ -295,21 +281,21 @@ def _never(x: Vec, x_next: Vec) -> bool:
     return False
 
 
-def _stall(inst: ProblemInstance, cfg: SolverConfig):
-    """Strategy A2 stops on consecutive iterates closer than fixed_point_tol,
-    or on a stall: once the level value collapses onto the optimal value at
-    working precision, the anchor cut pins the step length near the float
-    noise floor while the iterate is already as close to the solution as the
-    level information allows.  Several consecutive steps below 1e-9 relative
-    to the anchor distance are reported as a fixed-point stop, with the
-    residual at the final iterate left in the report rather than claiming
-    optimality."""
+def _stall(inst: ProblemInstance):
+    """Strategy A2 stops on consecutive iterates closer than the fixed-point
+    tolerance, or on a stall: once the level value collapses onto the
+    optimal value at working precision, the anchor cut pins the step length
+    near the float noise floor while the iterate is already as close to the
+    solution as the level information allows.  Several consecutive steps
+    below 1e-9 relative to the anchor distance are reported as a fixed-point
+    stop, with the residual at the final iterate left in the report rather
+    than claiming optimality."""
     stalled = 0
 
     def stop(x: Vec, x_next: Vec) -> bool:
         nonlocal stalled
         moved = norm(x_next - x)
-        if moved <= cfg.fixed_point_tol:
+        if moved <= _FIXED_POINT_TOL:
             return True
         stalled = stalled + 1 if moved <= _STALL_REL * max(1.0, norm(x_next - inst.x0)) else 0
         return stalled >= _STALL_PATIENCE
@@ -318,15 +304,13 @@ def _stall(inst: ProblemInstance, cfg: SolverConfig):
 
 
 def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
-    """The strategy's initial state, step, post-step stop rule and monitors."""
+    """The strategy's step, post-step stop rule and monitors."""
     if strategy == "c":
-        start = _Point(inst.x0, 0, *value_and_grad(inst.objective, inst.x0))
-        return start, _armijo_step, _never, _ArmijoMonitors(inst, cfg)
+        return _armijo_step, _never, _ArmijoMonitors(inst, cfg)
     if strategy == "A2":
-        start = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
-        return start, _anchored_step, _stall(inst, cfg), _AnchoredMonitors(inst, cfg)
+        return _anchored_step, _stall(inst), _AnchoredMonitors(inst, cfg)
     if strategy in ("a", "b", "d"):
-        return _Point(inst.x0, 0), partial(_classic_step, strategy), _never, _ClassicMonitors(cfg, strategy)
+        return partial(_classic_step, strategy), _never, _ClassicMonitors(cfg, strategy)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of 'a', 'b', 'c', 'd', 'A2'")
 
 
@@ -347,22 +331,24 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
     """
-    state, step, stop, monitors = _strategy(inst, cfg, strategy)
+    step, stop, monitors = _strategy(inst, cfg, strategy)
+    state = _evaluated(inst.objective, inst.x0, 0)
     trace: list[IterateRecord] = []
     last: Optional[IterateRecord] = None
-    n = trials = 0
+    n = trials = projections = 0
     status = SolveStatus.ITERATION_CAP
     try:
         while n < cfg.max_outer_iters:
-            next_state, rec, g = step(inst, cfg, state)
+            next_state, rec = step(inst, cfg, state)
             if rec.stop is not None:
                 status = _STOPS[rec.stop]
                 break
             if n % cfg.trace_stride == 0:
                 trace.append(rec)
-            n, last, trials = n + 1, rec, trials + rec.inner_trials
-            monitors.add(rec, g, next_state)
-            x, state = state.x, next_state
+            n, last = n + 1, rec
+            trials, projections = trials + rec.inner_trials, projections + rec.projections
+            monitors.add(rec, state, next_state)
+            state, x = next_state, state.x
             if stop(x, state.x):
                 status = SolveStatus.FIXED_POINT_STOP
                 break
@@ -372,9 +358,13 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
         status = SolveStatus.INTERSECTION_FAILURE
     if last is not None and trace[-1] is not last:
         trace.append(last)
-    x = state.x
-    f, g = value_and_grad(inst.objective, x)
-    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials)
+    # every state but c's carries the value and gradient evaluated at its
+    # iterate; c's are carried from the segments, and its report (where its
+    # descent chain ends) reads fresh ones
+    x, f, g = state.x, state.f, state.g
+    if strategy == "c":
+        f, g = value_and_grad(inst.objective, x)
+    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials, projections)
     if n:
         report.monitors = monitors.result(report)
     return report
@@ -429,17 +419,17 @@ class _ArmijoMonitors:
         self.f0: Optional[float] = None
         self.last: Optional[_Point] = None
 
-    def add(self, rec: IterateRecord, g: Vec, state: _Point) -> None:
+    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
         self.descent.link(rec.f_val)
         self.gap_bound.add(rec.gap_margin)
         self.product = min(self.product, rec.alpha * rec.gap**2)
         sol = self.inst.known_solution
         if sol is not None:
-            self.quasi_fejer.add(norm(rec.x - sol) ** 2 + rec.epsilon_qf - norm(state.x - sol) ** 2)
+            self.quasi_fejer.add(norm(rec.x - sol) ** 2 + rec.epsilon_qf - norm(next_state.x - sol) ** 2)
         self.eps_total += rec.epsilon_qf
         if self.f0 is None:
             self.f0 = rec.f_val
-        self.last = state
+        self.last = next_state
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         inst, cfg, x = self.inst, self.cfg, report.final_x
@@ -455,7 +445,7 @@ class _ArmijoMonitors:
         if inst.known_solution is not None:
             out["quasi_fejer"] = self.quasi_fejer.result()
         if inst.known_fstar is not None:
-            bound = 2.0 * (cfg.beta_max / cfg.delta) * (self.f0 - inst.known_fstar)
+            bound = 2.0 * (cfg.beta / cfg.delta) * (self.f0 - inst.known_fstar)
             out["epsilon_sum"] = MonitorResult(
                 passed=self.eps_total <= bound + 1e-6, worst_margin=bound + 1e-6 - self.eps_total
             )
@@ -469,7 +459,9 @@ class _AnchoredMonitors:
     level_monotone / level_sandwich: the level value is a nonincreasing
         overestimate of the optimal value strictly below the iterate value.
     level_gap_step: step length dominates (f - f_lev)/||g||, which in turn
-        dominates delta * alpha * gap^2 / (beta_max ||g||).
+        dominates delta * alpha * gap^2 / (beta ||g||): the accepted trial
+        decreases f by at least delta * alpha * <g, x - w>, which the
+        projection bounds below by gap^2 / beta.
     ball_containment / cuts_keep_solution: with the known solution, iterates
         stay in the ball spanned by anchor and solution, and the solution
         satisfies both cuts.
@@ -488,8 +480,8 @@ class _AnchoredMonitors:
             self.center = 0.5 * (inst.x0 + sol)
             self.radius = 0.5 * norm(sol - inst.x0)
 
-    def add(self, rec: IterateRecord, g: Vec, state: AnchoredState) -> None:
-        inst, cfg = self.inst, self.cfg
+    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
+        inst, cfg, g = self.inst, self.cfg, state.g
         self.anchor_monotone.link(rec.dist_anchor)
         self.level_monotone.link(rec.f_lev)
         self.level_sandwich.add(rec.f_val - rec.f_lev)
@@ -498,8 +490,8 @@ class _AnchoredMonitors:
         gn = norm(g)
         if gn != 0.0:
             level_gap = (rec.f_val - rec.f_lev) / gn
-            lower = cfg.delta * (rec.alpha / cfg.beta_max) * rec.gap**2 / gn
-            self.level_gap_step.add(norm(rec.x - state.x) - level_gap)
+            lower = cfg.delta * (rec.alpha / cfg.beta) * rec.gap**2 / gn
+            self.level_gap_step.add(norm(rec.x - next_state.x) - level_gap)
             self.level_gap_step.add(level_gap - lower)
         sol = inst.known_solution
         if sol is not None:
@@ -533,11 +525,11 @@ class _ClassicMonitors:
         self.cfg, self.strategy = cfg, strategy
         self.margins = _Worst(1e-12)
 
-    def add(self, rec: IterateRecord, g: Vec, state: _Point) -> None:
+    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
         if self.strategy == "b":
             self.margins.link(rec.f_val)
         elif self.strategy == "d":
-            self.margins.add(self.cfg.exo_constant / (rec.k + 1) - norm(state.x - rec.x))
+            self.margins.add(self.cfg.exo_constant / (rec.k + 1) - norm(next_state.x - rec.x))
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         if self.strategy == "b":

@@ -6,10 +6,11 @@ outer iteration (done by the caller).  It runs on the objective's segment
 evaluator, so for the built-in objectives a trial costs O(n) (O(m) for
 log-sum-exp) after one matrix-vector product per search.  The boundary
 search backtracks the pre-projection stepsize instead and pays one
-projection per trial (the first can be the caller's projected step); it
-tests each trial's decrease on the segment from the iterate to the trial
-point.  Both searches compare the segment's decrease, never two rounded
-values of the objective.
+projection per rejected trial (the first trial is the caller's projected
+step); it tests each trial's decrease on the segment from the iterate to
+the trial point.  Both searches compare the segment's decrease, never two
+rounded values of the objective, and start from the value and gradient at
+the iterate that the caller holds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Vec
-from .objectives import Objective, Segment, segment, value_and_grad
+from .objectives import Objective, Segment, segment
 from .sets import FeasibleSet
 
 __all__ = [
@@ -73,12 +74,13 @@ def armijo_feasible_direction(
     theta: float,
     delta: float,
     max_inner: int,
-    f_k: Optional[float] = None,
-    grad_k: Optional[Vec] = None,
+    f_k: float,
+    grad_k: Vec,
 ) -> LineSearchResult:
     """Backtrack along the segment from xk to the projected point wk.
 
-    Accepts the smallest j with
+    f_k and grad_k are the value and gradient at xk.  Accepts the smallest
+    j with
 
         f(xk + theta^j (wk - xk)) - f(xk) <= -delta * theta^j * d,
 
@@ -90,8 +92,6 @@ def armijo_feasible_direction(
     The comparison is an exact float <=; no slack is added.  f_trial is
     f(xk) plus the accepted decrease.
     """
-    if f_k is None or grad_k is None:
-        f_k, grad_k = value_and_grad(obj, xk)
     direction = wk - xk
     d = -float(grad_k @ direction)
     if d <= 0.0:
@@ -119,9 +119,9 @@ def armijo_boundary(
     theta: float,
     delta: float,
     max_inner: int,
-    f_k: Optional[float] = None,
-    grad_k: Optional[Vec] = None,
-    w_k: Optional[Vec] = None,
+    f_k: float,
+    grad_k: Vec,
+    w_k: Vec,
 ) -> LineSearchResult:
     """Backtrack the pre-projection stepsize, projecting every trial.
 
@@ -131,16 +131,16 @@ def armijo_boundary(
 
     where the left side is the decrease of the objective's segment from xk
     to w_l, as in the feasible-direction search, so a decrease below the
-    float resolution of f(xk) is still seen.  w_k, when given, is the first
-    trial w_0 (the caller's projected step); the search then makes l
-    projections, otherwise l+1.  At a stationary feasible point the first
-    trial projects back to xk and is accepted with equality.
+    float resolution of f(xk) is still seen.  f_k and grad_k are the value
+    and gradient at xk, and w_k is the first trial w_0 (the caller's
+    projected step), so the search makes l projections.  At a stationary
+    feasible point the first trial projects back to xk and is accepted with
+    equality.
     """
-    if f_k is None or grad_k is None:
-        f_k, grad_k = value_and_grad(obj, xk)
-    beta = beta_bar
+    beta, w = beta_bar, w_k
     for ell in range(max_inner + 1):
-        w = w_k if ell == 0 and w_k is not None else set_.project(xk - beta * grad_k)
+        if ell:
+            w = set_.project(xk - beta * grad_k)
         direction = w - xk
         seg = segment(obj, xk, f_k, grad_k, direction)
         decrease = seg.decrease(1.0)

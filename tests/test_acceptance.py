@@ -22,7 +22,6 @@ from projgrad import (
     WholeSpace,
     armijo_boundary,
     armijo_feasible_direction,
-    armijo_step,
     check_gradient,
     get_instance,
     natural_residual,
@@ -30,6 +29,7 @@ from projgrad import (
     solve,
 )
 from projgrad.core import dot, norm
+from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
 
 EPS = np.finfo(float).eps
@@ -181,7 +181,8 @@ def test_criterion_7_strategy_comparison():
     inst = get_instance("line-1d")
     cfg = SolverConfig(residual_tol=1e-2)
 
-    # feasible direction: exactly one projection per outer iteration
+    # feasible direction: exactly one projection per outer iteration, plus
+    # one for the entry test that ends the run and one for the final residual
     class CountingSet:
         def __init__(self, inner):
             self.inner = inner
@@ -200,19 +201,9 @@ def test_criterion_7_strategy_comparison():
 
     counting = CountingSet(inst.feasible_set)
     counted_inst = ProblemInstance(objective=inst.objective, feasible_set=counting, x0=inst.x0)
-    x = counted_inst.x0
-    c_iters = 0
-    one_each = True
-    for k in range(1000):
-        before = counting.projections
-        x_next, rec = armijo_step(counted_inst, x, cfg, k)
-        if rec.stop:
-            break
-        one_each = one_each and (counting.projections - before == 1)
-        x = x_next
-        c_iters += 1
-        if natural_residual(counted_inst, x) <= 1e-2:
-            break
+    rep_c = solve(counted_inst, cfg, "c")
+    c_iters = rep_c.iterations
+    one_each = counting.projections == c_iters + 2
 
     # boundary search: exactly trials + 1 projections per call
     counting_b = CountingSet(inst.feasible_set)
@@ -220,7 +211,9 @@ def test_criterion_7_strategy_comparison():
     b_ok = True
     for _ in range(100):
         before = counting_b.projections
-        res = armijo_boundary(inst.objective, counting_b, xb, 1.0, cfg.theta, cfg.delta, 100)
+        f, g = value_and_grad(inst.objective, xb)
+        w = counting_b.project(xb - g)
+        res = armijo_boundary(inst.objective, counting_b, xb, 1.0, cfg.theta, cfg.delta, 100, f_k=f, grad_k=g, w_k=w)
         b_ok = b_ok and (counting_b.projections - before == res.trials + 1)
         xb = res.trial_point
         if natural_residual(inst, xb) <= 1e-2:

@@ -8,6 +8,7 @@ from projgrad import SolveStatus, SolverConfig, get_instance, list_instances, na
 from projgrad.bench import (
     RunSpec,
     compare_specs,
+    config_from_json,
     format_comparison,
     load_spec,
     oracle_check,
@@ -54,7 +55,8 @@ def test_load_spec_roundtrip(tmp_path):
 def test_load_spec_rejects_infeasible_start(tmp_path):
     bad = dict(CENTERED_QUADRATIC, x0=[5.0, 0.0])
     path = write_spec(tmp_path, "bad.json", {"problem": bad, "strategy": "c"})
-    with pytest.raises(ValueError, match="infeasible"):
+    # the message gives the distance of x0 = (5, 0) to [0, 1]^2
+    with pytest.raises(ValueError, match=r"infeasible: 4\.000e\+00 from the feasible set"):
         load_spec(path)
 
 
@@ -64,6 +66,13 @@ def test_load_spec_rejects_bad_theta(tmp_path):
     )
     with pytest.raises(ValueError, match="theta"):
         load_spec(path)
+
+
+def test_config_rejects_removed_keys():
+    for key in ("beta_min", "beta_max", "beta_bar", "fixed_point_tol"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_json({key: 1.0})
+    assert config_from_json({"beta": 25.0}).beta == 25.0
 
 
 def test_load_spec_strategy_parameter_presence(tmp_path):

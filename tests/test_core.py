@@ -63,10 +63,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(delta=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(beta_min=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(beta_min=2.0, beta_max=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer_iters=0)
@@ -75,11 +71,12 @@ def test_config_validation():
 
 
 def test_beta_range_enforced():
-    assert SolverConfig(beta=0.5).beta == 0.5
-    with pytest.raises(ValueError, match="beta"):
-        SolverConfig(beta=100.0)
-    with pytest.raises(ValueError, match="beta"):
-        SolverConfig(beta=1e-5)
+    # beta need only be positive and finite
+    for beta in (0.5, 100.0, 1e-5):
+        assert SolverConfig(beta=beta).beta == beta
+    for beta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            SolverConfig(beta=beta)
     # the default stepsize is 1
     assert SolverConfig().beta == 1.0
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from projgrad import (
-    AnchoredState,
     Ball,
     Box,
     Halfspace,
@@ -16,10 +15,8 @@ from projgrad import (
     Quadratic,
     SolveStatus,
     SolverConfig,
-    anchored_step,
     armijo_boundary,
     armijo_feasible_direction,
-    armijo_step,
     get_instance,
     list_instances,
     natural_residual,
@@ -27,6 +24,7 @@ from projgrad import (
     solve,
 )
 from projgrad.core import dot, norm
+from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
 
 
@@ -69,33 +67,41 @@ def test_natural_residual_examples():
     assert natural_residual(inst1d, np.array([2.0])) == pytest.approx(1.0)
 
 
+def first_step(inst, cfg, strategy):
+    """The report of a solve capped at one step."""
+    return solve(inst, replace(cfg, max_outer_iters=1), strategy)
+
+
 def test_armijo_step_worked_example():
     inst, cfg = line_1d()
-    x_next, rec = armijo_step(inst, np.array([2.0]), cfg, 0)
+    assert np.array_equal(inst.x0, [2.0])
+    rep = first_step(inst, cfg, "c")
+    assert rep.iterations == 1
+    rec = rep.trace[0]
     assert rec.stop is None
     assert rec.alpha == 1.0
     assert rec.inner_trials == 0
-    assert np.array_equal(x_next, [1.0])
+    assert np.array_equal(rep.final_x, [1.0])
 
 
 def test_armijo_step_fixed_point_at_solution():
-    inst = get_instance("quadratic-box")
-    x_next, rec = armijo_step(inst, np.array([1.0, 1.0]), SolverConfig(), 0)
-    assert rec.stop == "fixed_point"
-    assert np.array_equal(x_next, [1.0, 1.0])
+    base = get_instance("quadratic-box")
+    inst = ProblemInstance(objective=base.objective, feasible_set=base.feasible_set, x0=np.array([1.0, 1.0]))
+    rep = first_step(inst, SolverConfig(), "c")
+    assert rep.status is SolveStatus.FIXED_POINT_STOP
+    assert rep.iterations == 0 and rep.trace == []
+    assert np.array_equal(rep.final_x, [1.0, 1.0])
 
 
 def test_armijo_step_descent_on_catalog():
-    cfg = SolverConfig()
+    cfg = SolverConfig(max_outer_iters=10)
     for iid in ("quadratic-box", "pnorm4-ball", "pnorm1p5-box"):
         inst = get_instance(iid)
-        x = inst.x0
-        for k in range(10):
-            x_next, rec = armijo_step(inst, x, cfg, k)
-            if rec.stop:
-                break
+        rep = solve(inst, cfg, "c")
+        xs = [r.x for r in rep.trace] + [rep.final_x]
+        assert len(xs) == rep.iterations + 1
+        for x, x_next in zip(xs, xs[1:]):
             assert inst.objective.value(x_next) <= inst.objective.value(x)
-            x = x_next
 
 
 def test_armijo_solve_quadratic_box():
@@ -165,18 +171,21 @@ def test_quasi_fejer_sum_bound():
     cfg = SolverConfig()
     rep = solve(inst, cfg, "c")
     total = sum(r.epsilon_qf for r in rep.trace)
-    bound = 2.0 * (cfg.beta_max / cfg.delta) * (inst.objective.value(inst.x0) - inst.known_fstar)
+    bound = 2.0 * (cfg.beta / cfg.delta) * (inst.objective.value(inst.x0) - inst.known_fstar)
     assert total <= bound + 1e-6
     assert rep.monitors["epsilon_sum"].passed
     assert rep.monitors["quasi_fejer"].worst_margin >= -1e-8
 
 
 def test_armijo_step_uses_one_projection():
+    # one projection for the step and one for the final residual
     inst0 = get_instance("pnorm4-ball")
     counting = CountingSet(inst0.feasible_set)
     inst = ProblemInstance(objective=inst0.objective, feasible_set=counting, x0=inst0.x0)
-    armijo_step(inst, inst.x0, SolverConfig(), 0)
-    assert counting.projections == 1
+    rep = first_step(inst, SolverConfig(), "c")
+    assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 1
+    assert rep.projections == 1
+    assert counting.projections == 2
 
 
 def test_boundary_search_uses_trials_plus_one_projections():
@@ -187,50 +196,49 @@ def test_boundary_search_uses_trials_plus_one_projections():
         def gradient(self, x):
             return np.array([x[0] ** 3])
 
+    obj, x = Quartic(), np.array([2.0])
+    f, g = value_and_grad(obj, x)
     counting = CountingSet(Box(lower=np.array([-10.0]), upper=np.array([10.0])))
-    res = armijo_boundary(Quartic(), counting, np.array([2.0]), 1.0, 0.5, 0.5, 100)
+    w = counting.project(x - g)
+    res = armijo_boundary(obj, counting, x, 1.0, 0.5, 0.5, 100, f_k=f, grad_k=g, w_k=w)
+    assert res.trials > 0
     assert counting.projections == res.trials + 1
+
+
+def first_level_cut_projection(inst, rec):
+    """Enumeration-oracle projection of the anchor onto the base set and the
+    level cut of the first step record."""
+    g = inst.objective.gradient(inst.x0)
+    f = inst.objective.value(inst.x0)
+    level = Halfspace(normal=g, offset=dot(g, inst.x0) - f + rec.f_lev)
+    return projection_oracle(inst.feasible_set, [level], inst.x0)
 
 
 def test_anchored_step_first_iteration_builds_no_anchor_cut():
     # at k=0 the iterate is the anchor, so the step builds no anchor cut and
     # projects onto the base intersected with the level cut alone
     inst = get_instance("quadratic-box")
-    cfg = SolverConfig()
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
-    next_state, rec = anchored_step(inst, state, cfg)
-    g = inst.objective.gradient(inst.x0)
-    f = inst.objective.value(inst.x0)
-    level = Halfspace(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
-    ref = projection_oracle(inst.feasible_set, [level], inst.x0)
-    assert norm(next_state.x - ref) <= 1e-8
+    rep = first_step(inst, SolverConfig(), "A2")
+    assert rep.iterations == 1
+    assert rep.trace[0].dist_anchor == 0.0
+    assert norm(rep.final_x - first_level_cut_projection(inst, rep.trace[0])) <= 1e-8
 
 
 def test_anchored_step_1d_worked_example():
     inst, cfg = line_1d(theta=0.5, delta=0.5)
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
-    next_state, rec = anchored_step(inst, state, cfg)
-    assert next_state.f_lev == 0.5
-    assert np.allclose(next_state.x, [1.25], atol=1e-10)
+    rep = first_step(inst, cfg, "A2")
+    assert rep.trace[0].f_lev == 0.5
+    assert np.allclose(rep.final_x, [1.25], atol=1e-10)
     # cross-check against the enumeration oracle on the same cut system
-    g = inst.objective.gradient(inst.x0)
-    f = inst.objective.value(inst.x0)
-    level = Halfspace(normal=g, offset=dot(g, inst.x0) - f + next_state.f_lev)
-    ref = projection_oracle(inst.feasible_set, [level], inst.x0)
-    assert np.allclose(ref, [1.25], atol=1e-10)
+    assert np.allclose(first_level_cut_projection(inst, rep.trace[0]), [1.25], atol=1e-10)
 
 
 def test_anchored_level_value_monotone():
     inst = get_instance("pnorm4-ball")
-    cfg = SolverConfig()
-    state = AnchoredState(x=inst.x0, f_lev=math.inf, k=0)
-    prev_lev = math.inf
-    for _ in range(8):
-        state, rec = anchored_step(inst, state, cfg)
-        if rec.stop:
-            break
-        assert state.f_lev <= prev_lev
-        prev_lev = state.f_lev
+    rep = solve(inst, SolverConfig(max_outer_iters=8), "A2")
+    assert rep.iterations == 8
+    levels = [math.inf] + [r.f_lev for r in rep.trace]
+    assert all(lev <= prev for prev, lev in zip(levels, levels[1:]))
 
 
 def test_anchored_solve_flat_instance_hits_closest_solution():
@@ -360,7 +368,8 @@ def test_intersection_failure_surfaces_in_status(monkeypatch):
 
 
 def test_instance_requires_feasible_start():
-    with pytest.raises(ValueError):
+    # the message gives the distance of x0 to the set: (2, 0) is 1 from [0, 1]^2
+    with pytest.raises(ValueError, match=r"x0 is infeasible: 1\.000e\+00 from the feasible set"):
         ProblemInstance(
             objective=Quadratic(Q=np.eye(2), b=np.zeros(2)),
             feasible_set=Box(lower=np.zeros(2), upper=np.ones(2)),
@@ -494,6 +503,23 @@ def test_solve_projects_once_per_iteration_and_rejected_trial(iid, strategy, cfg
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
     projecting_trials = rep.inner_trials if strategy == "b" else 0
     assert counting.projections == rep.iterations + projecting_trials + 2 == projections
+    assert rep.projections == projections - 2
+
+
+@pytest.mark.parametrize(
+    "iid, strategy, cfg, projections",
+    [("pnorm4-ball", "a", SolverConfig(beta=0.5), 34), ("quadratic-box", "d", SolverConfig(exo_constant=1.0), 4)],
+)
+def test_off_unit_stepsize_counts_the_residual_projection(iid, strategy, cfg, projections):
+    # away from stepsize 1 a step projects twice, once for its projected
+    # point and once for the natural residual; the entry test that ends the
+    # run does the same, and the final residual projects once more
+    base = get_instance(iid)
+    counting = CountingSet(base.feasible_set)
+    inst = ProblemInstance(objective=base.objective, feasible_set=counting, x0=base.x0)
+    rep = solve(inst, cfg, strategy)
+    assert rep.projections == 2 * rep.iterations == projections
+    assert counting.projections == projections + 3
 
 
 def posthoc_armijo_margins(inst, cfg, rep):

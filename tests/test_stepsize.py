@@ -12,6 +12,7 @@ from projgrad import (
     exogenous_step,
 )
 from projgrad.core import dot, norm
+from projgrad.objectives import value_and_grad
 
 
 def quartic_1d():
@@ -25,6 +26,19 @@ def quartic_1d():
             return np.array([x[0] ** 3])
 
     return Quartic()
+
+
+def feasible_direction(obj, xk, wk, theta, delta, max_inner):
+    """Feasible-direction search from the value and gradient at xk."""
+    return armijo_feasible_direction(obj, xk, wk, theta, delta, max_inner, *value_and_grad(obj, xk))
+
+
+def boundary(obj, set_, xk, beta_bar, theta, delta, max_inner):
+    """Boundary search from xk whose first trial is the projected step at
+    beta_bar."""
+    f, g = value_and_grad(obj, xk)
+    w = set_.project(xk - beta_bar * g)
+    return armijo_boundary(obj, set_, xk, beta_bar, theta, delta, max_inner, f_k=f, grad_k=g, w_k=w)
 
 
 def scan_feasible_direction(obj, xk, wk, theta, delta, j_max=80):
@@ -45,7 +59,7 @@ def test_feasible_direction_worked_example():
     xk = np.array([2.0])
     wk = box.project(xk - obj.gradient(xk))
     assert np.array_equal(wk, [1.0])
-    res = armijo_feasible_direction(obj, xk, wk, theta=0.5, delta=0.5, max_inner=100)
+    res = feasible_direction(obj, xk, wk, theta=0.5, delta=0.5, max_inner=100)
     assert res.trials == 0
     assert res.alpha == 1.0
     assert np.array_equal(res.trial_point, [1.0])
@@ -58,7 +72,7 @@ def test_feasible_direction_quartic_matches_scan():
     xk = np.array([2.0])
     wk = box.project(xk - obj.gradient(xk))
     assert np.array_equal(wk, [-6.0])
-    res = armijo_feasible_direction(obj, xk, wk, theta=0.5, delta=0.5, max_inner=100)
+    res = feasible_direction(obj, xk, wk, theta=0.5, delta=0.5, max_inner=100)
     want = scan_feasible_direction(obj, xk, wk, 0.5, 0.5)
     assert want == 4
     assert res.trials == want
@@ -75,7 +89,7 @@ def test_feasible_direction_minimality():
         wk = ball.project(xk - obj.gradient(xk))
         if norm(xk - wk) < 1e-12:
             continue
-        res = armijo_feasible_direction(obj, xk, wk, theta=0.5, delta=1e-4, max_inner=100)
+        res = feasible_direction(obj, xk, wk, theta=0.5, delta=1e-4, max_inner=100)
         fk = obj.value(xk)
         d = dot(obj.gradient(xk), xk - wk)
         if res.trials > 0:
@@ -90,7 +104,7 @@ def test_feasible_direction_minimality():
 def test_feasible_direction_rejects_nondescent():
     obj = Quadratic(Q=np.eye(1), b=np.zeros(1))
     with pytest.raises(ValueError):
-        armijo_feasible_direction(obj, np.array([1.0]), np.array([1.0]), 0.5, 0.5, 10)
+        feasible_direction(obj, np.array([1.0]), np.array([1.0]), 0.5, 0.5, 10)
 
 
 def test_feasible_direction_budget_error():
@@ -102,13 +116,13 @@ def test_feasible_direction_budget_error():
             return np.array([-1.0])  # wrong sign: claims descent toward larger f
 
     with pytest.raises(LineSearchError):
-        armijo_feasible_direction(Broken(), np.array([1.0]), np.array([2.0]), 0.5, 0.5, 20)
+        feasible_direction(Broken(), np.array([1.0]), np.array([2.0]), 0.5, 0.5, 20)
 
 
 def test_boundary_worked_example():
     obj = Quadratic(Q=np.array([[1.0]]), b=np.zeros(1))
     box = Box(lower=np.array([1.0]), upper=np.array([np.inf]))
-    res = armijo_boundary(obj, box, np.array([2.0]), beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
+    res = boundary(obj, box, np.array([2.0]), beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
     assert res.trials == 0
     assert res.beta == 1.0
     assert np.array_equal(res.trial_point, [1.0])
@@ -120,7 +134,7 @@ def test_boundary_stationary_point_accepts_first_trial():
     # sufficient decrease holds with equality
     obj = Quadratic(Q=2.0 * np.eye(1), b=np.array([-2.0]))
     box = Box(lower=np.zeros(1), upper=np.full(1, 2.0))
-    res = armijo_boundary(obj, box, np.array([1.0]), beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
+    res = boundary(obj, box, np.array([1.0]), beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
     assert res.trials == 0
     assert np.array_equal(res.trial_point, [1.0])
 
@@ -138,7 +152,7 @@ def test_boundary_quartic_matches_scan():
             want = ell
             break
     assert want == 4
-    res = armijo_boundary(obj, box, xk, beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
+    res = boundary(obj, box, xk, beta_bar=1.0, theta=0.5, delta=0.5, max_inner=100)
     assert res.trials == want
     assert res.beta == 0.5**4
     assert res.f_trial <= fk
@@ -150,7 +164,7 @@ def test_boundary_descent():
     box = Box(lower=np.zeros(2), upper=np.ones(2))
     for _ in range(30):
         xk = box.project(rng.uniform(0, 1, 2))
-        res = armijo_boundary(obj, box, xk, beta_bar=1.0, theta=0.5, delta=1e-4, max_inner=100)
+        res = boundary(obj, box, xk, beta_bar=1.0, theta=0.5, delta=1e-4, max_inner=100)
         assert res.f_trial <= obj.value(xk)
 
 
@@ -181,5 +195,5 @@ def test_finite_termination_across_catalog():
             wk = set_.project(xk - obj.gradient(xk))
             if norm(xk - wk) < 1e-9:
                 continue
-            res = armijo_feasible_direction(obj, xk, wk, theta=0.5, delta=1e-4, max_inner=100)
+            res = feasible_direction(obj, xk, wk, theta=0.5, delta=1e-4, max_inner=100)
             assert res.trials < 80
