@@ -83,6 +83,7 @@ _EXIT_CODES = {
     SolveStatus.LINE_SEARCH_FAILURE: 2,
     SolveStatus.INTERSECTION_FAILURE: 3,
     SolveStatus.ITERATION_CAP: 4,
+    SolveStatus.NON_FINITE: 5,
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ def as_vector(values) -> Vec:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -42,8 +43,9 @@ def dot(a: Vec, b: Vec) -> float:
 
 
 def norm(a: Vec) -> float:
-    """Euclidean norm, sqrt(dot(a, a))."""
-    return float(np.linalg.norm(a))
+    """Euclidean norm, sqrt(dot(a, a)), as numpy.linalg.norm computes it for
+    a vector, without its dispatch."""
+    return math.sqrt(float(np.dot(a, a)))
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,11 @@ class IterateRecord:
     projections counts the base projections of the projected gradient step:
     the projected point, the residual's own projection when the stepsize is
     not 1, and the rejected trials of the boundary search.  stop
-    marks a terminal no-step record: either "fixed_point" (the projected
-    point coincides with the iterate) or "residual" (the natural residual is
-    below tolerance).
+    marks a terminal no-step record: "fixed_point" (the projected point
+    coincides with the iterate, or for A2 the level has met the value within
+    the rounding of the level cut), "residual" (the natural residual is below
+    tolerance) or "non_finite" (the value at the iterate or the gap of its
+    projected step is not finite).
     """
 
     k: int

@@ -2,9 +2,21 @@
 
 Every set exposes ``project(x)`` returning the unique closest member and
 ``contains(x, tol)`` testing membership up to a per-constraint violation of
-``tol``.  ``project_intersection`` projects exactly onto the intersection
-of a base set with at most two ``Halfspace`` cuts, the cutting planes of the
-anchored solver, by solving the dual for the cut multipliers.
+``tol``.
+
+``project_intersection(base, cuts, anchor)`` projects exactly onto the
+intersection of a base set with at most two ``Halfspace`` cuts, the level
+and anchor cuts of the anchored solver, by solving the dual for the cut
+multipliers one pattern of binding cuts at a time.  On a box or a simplex
+the residual of a pinned cut, <n, P(y - lam n)> - b, is piecewise affine
+in its multiplier with an exact slope on each face of the base, so a
+face-Newton step lands on the root once it starts on the root's face; a
+bracket falls back to bisection.  One cut on a box searches the sorted
+breakpoints of that residual instead.  Two cuts solve the 2-D dual on the
+face with one 2x2 solve per step.  The point and the multipliers are then
+read from the final face in closed form.  On a ball and on affine bases the
+planes' unit-row Gram matrix is factored once per pattern and shared by its
+solves.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -33,20 +45,14 @@ __all__ = [
 
 class IntersectionError(RuntimeError):
     """No pattern of binding cuts certifies a projection onto the intersection;
-    ``best`` is the candidate that violates the cuts least."""
+    ``best`` is the candidate that violates the cuts least, ``patterns_tried``
+    the patterns solved and ``base_projections`` the base projections made."""
 
-    def __init__(self, message: str, best: Vec):
+    def __init__(self, message: str, best: Vec, patterns_tried: int = 0, base_projections: int = 0):
         super().__init__(message)
         self.best = best
-
-
-# relative rounding allowance of the cut and plane checks
-_REL_TOL = 1e-12
-# allowances within which a pattern is taken when none certifies within one:
-# a level gap can fall below the accuracy of an ill-conditioned multiplier
-_LOOSE = 100.0
-# quadruplings of the multiplier bracket before a plane counts as missing the base
-_MAX_GROWTH = 64
+        self.patterns_tried = patterns_tried
+        self.base_projections = base_projections
 
 
 def _check_dim(set_dim: Optional[int], x: Vec) -> None:
@@ -223,6 +229,19 @@ class WholeSpace:
 FeasibleSet = Union[Box, Ball, Halfspace, Hyperplane, Simplex, WholeSpace]
 
 
+# relative rounding allowance of the cut and plane checks
+_REL_TOL = 1e-12
+# allowances within which a pattern is taken when none certifies within one:
+# a level gap can fall below the accuracy of an ill-conditioned multiplier
+_LOOSE = 100.0
+# relative rounding within which a coordinate of a base projection counts
+# as on a bound (a few units in the last place)
+_FACE_ROUNDING = 4.0 * np.finfo(float).eps
+# quadruplings of the two-cut search's reach before its first cut counts as
+# missing the base
+_MAX_GROWTH = 64
+
+
 def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) -> Vec:
     """Project ``anchor`` onto the intersection of ``base`` with at most two halfspaces.
 
@@ -232,26 +251,40 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     as equalities <n_i, x> = b_i through their multipliers.  A pattern whose
     multipliers are nonnegative and at whose point every cut holds (pinned
     ones as equalities) satisfies the KKT system of the projection, which
-    certifies the point.
+    certifies the point.  Each pattern starts its search from the pattern
+    that pins its cuts after the first, solved before it.
 
     More than two cuts raise ValueError.  When no pattern certifies,
-    IntersectionError carries the candidate that violates the cuts least.
+    IntersectionError carries the candidate that violates the cuts least,
+    the number of patterns tried and the base projections made.
     """
     if len(cuts) > 2:
         raise ValueError(f"project_intersection handles at most two cuts, got {len(cuts)}")
+    spent = 0
+
+    def project(y: Vec) -> Vec:
+        nonlocal spent
+        spent += 1
+        return base.project(y)
+
     # pattern none always yields a candidate, so tried is never empty below
-    loose, tried, anchor_size = [], [], norm(anchor)
+    loose, tried, solved = [], [], {}
+    anchor_size, normal_sizes = norm(anchor), [norm(c.normal) for c in cuts]
     for count in range(len(cuts) + 1):
-        for pinned in itertools.combinations(cuts, count):
-            found = _pinned_projection(base, [c.normal for c in pinned], [c.offset for c in pinned], anchor)
+        for pinned in itertools.combinations(range(len(cuts)), count):
+            found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, solved.get(pinned[1:]))
+            solved[pinned] = found
             if found is None:
                 continue
             x, lam = found
             # (violation, allowance) per cut; pinned cuts must hold as equalities
-            values = [dot(c.normal, x) - c.offset for c in cuts]
-            allowed = [_slack(c.normal, c.offset, x, anchor_size) for c in cuts]
-            checks = [(abs(v) if c in pinned else v, s) for c, v, s in zip(cuts, values, allowed)]
-            if np.all(lam >= 0.0):
+            x_size = norm(x)
+            values = [float(c.normal @ x) - c.offset for c in cuts]
+            checks = [
+                (abs(v) if i in pinned else v, _slack(c.offset, size, x_size, anchor_size))
+                for i, (c, v, size) in enumerate(zip(cuts, values, normal_sizes))
+            ]
+            if all(m >= 0.0 for m in lam):
                 if all(v <= s for v, s in checks):
                     return x
                 if all(v <= _LOOSE * s for v, s in checks):
@@ -262,60 +295,86 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
         # nearest the anchor is the projection's own choice among them
         return min(loose, key=lambda x: norm(x - anchor))
     best = min(tried, key=lambda entry: entry[0])[1]
-    raise IntersectionError("no pattern of binding cuts certifies a projection onto the intersection", best=best)
+    raise IntersectionError(
+        "no pattern of binding cuts certifies a projection onto the intersection",
+        best=best, patterns_tried=len(solved), base_projections=spent,
+    )
 
 
-def _slack(normal: Vec, offset: float, x: Vec, size: float) -> float:
-    """Rounding allowance for <normal, x> against offset, x computed from
-    vectors of norm up to size; no absolute floor, as level cut normals vanish."""
-    return _REL_TOL * (abs(offset) + norm(normal) * (norm(x) + size))
+def _slack(offset: float, normal_size: float, x_size: float, size: float) -> float:
+    """Rounding allowance for <normal, x> against offset, x of norm x_size
+    computed from vectors of norm up to size; no absolute floor, as level
+    cut normals vanish."""
+    return _REL_TOL * (abs(offset) + normal_size * (x_size + size))
 
 
-def _pinned_projection(
-    base: FeasibleSet, normals: list[Vec], offsets: list[float], anchor: Vec
-) -> Optional[tuple[Vec, np.ndarray]]:
-    """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i,
-    with the planes' multipliers lam: anchor - x - sum_i lam_i n_i lies in
-    the normal cone of base at x.  None when the planes miss the base."""
-    if not normals:
-        return base.project(anchor), np.zeros(0)
+Found = Optional[tuple[Vec, np.ndarray]]
+
+
+def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anchor: Vec, start: Found) -> Found:
+    """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i
+    of the pinned cuts, with the planes' multipliers lam: anchor - x -
+    sum_i lam_i n_i lies in the normal cone of base at x.  None when the
+    planes miss the base, except that one plane on a box or a simplex
+    yields its point of closest approach (see _plane_root).  project is the
+    base projection; start is the projection pinned to the planes after the
+    first (None when they miss the base), where the first plane's
+    multiplier is 0."""
+    if not pinned:
+        return project(anchor), np.zeros(0)
     if isinstance(base, (Box, Simplex)):
-        return _polyhedral_pinned(base, normals, offsets, anchor)
-    A, b = np.array(normals), np.array(offsets)
+        return None if start is None else _polyhedral_pinned(base, project, pinned, anchor, start)
+    A, b = np.array([c.normal for c in pinned]), np.array([c.offset for c in pinned])
     if isinstance(base, Ball):
-        return _ball_pinned(base, A, b, anchor)
+        return _ball_pinned(base, _planes(A, b), anchor)
     if isinstance(base, WholeSpace):
-        return _affine_solve(A, b, anchor)
+        return _planes(A, b)(anchor)
     if isinstance(base, Halfspace):
-        found = _affine_solve(A, b, anchor)
-        if found is None or base.contains(found[0], _slack(base.normal, base.offset, found[0], norm(anchor))):
+        found = _planes(A, b)(anchor)
+        if found is None:
+            return None
+        if base.contains(found[0], _slack(base.offset, norm(base.normal), norm(found[0]), norm(anchor))):
             return found
     # a hyperplane base pins its row; a halfspace base pins it once the
     # planes' projection leaves it, and then needs a nonnegative multiplier
-    found = _affine_solve(np.vstack([A, base.normal]), np.append(b, base.offset), anchor)
+    found = _planes(np.vstack([A, base.normal]), np.append(b, base.offset))(anchor)
     if found is None or (isinstance(base, Halfspace) and found[1][-1] < 0.0):
         return None
     return found[0], found[1][:-1]
 
 
-def _affine_solve(A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optional[tuple[Vec, np.ndarray]]:
-    """Projection onto {A x = b} with multipliers lam = (A A^T)^+ (A anchor - b);
-    the pseudoinverse tolerates dependent rows, inconsistent ones give None.
-    Rows are scaled to unit length first: a gradient row that vanishes near
-    the solution would otherwise sink the Gram matrix below pinv's cutoff."""
+def _planes(A: np.ndarray, b: np.ndarray):
+    """Projector onto the planes {A x = b}: point -> (x, lam) with
+    lam = (A A^T)^+ (A point - b), or None when the rows are inconsistent.
+    The pseudoinverse tolerates dependent rows and is formed once, so the
+    ball's two solves share it.  Rows are scaled to unit length first: a
+    gradient row that vanishes near the solution would otherwise sink the
+    Gram matrix below the rank cutoff."""
     scale = 1.0 / np.linalg.norm(A, axis=1)
+    sizes = 1.0 / scale
     unit = A * scale[:, None]
-    lam = scale * (np.linalg.pinv(unit @ unit.T) @ (scale * (A @ anchor - b)))
-    x = anchor - A.T @ lam
-    # nearly parallel rows cancel large terms lam_i n_i, and the Gram solve
-    # loses digits to their conditioning; inconsistent rows miss by far more
-    size = norm(anchor) + float(np.abs(lam) @ (1.0 / scale))
-    if any(abs(dot(n, x) - off) > _LOOSE * _slack(n, off, x, size) for n, off in zip(A, b)):
-        return None
-    return x, lam
+    gram = unit @ unit.T
+    # one row: the reciprocal, which is what pinv's SVD returns; more rows
+    # keep pinv and its rank cutoff, so nearly parallel planes stay dependent
+    gram_pinv = 1.0 / gram if gram.shape[0] == 1 else np.linalg.pinv(gram)
+
+    def solve(point: Vec) -> Found:
+        lam = scale * (gram_pinv @ (scale * (A @ point - b)))
+        x = point - A.T @ lam
+        if len(b) == 1:
+            return x, lam  # one plane is never inconsistent
+        # nearly parallel rows cancel large terms lam_i n_i, and the Gram
+        # solve loses digits to their conditioning; inconsistent rows miss
+        # by far more
+        size, x_size = norm(point) + float(np.abs(lam) @ sizes), norm(x)
+        if any(abs(float(n @ x) - off) > _LOOSE * _slack(off, s, x_size, size) for n, off, s in zip(A, b, sizes)):
+            return None
+        return x, lam
+
+    return solve
 
 
-def _ball_pinned(base: Ball, A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optional[tuple[Vec, np.ndarray]]:
+def _ball_pinned(base: Ball, planes, anchor: Vec) -> Found:
     """Closed form over a ball.
 
     Project onto the planes; when that leaves the ball, pull the in-plane
@@ -323,7 +382,7 @@ def _ball_pinned(base: Ball, A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optio
     x = p + t v with t = rho / ||v||.  Then anchor - x = mu (x - center) +
     A^T lam with mu = (1 - t)/t and lam = lam0 + mu (A A^T)^+ (A center - b).
     """
-    flat, closest = _affine_solve(A, b, anchor), _affine_solve(A, b, base.center)
+    flat, closest = planes(anchor), planes(base.center)
     if flat is None or closest is None:
         return None
     (x_flat, lam0), (p, w) = flat, closest
@@ -345,69 +404,289 @@ def _ball_pinned(base: Ball, A: np.ndarray, b: np.ndarray, anchor: Vec) -> Optio
     return p + t * v, lam0 + mu * w
 
 
-def _polyhedral_pinned(
-    base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], anchor: Vec
-) -> Optional[tuple[Vec, np.ndarray]]:
-    """Box or simplex: lam -> <n, P_C(a - lam n)> is continuous, nonincreasing
-    and piecewise affine, so one plane's multiplier is the root of that
-    residual.  The first plane's multiplier is searched with the remaining
-    planes solved for each of its values; x(lam1) is then the projection of
-    a - lam1 n1 onto base and those planes, so its residual has the same
-    shape and the same root search applies."""
-    n, off = normals[0], offsets[0]
+class _At(NamedTuple):
+    """The dual search at multipliers lam: the base projection x, the pinned
+    planes' residuals r_i = <n_i, x> - b_i, and the face of the base at x
+    with the Gram matrix of the normals' components along it, which gives
+    the residuals' exact slopes there: on a face x moves by -J sum_j dlam_j n_j
+    for the face's orthogonal projector J, so dr_i = -sum_j <J n_i, J n_j> dlam_j."""
 
-    def evaluate(lam: float):
-        inner = _pinned_projection(base, normals[1:], offsets[1:], anchor - lam * n)
-        return None if inner is None else (dot(n, inner[0]) - off, inner[0], np.append(lam, inner[1]))
-
-    found = _piecewise_affine_root(base, evaluate, dot(n, n))
-    return None if found is None else (found[1], found[2])
+    x: Vec
+    lam: tuple
+    r: tuple
+    face: bytes
+    gram: tuple
 
 
-def _face(base: Union[Box, Simplex], x: Vec) -> bytes:
-    # the exact bound mask that clip (or maximum) leaves: one face, one mask
+def _at(base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], x: Vec, lam: tuple, size: float) -> _At:
+    """The evaluation at x, the base projection of a point formed from
+    terms of sup norm up to size.  A coordinate within rounding of a bound
+    (a few ulps of size) counts as on it: such slivers of a face come and go
+    with the last bits of the multipliers, so a slope read from them would
+    not hold beyond rounding."""
+    near = _FACE_ROUNDING * size
     if isinstance(base, Box):
-        return (x == base.lower).tobytes() + (x == base.upper).tobytes()
-    return (x == 0.0).tobytes()
-
-
-def _piecewise_affine_root(base: Union[Box, Simplex], evaluate, curvature: float):
-    """Root of a continuous nonincreasing piecewise-affine residual.
-
-    evaluate(lam) returns (residual, x, multipliers) with x a base
-    projection, or None.  A step grows away from 0 until it brackets the
-    root; bisection runs only until both ends lie on the same face of the
-    base, where the residual is affine, and interpolation is then exact.
-    None when the residual keeps its sign (the plane misses the base).
-    """
-    at_zero = evaluate(0.0)
-    if at_zero is None or at_zero[0] == 0.0:
-        return at_zero
-    sign = math.copysign(1.0, at_zero[0])
-
-    def signed(mu: float):
-        # along mu >= 0 in the search direction the residual starts positive
-        at = evaluate(sign * mu)
-        return None if at is None else (sign * at[0],) + at[1:]
-
-    lo, at_lo = 0.0, (abs(at_zero[0]),) + at_zero[1:]
-    hi = abs(at_zero[0]) / curvature  # the step that would close it unclipped
-    for _ in range(_MAX_GROWTH):
-        at_hi = signed(hi)
-        if at_hi is None or at_hi[0] <= 0.0:
-            break
-        lo, at_lo, hi = hi, at_hi, 4.0 * hi
+        low, high = x <= base.lower + near, x >= base.upper - near
+        free = ~(low | high)
+        face, parts = low.tobytes() + high.tobytes(), [n[free] for n in normals]
     else:
-        return None
-    while at_hi is not None and at_hi[0] < 0.0 and _face(base, at_lo[1]) != _face(base, at_hi[1]):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        at_mid = signed(mid)
-        if at_mid is not None and at_mid[0] > 0.0:
-            lo, at_lo = mid, at_mid
+        # the support moves with the common shift of the simplex projection
+        support = x > near
+        face, parts = support.tobytes(), [_centered(n[support]) for n in normals]
+    r = tuple(float(n @ x) - b for n, b in zip(normals, offsets))
+    if len(parts) == 1:
+        return _At(x, lam, r, face, ((float(parts[0] @ parts[0]),),))
+    p, q = parts
+    pq = float(p @ q)
+    return _At(x, lam, r, face, ((float(p @ p), pq), (pq, float(q @ q))))
+
+
+def _centered(v: Vec) -> Vec:
+    return v - v.sum() / v.size if v.size else v
+
+
+def _polyhedral_pinned(
+    base: Union[Box, Simplex], project, pinned: list[Halfspace], anchor: Vec, start: tuple[Vec, np.ndarray]
+) -> Found:
+    """Box or simplex: lam -> <n, P_C(y - lam n)> is continuous, nonincreasing
+    and piecewise affine, so one plane's multiplier is the root of that
+    residual (_plane_root).  With two planes the first plane's multiplier is
+    searched with the second solved for each of its values; the residual of
+    the first then has the same shape, with the Schur complement
+    g11 - g12^2/g22 as its slope on a face (see _At), where the second
+    multiplier follows the first at the rate -g12/g22.  A step of the first
+    thus predicts the second, the 2-D dual solved on the face as one 2x2
+    linear solve, and the second plane's own root is searched only when the
+    step leaves that face.  The first plane's search starts at lam_1 = 0,
+    from start, the projection pinned to the second plane alone (the base
+    projection of the anchor for one plane).  The face the search ends on
+    then gives the point and the multipliers in closed form (_face_solve).
+    A box with one plane searches the plane's breakpoints instead."""
+    normals, offsets = [c.normal for c in pinned], [c.offset for c in pinned]
+    if isinstance(base, Simplex):
+        # on the simplex <n, x> - b = <n - c, x> - (b - c scale) for a constant
+        # c, and P(y - lam n) = P(y - lam (n - c)): centering leaves the
+        # multipliers as they are and keeps the projected points from
+        # growing with lam when a normal is nearly constant
+        means = [float(n.sum()) / n.size for n in normals]
+        normals = [n - c for n, c in zip(normals, means)]
+        offsets = [b - c * base.scale for b, c in zip(offsets, means)]
+    # sup norms of the terms of anchor - sum_i lam_i n_i, for the rounding of faces
+    sizes = [float(abs(v).max()) for v in (anchor, *normals)]
+
+    def at_point(x: Vec, lam: tuple) -> _At:
+        size = sizes[0] + sum(abs(m) * s for m, s in zip(lam, sizes[1:]))
+        return _at(base, normals, offsets, x, lam, size)
+
+    def evaluate(lam: tuple) -> _At:
+        y = anchor
+        for m, n in zip(lam, normals):
+            y = y - m * n
+        return at_point(project(y), lam)
+
+    if len(pinned) == 1 and isinstance(base, Box):
+        # the breakpoint search reads the start's residual alone
+        n, b = normals[0], offsets[0]
+        r = float(n @ start[0]) - b
+        lam = None if r == 0.0 else _box_breakpoint_root(base, anchor, n, b, 0.0, r)
+        return (start[0], np.zeros(1)) if lam is None else (project(anchor - lam * n), np.array([lam]))
+    first = at_point(start[0], (0.0, *start[1]))
+    if len(pinned) == 1:
+        found = _plane_root(base, evaluate, first, anchor, normals[0], offsets[0])
+    else:
+        n1 = normals[0]
+
+        def solved_second(lam1: float, src: _At) -> Optional[_At]:
+            g = src.gram
+            tilt = -g[0][1] / g[1][1] if g[1][1] > 0.0 else 0.0
+            at = evaluate((lam1, src.lam[1] + tilt * (lam1 - src.lam[0])))
+            if at.face == src.face:
+                # the prediction is exact on src's face, where the second
+                # residual keeps src's value, a root
+                return at
+            return _plane_root(base, evaluate, at, anchor - lam1 * n1, normals[1], offsets[1])
+
+        found = _face_newton_root(solved_second, first, 0, _schur_slope, dot(n1, n1))
+    return None if found is None else _face_solve(base, normals, offsets, anchor, found)
+
+
+def _face_solve(base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], anchor: Vec, at: _At):
+    """The planes' point and multipliers on the face of at, in closed form.
+
+    On that face x = a - sum_j lam_j m_j.  On a box a is the anchor on the
+    free coordinates and the bounds elsewhere, and m_j is n_j on the free
+    coordinates; on a simplex a is the anchor shifted onto the simplex plane
+    over the support and 0 elsewhere, and m_j is n_j centered over the
+    support.  The planes hold where gram lam = <n_i, a> - b_i.  The base
+    projection of anchor - sum_j lam_j n_j is the same point, but it carries
+    rounding of order eps |lam n|: where the normals barely move x along the
+    face (a small gram), lam is large, and that rounding moves the point
+    along the face by far more.  at stands when the planes are dependent on
+    the face or the point leaves it.
+    """
+    gram = np.array(at.gram)
+    if not np.linalg.det(gram) > _FACE_ROUNDING * np.prod(np.diag(gram)):
+        return at.x, np.array(at.lam)
+    if isinstance(base, Box):
+        low, high = np.frombuffer(at.face, dtype=bool).reshape(2, -1)
+        free = ~(low | high)
+        a = np.where(low, base.lower, base.upper)
+        a[free] = anchor[free]
+        parts = [n[free] for n in normals]
+    else:
+        free = np.frombuffer(at.face, dtype=bool)
+        a = np.zeros_like(anchor)
+        a[free] = _centered(anchor[free]) + base.scale / np.count_nonzero(free)
+        parts = [_centered(n[free]) for n in normals]
+    lam = np.linalg.solve(gram, [float(n @ a) - b for n, b in zip(normals, offsets)])
+    x = a
+    for m, part in zip(lam, parts):
+        x[free] -= m * part
+    if isinstance(base, Box):
+        inside = np.all(x[free] >= base.lower[free]) and np.all(x[free] <= base.upper[free])
+    else:
+        inside = np.all(x[free] >= 0.0)
+    return (x, lam) if inside else (at.x, np.array(at.lam))
+
+
+def _schur_slope(at: _At) -> float:
+    """The first residual's slope with the second plane kept pinned; 0 when
+    the normals are parallel along the face up to the rounding of g11."""
+    (g11, g12), (_, g22) = at.gram
+    if not g22 > 0.0:
+        return g11
+    slope = g11 - g12 * g12 / g22
+    return slope if slope > _FACE_ROUNDING * g11 else 0.0
+
+
+def _plane_root(base: Union[Box, Simplex], evaluate, at: _At, y: Vec, n: Vec, offset: float) -> _At:
+    """The root in the last multiplier lam of at of the residual
+    <n, P_C(y - lam n)> - offset, the other multipliers held.  When the
+    residual keeps its sign, the point where it comes closest to 0, past
+    which it is constant: a plane that touches the base only in rounding
+    then still yields its point of contact, and certification decides.
+
+    On a box the breakpoints of the residual have closed forms and are
+    searched all at once (_box_breakpoint_root), so the root costs one
+    projection.  On a simplex the face-Newton search runs in a bracket whose
+    far end is a closed form: past it the projection stays on the
+    coordinates where n is least along the search, and the residual with it.
+    """
+    i = len(at.lam) - 1
+    if at.r[i] == 0.0:
+        return at
+    if isinstance(base, Box):
+        lam = _box_breakpoint_root(base, y, n, offset, at.lam[i], at.r[i])
+        return at if lam is None else evaluate((*at.lam[:i], lam))
+    sign = math.copysign(1.0, at.r[i])
+    # along the search y - lam n = w - mu m; once every other coordinate of
+    # it is at least scale below the largest one where m is least, it is 0
+    m, w = sign * n, y - at.lam[i] * n
+    low = float(m.min())
+    tied = m == low
+    rest = ~tied
+    far = float(((w[rest] - w[tied].max() + base.scale) / (m[rest] - low)).max()) if rest.any() else 0.0
+    if far <= 0.0:
+        return at
+    if sign * (sign * low * base.scale - offset) > 0.0:
+        return evaluate((*at.lam[:i], at.lam[i] + sign * far))
+    found = _face_newton_root(lambda lam, src: evaluate((*at.lam[:i], lam)), at, i, lambda a: a.gram[i][i],
+                              float(m @ m), far)
+    return at if found is None else found
+
+
+def _face_newton_root(step, at: _At, i: int, slope, curvature: float, far: float = math.inf) -> Optional[_At]:
+    """Root in lam_i of a continuous nonincreasing piecewise-affine residual
+    r_i, from the evaluation at.
+
+    step(lam_i, src) evaluates at lam_i, given src, the evaluation the step
+    is taken from; slope(at) is the residual's exact slope on at's face.  A
+    Newton step from the last evaluation lands on the root when that face
+    holds it, which the face of the point reached confirms.  A Newton step
+    that leaves the bracket, or that follows a Newton step and would be more
+    than half as long as it once the bracket is finite (a creep across many
+    faces), gives way to bisection (geometric while the bracket spans more
+    than a factor 4, as multipliers range over orders of magnitude).  A
+    Newton step after a bisection is not held to the bisection's length:
+    the first step onto the root's face can be far longer.
+    Before the root is bracketed the step grows fourfold from |r_i| /
+    curvature, the step that would close it unclipped; far, when known, is
+    a distance past which the residual has crossed.  None when the residual
+    keeps its sign (the plane misses the base).
+    """
+    if at.r[i] == 0.0 or curvature == 0.0:
+        # a zero normal leaves the residual where it is
+        return at if at.r[i] == 0.0 else None
+    sign, origin = math.copysign(1.0, at.r[i]), at.lam[i]
+    # distances from origin in the direction in which the residual falls
+    # from positive; the root lies in (lo, hi]
+    lo, hi, ends = 0.0, far, [at, None]
+    src, here, reach, grown, last, newton = at, 0.0, abs(at.r[i]) / curvature, 0, math.inf, False
+    while True:
+        s = slope(src)
+        mu = here + sign * src.r[i] / s if s > 0.0 else math.nan
+        newton = lo < mu < hi and not (newton and hi < math.inf and 2.0 * abs(mu - here) > last)
+        if not newton:
+            if hi < math.inf:
+                mu = math.sqrt(lo * hi) if hi > 4.0 * lo > 0.0 else 0.5 * (lo + hi)
+                if not lo < mu < hi:
+                    break
+            else:
+                grown += 1
+                if grown > _MAX_GROWTH:
+                    return None
+                mu = max(4.0 * lo, lo + reach)
+        nxt = step(origin + sign * mu, src)
+        if nxt is None:
+            return None
+        rho = sign * nxt.r[i]
+        if rho == 0.0 or (newton and nxt.face == src.face):
+            return nxt
+        last = abs(mu - here)
+        if rho > 0.0:
+            lo, ends[0] = mu, nxt
         else:
-            hi, at_hi = mid, at_mid
-    if at_hi is None or at_hi[0] == 0.0:
-        return at_hi
-    return evaluate(sign * (lo + at_lo[0] * (hi - lo) / (at_lo[0] - at_hi[0])))
+            hi, ends[1] = mu, nxt
+        src, here = nxt, mu
+    return min((e for e in ends if e is not None), key=lambda e: abs(e.r[i]))
+
+
+def _box_breakpoint_root(box: Box, y: Vec, n: Vec, offset: float, lam0: float, r0: float) -> Optional[float]:
+    """Root of r(lam) = <n, clip(y - lam n, lower, upper)> - offset from
+    r0 = r(lam0) != 0; when r keeps its sign, its last breakpoint, past
+    which r is constant, or None when there is none ahead.  Coordinate i
+    is free, and adds -n_i^2 to the slope, between its two breakpoints
+    (y_i - upper_i)/n_i and (y_i - lower_i)/n_i, so sorting the breakpoints
+    past lam0 gives r on every piece: the continuous quadratic knapsack
+    (Kiwiel, JOTA 2008).  A search to the left is the same search for -n."""
+    if r0 < 0.0:
+        lam = _box_breakpoint_root(box, y, -n, -offset, -lam0, -r0)
+        return None if lam is None else -lam
+    lower, upper = box.lower, box.upper
+    if not n.all():
+        moving = n != 0.0
+        y, n, lower, upper = y[moving], n[moving], lower[moving], upper[moving]
+    w = n * n
+    # infinite bounds give infinite breakpoints, never passed
+    a, b = (y - upper) / n, (y - lower) / n
+    enter, leave = np.minimum(a, b), np.maximum(a, b)
+    points = np.concatenate((enter, leave))
+    order = points.argsort()
+    points, change = points[order], np.concatenate((-w, w))[order]
+    # slopes[k] holds on the piece that ends at points[k]: the changes of
+    # the points before it summed (the order of tied points changes no piece)
+    slopes = np.concatenate(([0.0], change.cumsum()))
+    first, last = int(np.count_nonzero(points <= lam0)), int(np.count_nonzero(points < math.inf))
+    ahead = points[first:last]
+    # r at every breakpoint past lam0
+    values = r0 + (slopes[first:last] * (ahead - np.concatenate(([lam0], ahead[:-1])))).cumsum()
+    crossed = values <= 0.0
+    k = int(crossed.argmax()) if crossed.any() else ahead.size
+    start, value = (lam0, r0) if k == 0 else (float(ahead[k - 1]), float(values[k - 1]))
+    # the slope of that piece summed afresh: the running sum loses the
+    # small slope left once large terms leave it
+    slope = -float(w[(enter <= start) & (start < leave)].sum())
+    if slope >= 0.0:
+        # past the last breakpoint the residual is constant and positive
+        return float(ahead[-1]) if ahead.size else None
+    return start - value / slope

@@ -51,6 +51,7 @@ __all__ = [
 # gradient map; well below any residual tolerance, so the two stops stay
 # distinct
 _FIXED_POINT_TOL = 1e-12
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +89,7 @@ class SolveStatus(enum.Enum):
     ITERATION_CAP = "iteration_cap"
     LINE_SEARCH_FAILURE = "line_search_failure"
     INTERSECTION_FAILURE = "intersection_failure"
+    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -167,10 +169,17 @@ def _projected_step(
     return w, gap, norm(x - set_.project(x - g)), dot(g, x - w), 2
 
 
-def _entry_stop(cfg: SolverConfig, gap: float, residual: float, descent_gap: float = math.inf) -> Optional[str]:
-    """Pre-step stop marker: "fixed_point" when the projected step does not
-    move (or gives no descent), "residual" at the residual tolerance."""
-    if gap <= _FIXED_POINT_TOL or descent_gap <= 0.0:
+def _entry_stop(
+    cfg: SolverConfig, f: float, gap: float, residual: float, descent_gap: float = math.inf, fixed_point: bool = True
+) -> Optional[str]:
+    """Pre-step stop marker: "non_finite" when the value at the iterate or
+    the gap of its projected step is not finite (a NaN or infinite value or
+    gradient reaches both), "fixed_point" (when tested) when the projected
+    step does not move or gives no descent, "residual" at the residual
+    tolerance."""
+    if not (math.isfinite(f) and math.isfinite(gap)):
+        return "non_finite"
+    if fixed_point and (gap <= _FIXED_POINT_TOL or descent_gap <= 0.0):
         return "fixed_point"
     if residual <= cfg.residual_tol:
         return "residual"
@@ -194,7 +203,7 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     beta = cfg.beta
     w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
     margin = descent_gap - gap**2 / beta
-    stop = _entry_stop(cfg, gap, residual, descent_gap)
+    stop = _entry_stop(cfg, f, gap, residual, descent_gap)
     if stop is not None:
         rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop)
         return state, rec
@@ -215,14 +224,16 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     level cut and (once the iterate has left the anchor, so not at the first
     step) the anchor cut, and projects the anchor onto base-set-and-cuts.
     The level cut keeps every solution while excluding the current iterate;
-    the anchor cut keeps the iterates moving away from the anchor.
+    the anchor cut keeps the iterates moving away from the anchor.  Once the
+    level lies within the rounding of the cut's offset below the value, the
+    step is a "fixed_point" stop instead.
     """
     obj = inst.objective
     x, k, f, g, f_lev = state
     beta = cfg.beta
     w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
     dist_anchor = norm(x - inst.x0)
-    stop = _entry_stop(cfg, gap, residual, descent_gap)
+    stop = _entry_stop(cfg, f, gap, residual, descent_gap)
     if stop is not None:
         rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap, stop=stop)
         return state, rec
@@ -232,6 +243,15 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
     f_lev = min(f_lev, obj.value(ls.trial_point))
+    if f - f_lev <= _level_rounding(g, x, f, f_lev):
+        # the level cut would pass within its own rounding of the iterate:
+        # it no longer separates the iterate from the solutions, and where g
+        # is nearly normal to a face of the base, as near a solution on that
+        # face, that rounding moves it along the face by itself over g's
+        # small component there, past the solution
+        rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
+                            gap=gap, stop="fixed_point")
+        return state, rec
     # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
     cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
     if dist_anchor > 0.0:
@@ -241,6 +261,12 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap,
                         projections=projections)
     return _evaluated(obj, x_next, k + 1, f_lev), rec
+
+
+def _level_rounding(g: Vec, x: Vec, f: float, f_lev: float) -> float:
+    """A bound on the rounding that the offset <g, x> - f + f_lev of the
+    level cut carries from f, f_lev and <g, x>."""
+    return 4.0 * _EPS * (norm(g) * norm(x) + abs(f) + abs(f_lev))
 
 
 def _classic_step(
@@ -259,7 +285,7 @@ def _classic_step(
             return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop="fixed_point")
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
     w, gap, residual, _, projections = _projected_step(inst, x, g, beta)
-    stop = _entry_stop(cfg, math.inf if strategy == "b" else gap, residual)
+    stop = _entry_stop(cfg, f, gap, residual, fixed_point=strategy != "b")
     if stop is not None:
         return state, IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop)
     trials = 0
@@ -314,7 +340,11 @@ def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
     raise ValueError(f"unknown strategy {strategy!r}; expected one of 'a', 'b', 'c', 'd', 'A2'")
 
 
-_STOPS = {"fixed_point": SolveStatus.FIXED_POINT_STOP, "residual": SolveStatus.OPTIMAL_RESIDUAL}
+_STOPS = {
+    "fixed_point": SolveStatus.FIXED_POINT_STOP,
+    "residual": SolveStatus.OPTIMAL_RESIDUAL,
+    "non_finite": SolveStatus.NON_FINITE,
+}
 
 
 def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
@@ -322,11 +352,14 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
 
     Stops on the residual tolerance or a fixed point of the projected
     gradient map (tested before each step), on the strategy's post-step
-    stop rule, or on the iteration cap.  A failed line search ends the run
-    as LINE_SEARCH_FAILURE; a failed intersection projection as
-    INTERSECTION_FAILURE: under the anchored method's assumptions the cuts
-    always keep the solution set, so a failed projection indicates a bug or
-    numerically violated assumption rather than a recoverable event.
+    stop rule, or on the iteration cap.  An iterate whose value or
+    projected step is not finite ends the run as NON_FINITE, read from the
+    value and the projection gap each step holds anyway.  A failed line
+    search ends the run as LINE_SEARCH_FAILURE; a failed intersection
+    projection as INTERSECTION_FAILURE: under the anchored method's
+    assumptions the cuts always keep the solution set, so a failed
+    projection indicates a bug or numerically violated assumption rather
+    than a recoverable event.
 
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
@@ -341,6 +374,8 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
         while n < cfg.max_outer_iters:
             next_state, rec = step(inst, cfg, state)
             if rec.stop is not None:
+                # a stop after the anchored step's line search keeps its trials
+                trials += rec.inner_trials
                 status = _STOPS[rec.stop]
                 break
             if n % cfg.trace_stride == 0:

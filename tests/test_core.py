@@ -23,6 +23,14 @@ def test_norm_examples():
     assert norm(np.array([-2.0])) == 2.0
 
 
+def test_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 3, 7, 64, 1000, 20000):
+        for scale in (1e-20, 1e-8, 1.0, 1e8, 1e20):
+            v = scale * rng.standard_normal(size)
+            assert norm(v) == float(np.linalg.norm(v))
+
+
 def test_cauchy_schwarz_random():
     rng = np.random.default_rng(0)
     for _ in range(500):

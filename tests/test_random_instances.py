@@ -8,6 +8,7 @@ the squared distance).
 """
 
 import numpy as np
+import pytest
 
 from projgrad import (
     Ball,
@@ -19,6 +20,7 @@ from projgrad import (
     SolverConfig,
     solve,
 )
+from projgrad import solver
 from projgrad.core import norm
 from projgrad.oracle import quadratic_oracle, system_from_set
 
@@ -35,19 +37,33 @@ def random_bounded_base(rng, dim):
     return Simplex(scale=rng.uniform(0.5, 2.0))
 
 
-def test_solvers_track_qp_oracle_on_random_instances():
-    rng = np.random.default_rng(202)
-    for trial in range(12):
+def random_instances(seed, trials):
+    """The random QPs drawn from default_rng(seed), each with its oracle
+    solution, for the trials listed."""
+    rng = np.random.default_rng(seed)
+    for trial in range(max(trials) + 1):
         dim = int(rng.integers(1, 4))
         M = rng.standard_normal((dim, dim))
         obj = Quadratic(Q=M.T @ M + 0.1 * np.eye(dim), b=rng.standard_normal(dim))
         base = random_bounded_base(rng, dim)
         x0 = base.project(rng.uniform(-2, 2, dim))
+        if trial not in trials:
+            continue
         # Q is positive definite, so the reference is the only solution
         reference = quadratic_oracle(obj, system_from_set(base, dim))
-        inst = ProblemInstance(objective=obj, feasible_set=base, x0=x0,
-                               known_solution=reference, known_fstar=obj.value(reference))
-        start_dist = norm(x0 - reference)
+        yield trial, ProblemInstance(objective=obj, feasible_set=base, x0=x0,
+                                     known_solution=reference, known_fstar=obj.value(reference))
+
+
+def seed_202_instances():
+    """The twelve random QPs of seed 202."""
+    return random_instances(202, range(12))
+
+
+def test_solvers_track_qp_oracle_on_random_instances():
+    for trial, inst in seed_202_instances():
+        reference = inst.known_solution
+        start_dist = norm(inst.x0 - reference)
 
         rep_a = solve(inst, SolverConfig(), "c")
         assert norm(rep_a.final_x - reference) <= 1e-5, f"trial {trial}"
@@ -67,3 +83,46 @@ def test_solvers_track_qp_oracle_on_random_instances():
         assert {"ball_containment", "cuts_keep_solution"} <= rep_b.monitors.keys()
         for name, monitor in rep_b.monitors.items():
             assert monitor.passed, f"trial {trial}: {name}"
+
+
+def test_anchored_intersection_base_projections_are_pinned(monkeypatch):
+    # base projections made inside the intersection projections of A2 over
+    # the twelve QPs, a deterministic count: 7220 over 507 calls for the
+    # bisect-until-same-face search that the face-Newton search replaced
+    inside, counted, calls = [False], [0], [0]
+    for cls in (Box, Ball, Simplex):
+        def counting(self, x, project=cls.project):
+            counted[0] += inside[0]
+            return project(self, x)
+
+        monkeypatch.setattr(cls, "project", counting)
+    intersect = solver.project_intersection
+
+    def flagged(*args):
+        inside[0] = True
+        calls[0] += 1
+        try:
+            return intersect(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solver, "project_intersection", flagged)
+    for _, inst in seed_202_instances():
+        solve(inst, SolverConfig(max_outer_iters=80), "A2")
+    assert (calls[0], counted[0]) == (525, 1159)
+
+
+@pytest.mark.parametrize("seed, trial", [(3, 45), (202, 52), (6, 4), (2, 36), (13, 16), (16, 3)])
+def test_anchored_stops_near_the_closest_solution_at_the_rounding_floor(seed, trial):
+    # A2 runs whose level cut, within its rounding of the iterate, excluded
+    # P_S(x0), the solution closest to x0: the simplex runs stopped 1e-5
+    # away (202/52 and 6/4 outside the ball spanned by x0 and P_S(x0), with
+    # cuts_keep_solution failing), the Ball and Box runs 2/36, 13/16 and
+    # 16/3 ended in INTERSECTION_FAILURE
+    (_, inst), = random_instances(seed, [trial])
+    rep = solve(inst, SolverConfig(max_outer_iters=80), "A2")
+    assert rep.status in STOPPED
+    assert norm(rep.final_x - inst.known_solution) <= 1e-6
+    assert {"ball_containment", "cuts_keep_solution"} <= rep.monitors.keys()
+    for name, monitor in rep.monitors.items():
+        assert monitor.passed, name

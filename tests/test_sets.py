@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,6 +241,9 @@ def test_oracle_keeps_ball_candidate_on_tangent_cut():
         assert norm(ref - p) <= scale
         assert norm(got - p) <= scale
         assert norm(ref - got) <= scale
+        # with a second cut that holds on the whole ball, pinned first
+        loose = Halfspace(normal=-n, offset=float(-n @ c) + r * norm(n))
+        assert norm(project_intersection(ball, [loose, cut], anchor) - p) <= scale
 
 
 def test_intersection_rejects_more_than_two_cuts():
@@ -317,3 +321,208 @@ def test_set_validation():
         Simplex(scale=-1.0)
     with pytest.raises(ValueError):
         Box(lower=np.zeros(2), upper=np.ones(2)).project(np.zeros(3))
+
+
+def _random_cut_case(rng, kind, dim, count):
+    """A base of the given kind, cuts through a point of it (some with zero
+    entries in their normal, some nearly parallel to one another or, on the
+    simplex, to (1, ..., 1)), and an anchor."""
+    if kind == "box":
+        lo = rng.uniform(-2, 0, dim)
+        hi = lo + rng.uniform(0.5, 2.5, dim)
+        # some bounds infinite; in ten dimensions all but four, which keeps
+        # the enumeration oracle's constraint count small
+        drop = 0.3 if dim < 10 else 0.8
+        lo[rng.random(dim) < drop] = -np.inf
+        hi[rng.random(dim) < drop] = np.inf
+        base = Box(lower=lo, upper=hi)
+    elif kind == "ball":
+        base = Ball(center=rng.uniform(-1, 1, dim), radius=rng.uniform(0.5, 2.0))
+    else:
+        base = Simplex(scale=rng.uniform(0.5, 2.0))
+    witness = base.project(rng.uniform(-2, 2, dim))
+    cuts = []
+    for i in range(count):
+        n = rng.standard_normal(dim)
+        pick = rng.random()
+        if pick < 0.2 and dim > 1:
+            n[rng.random(dim) < 0.5] = 0.0
+            n[int(rng.integers(dim))] = 1.0
+        elif pick < 0.35 and kind == "simplex":
+            n = rng.uniform(0.5, 3.0) * np.ones(dim) + 1e-6 * rng.standard_normal(dim)
+        elif pick < 0.5 and i == 1:
+            n = cuts[0].normal + 1e-6 * rng.standard_normal(dim)
+        n *= rng.uniform(0.5, 2.0) / norm(n)
+        cuts.append(Halfspace(normal=n, offset=float(n @ witness) + rng.uniform(0.0, 1.0)))
+    return base, cuts, rng.uniform(-3, 3, dim)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_intersection_matches_oracle_with_degenerate_cuts(kind):
+    # the oracle runs with a feasibility tolerance tighter than its default:
+    # a cut nearly parallel to (1, ..., 1) on the simplex moves its point
+    # along the simplex by the cut tolerance over the tiny transverse part
+    # of the normal, 1e-9 / 1e-6 with the default
+    rng = np.random.default_rng({"box": 31, "ball": 32, "simplex": 33}[kind])
+    for trial in range(38):
+        dim, count = ((1, 2, 3)[trial % 3], 1 + trial // 3 % 2) if trial < 36 else (10, trial - 35)
+        base, cuts, anchor = _random_cut_case(rng, kind, dim, count)
+        got = project_intersection(base, cuts, anchor)
+        ref = projection_oracle(base, cuts, anchor, tol=1e-12)
+        assert norm(got - ref) <= 1e-9, f"{kind} trial {trial}"
+
+
+def test_intersection_level_cut_nearly_parallel_to_simplex_plane():
+    # an anchored-solver step on the seed-202 random QPs: the level normal
+    # differs from a multiple of (1, 1) by 5e-6; the oracle with its default
+    # tolerance certifies a point 2.7e-5 away
+    base = Simplex(scale=0.9624386578930018)
+    cuts = [
+        Halfspace(normal=np.array([4.930512522288963, 4.930342665690436]), offset=5.946891909567706),
+        Halfspace(normal=np.array([0.004479220387004879, -0.004479220386982452]), offset=0.0006879768079425697),
+    ]
+    anchor = np.array([0.0, 0.9624386578930018])
+    ref = projection_oracle(base, cuts, anchor, tol=1e-13)
+    assert norm(project_intersection(base, cuts, anchor) - ref) <= 1e-9
+
+
+def _gauss_jordan(G, r):
+    """Exact solve of G mu = r over the rationals; None when G is singular."""
+    size = len(G)
+    M = [row[:] + [v] for row, v in zip(G, r)]
+    for c in range(size):
+        p = next((i for i in range(c, size) if M[i][c] != 0), None)
+        if p is None:
+            return None
+        M[c], M[p] = M[p], M[c]
+        for i in range(size):
+            if i != c and M[i][c] != 0:
+                f = M[i][c] / M[c][c]
+                M[i] = [u - f * v for u, v in zip(M[i], M[c])]
+    return [M[i][size] / M[i][i] for i in range(size)]
+
+
+def _exact_simplex_projection(scale, cuts, anchor):
+    """Projection of anchor onto the simplex and the cuts in exact rational
+    arithmetic over the float inputs: the KKT point of the first pattern of
+    zero coordinates and binding cuts whose multipliers and point pass."""
+    dim = len(anchor)
+    a = [Fraction(float(v)) for v in anchor]
+    cut_rows = [([Fraction(float(v)) for v in c.normal], Fraction(c.offset)) for c in cuts]
+    supports = itertools.chain.from_iterable(itertools.combinations(range(dim), k) for k in range(dim))
+    for zeros, count in itertools.product(list(supports), range(len(cuts) + 1)):
+        for pinned in itertools.combinations(cut_rows, count):
+            rows = [([Fraction(int(i == j)) for j in range(dim)], Fraction(0)) for i in zeros]
+            rows += [([Fraction(1)] * dim, Fraction(scale))] + list(pinned)
+            gram = [[sum(u * v for u, v in zip(p, q)) for q, _ in rows] for p, _ in rows]
+            mu = _gauss_jordan(gram, [sum(u * v for u, v in zip(p, a)) - b for p, b in rows])
+            if mu is None:
+                continue
+            x = [a[j] - sum(m * p[j] for m, (p, _) in zip(mu, rows)) for j in range(dim)]
+            if (min(x) >= 0 and all(m <= 0 for m in mu[: len(zeros)]) and all(m >= 0 for m in mu[len(zeros) + 1:])
+                    and all(sum(u * v for u, v in zip(n, x)) <= b for n, b in cut_rows)):
+                return np.array([float(v) for v in x])
+    raise AssertionError("no KKT point")
+
+
+@pytest.mark.parametrize("scale, cuts, anchor", [
+    # anchored-solver steps on the random QPs of seed 202, trials 15 and 25:
+    # the level normal is constant to 2e-5 and 1e-6 relative on the edge of
+    # the simplex that holds the point, so its multiplier is 4e4 and 1e6
+    (1.002229426045155,
+     [([-0.7025306707392918, -0.7025550242057621, 0.6371713399002481], -0.7041209021431439),
+      ([0.0006399577026552361, -0.9851245215777453, 0.9844845638731934], -0.9704593765984133)],
+     [0.017744862171961584, 0.0, 0.9844845638731934]),
+    (0.693958497548472,
+     [([2.1258768064026077, 2.4482680185008143, 2.125879238334799], 1.4752715475298621),
+      ([-0.1705122120807366, 0.0, 0.17051221208073664], 0.06017956957188222)],
+     [0.0, 0.0, 0.693958497548472]),
+])
+def test_intersection_level_cut_nearly_constant_on_a_simplex_face(scale, cuts, anchor):
+    # the base projection of anchor - lam n carries rounding of order
+    # eps |lam n| (1e-11 here), which the tiny slope along the face turns
+    # into 1e-8 along it; the point is read from the face instead.  The
+    # reference is exact: the enumeration oracle with tol=1e-12 certifies a
+    # point 0.024 from the first projection
+    cuts = [Halfspace(normal=np.array(n), offset=b) for n, b in cuts]
+    got = project_intersection(Simplex(scale=scale), cuts, np.array(anchor))
+    assert norm(got - _exact_simplex_projection(scale, cuts, anchor)) <= 1e-9
+
+
+@pytest.mark.parametrize("base", [
+    Box(lower=np.zeros(3), upper=np.ones(3)),
+    Box(lower=np.array([0.0, -np.inf, 0.0]), upper=np.array([1.0, 1.0, np.inf])),
+    Simplex(scale=1.0),
+    Ball(center=np.zeros(3), radius=1.0),
+])
+def test_intersection_raises_when_cuts_miss_the_base(base):
+    # x1 >= 3 misses every base, alone or with x1 + x2 + x3 <= -2; that one
+    # alone misses every base bounded below
+    far = Halfspace(normal=-np.eye(3)[0], offset=-3.0)
+    below = Halfspace(normal=np.ones(3), offset=-2.0)
+    bounded = not isinstance(base, Box) or bool(np.all(np.isfinite(base.lower)))
+    for cuts in [[far], [far, below], [below, far]] + [[below]] * bounded:
+        with pytest.raises(IntersectionError):
+            project_intersection(base, cuts, np.array([0.2, 0.3, 0.1]))
+
+
+def test_intersection_error_names_patterns_and_base_projections(monkeypatch):
+    # x1 + x2 <= 0.5 and x1 + x2 >= 1.5: each plane meets the unit box, the
+    # two halfspaces share no point of it
+    box = Box(lower=np.zeros(2), upper=np.ones(2))
+    cuts = [Halfspace(normal=np.ones(2), offset=0.5), Halfspace(normal=-np.ones(2), offset=-1.5)]
+    calls = []
+    inner = Box.project
+    monkeypatch.setattr(Box, "project", lambda self, x: calls.append(1) or inner(self, x))
+    with pytest.raises(IntersectionError) as err:
+        project_intersection(box, cuts, np.array([0.5, 0.5]))
+    assert err.value.patterns_tried == 4
+    assert err.value.base_projections == len(calls) > 0
+
+
+def _kkt_multipliers(base, cuts, anchor, x):
+    """Least-squares multipliers of the cuts at x from the coordinates where
+    x is off every bound of the base (and the simplex plane's multiplier)."""
+    if isinstance(base, Box):
+        free = (x > base.lower) & (x < base.upper)
+        A = np.column_stack([c.normal[free] for c in cuts])
+        lam, *_ = np.linalg.lstsq(A, (anchor - x)[free], rcond=None)
+        return lam
+    free = x > 0.0
+    A = np.column_stack([c.normal[free] for c in cuts] + [np.ones(int(free.sum()))])
+    sol, *_ = np.linalg.lstsq(A, (anchor - x)[free], rcond=None)
+    return sol[: len(cuts)]
+
+
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+def test_intersection_kkt_certificate_at_n_1000(kind):
+    # a cut through the anchor's own projection and one cutting deeper
+    # into the base; the point must be a KKT point: every cut holds, the
+    # multipliers read back from it are nonnegative, each positive one on
+    # a binding cut, and the base projection of anchor - sum lam_i n_i is x
+    rng = np.random.default_rng(35)
+    n = 1000
+    if kind == "box":
+        base = Box(lower=-np.ones(n), upper=np.ones(n))
+        anchor = rng.uniform(-0.5, 0.5, n)
+    else:
+        base = Simplex(scale=1.0)
+        anchor = np.full(n, 1.0 / n)
+    for _ in range(3):
+        cuts = []
+        for depth in (0.3, 0.1):
+            g = rng.standard_normal(n)
+            px = base.project(anchor)
+            span = float(g @ px) - float(g @ base.project(px - 10.0 * g))
+            cuts.append(Halfspace(normal=g, offset=float(g @ px) - depth * span))
+        x = project_intersection(base, cuts, anchor)
+        assert base.contains(x, 1e-12)
+        values = [float(c.normal @ x) - c.offset for c in cuts]
+        sizes = [norm(c.normal) * (norm(x) + norm(anchor)) + abs(c.offset) for c in cuts]
+        assert all(v <= 1e-10 * s for v, s in zip(values, sizes))
+        lam = _kkt_multipliers(base, cuts, anchor, x)
+        assert np.all(lam >= -1e-9 * max(1.0, float(np.max(np.abs(lam)))))
+        for m, v, s in zip(lam, values, sizes):
+            assert m <= 1e-9 or abs(v) <= 1e-10 * s
+        y = anchor - sum(m * c.normal for m, c in zip(lam, cuts))
+        assert norm(base.project(y) - x) <= 1e-8 * max(1.0, norm(x))

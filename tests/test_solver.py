@@ -13,6 +13,7 @@ from projgrad import (
     PNorm,
     ProblemInstance,
     Quadratic,
+    Simplex,
     SolveStatus,
     SolverConfig,
     armijo_boundary,
@@ -23,6 +24,8 @@ from projgrad import (
     quasi_fejer_epsilon,
     solve,
 )
+from projgrad import solver
+from projgrad.bench import status_exit_code
 from projgrad.core import dot, norm
 from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
@@ -635,3 +638,57 @@ def test_feasible_direction_search_makes_no_value_calls(monkeypatch):
         trials["boundary"] += res.trials
     assert min(trials.values()) > 0
     assert calls == {"value": 0, "gradient": 0}
+
+
+def test_anchored_step_makes_few_base_projections_at_n_1000(monkeypatch):
+    # the intersection projection's own base projections, counted on the
+    # set classes (a wrapping set would miss the dispatch on the base type)
+    inside, counted = [False], [0]
+    for cls in (Box, Simplex):
+        def counting(self, x, project=cls.project):
+            counted[0] += inside[0]
+            return project(self, x)
+
+        monkeypatch.setattr(cls, "project", counting)
+    intersect = solver.project_intersection
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return intersect(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solver, "project_intersection", flagged)
+    box = dense_box_qp(1000, seed=7)
+    simplex = ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(1000, 1e-3))
+    for inst in (box, simplex):
+        counted[0] = 0
+        rep = solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=20), "A2")
+        assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 20
+        assert counted[0] <= 10 * rep.iterations, type(inst.feasible_set).__name__
+
+
+def test_non_finite_values_end_in_their_own_status():
+    # f is NaN once x1 >= 0.5, where the minimizer (1, 0) lies
+    class Cliff:
+        dim = 2
+
+        def value(self, x):
+            return math.nan if x[0] >= 0.5 else 0.5 * float((x[0] - 1.0) ** 2 + x[1] ** 2)
+
+        def gradient(self, x):
+            return np.full(2, math.nan) if x[0] >= 0.5 else x - np.array([1.0, 0.0])
+
+    inst = ProblemInstance(objective=Cliff(), feasible_set=Box(lower=np.zeros(2), upper=np.full(2, 2.0)),
+                           x0=np.zeros(2))
+    for strategy in ("a", "b", "c", "d", "A2"):
+        rep = solve(inst, SolverConfig(max_outer_iters=50), strategy)
+        finite = math.isfinite(rep.final_f) and bool(np.all(np.isfinite(rep.final_x)))
+        assert (rep.status is SolveStatus.NON_FINITE) != finite, strategy
+        if strategy in ("a", "d"):
+            # both step onto the cliff at once; the searches of b, c and A2
+            # reject the NaN trials and stay off it
+            assert rep.status is SolveStatus.NON_FINITE and rep.iterations == 1, strategy
+    codes = {status: status_exit_code(status) for status in SolveStatus}
+    assert codes[SolveStatus.NON_FINITE] not in (0, *(c for s, c in codes.items() if s is not SolveStatus.NON_FINITE))
