@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -47,7 +46,7 @@ from .oracle import (
 )
 from .registry import get_instance
 from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
-from .solver import ProblemInstance, RunReport, SolveStatus, solve
+from .solver import STRATEGIES, ProblemInstance, RunReport, SolveStatus, solve
 
 __all__ = [
     "RunSpec",
@@ -61,8 +60,6 @@ __all__ = [
     "parse_trace_csv",
     "status_exit_code",
 ]
-
-STRATEGIES = ("a", "b", "c", "d", "A2")
 
 TRACE_COLUMNS = (
     "k",
@@ -240,9 +237,7 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
 
 
 def _fmt(value: Optional[float]) -> str:
-    if value is None or (isinstance(value, float) and math.isinf(value)):
-        return "" if value is None else "inf"
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def write_trace_csv(path: str | Path, report: RunReport, inst: ProblemInstance) -> None:

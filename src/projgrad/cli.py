@@ -7,8 +7,9 @@ import dataclasses
 import json
 import sys
 
-from .bench import STRATEGIES, compare_specs, format_comparison, load_spec, oracle_check, run_spec
+from .bench import compare_specs, format_comparison, load_spec, oracle_check, run_spec
 from .registry import list_instances
+from .solver import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:

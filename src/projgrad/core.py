@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +18,7 @@ __all__ = [
     "dot",
     "norm",
     "SolverConfig",
+    "SolveStatus",
     "IterateRecord",
 ]
 
@@ -79,16 +81,25 @@ class SolverConfig:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_outer_iters < 1:
+        if not (0.0 < self.residual_tol < np.inf):
+            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
+        if not self.max_outer_iters >= 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.max_inner_iters < 1:
+        if not self.max_inner_iters >= 1:
             raise ValueError("max_inner_iters must be at least 1")
-        if self.exo_constant <= 0.0:
-            raise ValueError("exo_constant must be positive")
-        if self.trace_stride < 1:
+        if not (0.0 < self.exo_constant < np.inf):
+            raise ValueError(f"exo_constant must be positive and finite, got {self.exo_constant}")
+        if not self.trace_stride >= 1:
             raise ValueError("trace_stride must be at least 1")
+
+
+class SolveStatus(enum.Enum):
+    OPTIMAL_RESIDUAL = "optimal_residual"
+    FIXED_POINT_STOP = "fixed_point_stop"
+    ITERATION_CAP = "iteration_cap"
+    LINE_SEARCH_FAILURE = "line_search_failure"
+    INTERSECTION_FAILURE = "intersection_failure"
+    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -102,11 +113,13 @@ class IterateRecord:
     projections counts the base projections of the projected gradient step:
     the projected point, the residual's own projection when the stepsize is
     not 1, and the rejected trials of the boundary search.  stop
-    marks a terminal no-step record: "fixed_point" (the projected point
-    coincides with the iterate, or for A2 the level has met the value within
-    the rounding of the level cut), "residual" (the natural residual is below
-    tolerance) or "non_finite" (the value at the iterate or the gap of its
-    projected step is not finite).
+    marks a terminal no-step record with the status that ends the run:
+    FIXED_POINT_STOP (the projected point coincides with the iterate; for
+    A2 also the level has met the value within the rounding of the level
+    cut, or the projection onto the cuts returns the iterate),
+    OPTIMAL_RESIDUAL (the natural residual is below tolerance) or NON_FINITE
+    (the value at the iterate or the gap of its projected step is not
+    finite).
     """
 
     k: int
@@ -122,4 +135,4 @@ class IterateRecord:
     gap: Optional[float] = None
     gap_margin: Optional[float] = None
     projections: int = 0
-    stop: Optional[str] = None
+    stop: Optional[SolveStatus] = None

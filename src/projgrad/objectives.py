@@ -59,8 +59,8 @@ class PNorm:
     shift: Vec
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
+        if not (1.0 < self.p < math.inf):
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
         object.__setattr__(self, "shift", as_vector(self.shift))
 
     @property
@@ -132,6 +132,8 @@ class Quadratic:
         b = as_vector(self.b)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != b.shape[0]:
             raise ValueError(f"Q must be square and match b, got Q {Q.shape}, b {b.shape}")
+        if not (np.isfinite(Q).all() and math.isfinite(self.c)):
+            raise ValueError("Q and c must be finite")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         eigs = np.linalg.eigvalsh(Q)
@@ -179,6 +181,8 @@ class LogSumExp:
         t = as_vector(self.offsets)
         if A.ndim != 2 or A.shape[0] != t.shape[0]:
             raise ValueError(f"rows {A.shape} must have one offset per row, got {t.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("rows must be finite")
         object.__setattr__(self, "rows", A)
         object.__setattr__(self, "offsets", t)
 

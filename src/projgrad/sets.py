@@ -74,8 +74,8 @@ class Box:
             raise ValueError("box bounds must be 1-D vectors of equal length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ValueError("box bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("box requires lower <= upper componentwise")
+        if np.any(lo > hi) or np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("box requires lower <= upper, lower < +inf and upper > -inf componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -101,8 +101,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_vector(self.center))
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -132,6 +132,8 @@ class Halfspace:
         n = as_vector(self.normal)
         if norm(n) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"halfspace offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", n)
 
     @property
@@ -161,6 +163,8 @@ class Hyperplane:
         n = as_vector(self.normal)
         if norm(n) == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"hyperplane offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", n)
 
     @property
@@ -189,8 +193,8 @@ class Simplex:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError(f"simplex scale must be positive, got {self.scale}")
+        if not (0.0 < self.scale < math.inf):
+            raise ValueError(f"simplex scale must be positive and finite, got {self.scale}")
 
     @property
     def dim(self) -> Optional[int]:

@@ -1,7 +1,7 @@
 """Outer iterations of the projected gradient solvers.
 
 ``solve(inst, cfg, strategy)`` is the one driver and the one entry.  Each
-strategy supplies a step and a stop rule:
+strategy supplies a step:
 
 * ``c`` takes the projected gradient step and moves along the segment to the
   projected point with the backtracked weight.
@@ -17,27 +17,29 @@ the same prelude: one projection of a gradient step at the strategy's own
 stepsize, whose gap to the iterate gives the natural residual when that
 stepsize is 1.
 
-The driver owns the loop, the mapping of stops and typed failures to a
-``SolveStatus``, the subsampled trace and the final report.  After every
-step it feeds the strategy's runtime monitors, accumulators over the
+Every stop is the step's own: a step that stops returns its state
+unchanged with a record naming the ``SolveStatus`` that ends the run.  The
+driver owns the loop, the mapping of typed failures to a ``SolveStatus``,
+the subsampled trace and the final report, and names no strategy.  After
+every step it feeds the strategy's runtime monitors, accumulators over the
 inequalities the iteration is known to satisfy, with the step's record and
 the two states, values the step already holds.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
+from .core import IterateRecord, SolverConfig, SolveStatus, Vec, as_vector, dot, norm
 from .objectives import Objective, value_and_grad
 from .sets import FeasibleSet, Halfspace, IntersectionError, project_intersection
 from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
+    "STRATEGIES",
     "ProblemInstance",
     "SolveStatus",
     "MonitorResult",
@@ -52,6 +54,8 @@ __all__ = [
 # distinct
 _FIXED_POINT_TOL = 1e-12
 _EPS = 2.0**-52
+
+STRATEGIES = ("a", "b", "c", "d", "A2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +77,8 @@ class ProblemInstance:
         object.__setattr__(self, "x0", as_vector(self.x0))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(self.known_solution))
+        if self.known_fstar is not None and not math.isfinite(self.known_fstar):
+            raise ValueError(f"known_fstar must be finite, got {self.known_fstar}")
         dim = getattr(self.objective, "dim", None)
         if dim is not None and dim != self.x0.shape[0]:
             raise ValueError(f"objective dimension {dim} does not match x0 dimension {self.x0.shape[0]}")
@@ -81,15 +87,6 @@ class ProblemInstance:
             raise ValueError(
                 f"starting point x0 is infeasible: {distance:.3e} from the feasible set (tolerance 1e-9)"
             )
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL_RESIDUAL = "optimal_residual"
-    FIXED_POINT_STOP = "fixed_point_stop"
-    ITERATION_CAP = "iteration_cap"
-    LINE_SEARCH_FAILURE = "line_search_failure"
-    INTERSECTION_FAILURE = "intersection_failure"
-    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -171,18 +168,18 @@ def _projected_step(
 
 def _entry_stop(
     cfg: SolverConfig, f: float, gap: float, residual: float, descent_gap: float = math.inf, fixed_point: bool = True
-) -> Optional[str]:
-    """Pre-step stop marker: "non_finite" when the value at the iterate or
-    the gap of its projected step is not finite (a NaN or infinite value or
-    gradient reaches both), "fixed_point" (when tested) when the projected
-    step does not move or gives no descent, "residual" at the residual
+) -> Optional[SolveStatus]:
+    """Pre-step stop: NON_FINITE when the value at the iterate or the gap of
+    its projected step is not finite (a NaN or infinite value or gradient
+    reaches both), FIXED_POINT_STOP (when tested) when the projected step
+    does not move or gives no descent, OPTIMAL_RESIDUAL at the residual
     tolerance."""
     if not (math.isfinite(f) and math.isfinite(gap)):
-        return "non_finite"
+        return SolveStatus.NON_FINITE
     if fixed_point and (gap <= _FIXED_POINT_TOL or descent_gap <= 0.0):
-        return "fixed_point"
+        return SolveStatus.FIXED_POINT_STOP
     if residual <= cfg.residual_tol:
-        return "residual"
+        return SolveStatus.OPTIMAL_RESIDUAL
     return None
 
 
@@ -191,7 +188,7 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
 
     Computes w = P_C(x - beta grad f(x)); when x is a fixed point of that
     map (or the natural residual is already below tolerance) returns the
-    state unchanged with the stop marker set.  Otherwise backtracks along
+    state unchanged with its stop in the record.  Otherwise backtracks along
     the segment to w and moves to the accepted convex combination; the next
     state carries the value and gradient there, both from the segment of
     the search that accepted it.
@@ -224,9 +221,12 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     level cut and (once the iterate has left the anchor, so not at the first
     step) the anchor cut, and projects the anchor onto base-set-and-cuts.
     The level cut keeps every solution while excluding the current iterate;
-    the anchor cut keeps the iterates moving away from the anchor.  Once the
-    level lies within the rounding of the cut's offset below the value, the
-    step is a "fixed_point" stop instead.
+    the anchor cut keeps the iterates moving away from the anchor.  The step
+    is a FIXED_POINT_STOP instead, keeping the search's trials, once the
+    level lies within the rounding of the cut's offset below the value, or
+    once the projection lands within the fixed-point tolerance of the
+    iterate: x_{k+1} = x_k leaves the value, gradient and level as they are,
+    so every later step would return it too.
     """
     obj = inst.objective
     x, k, f, g, f_lev = state
@@ -243,24 +243,24 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
     f_lev = min(f_lev, obj.value(ls.trial_point))
-    if f - f_lev <= _level_rounding(g, x, f, f_lev):
-        # the level cut would pass within its own rounding of the iterate:
-        # it no longer separates the iterate from the solutions, and where g
-        # is nearly normal to a face of the base, as near a solution on that
-        # face, that rounding moves it along the face by itself over g's
-        # small component there, past the solution
-        rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
-                            gap=gap, stop="fixed_point")
-        return state, rec
-    # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
-    cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
-    if dist_anchor > 0.0:
-        # the anchor cut is the whole space while the iterate is the anchor
-        cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
-    x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap,
-                        projections=projections)
-    return _evaluated(obj, x_next, k + 1, f_lev), rec
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap)
+    # a level within the rounding of the cut's offset below the value gives a
+    # cut that no longer separates the iterate from the solutions, and where
+    # g is nearly normal to a face of the base, as near a solution on that
+    # face, that rounding moves it along the face by itself over g's small
+    # component there, past the solution
+    if f - f_lev > _level_rounding(g, x, f, f_lev):
+        # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
+        cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
+        if dist_anchor > 0.0:
+            # the anchor cut is the whole space while the iterate is the anchor
+            cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
+        x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
+        if norm(x_next - x) > _FIXED_POINT_TOL:
+            rec.projections = projections
+            return _evaluated(obj, x_next, k + 1, f_lev), rec
+    rec.stop = SolveStatus.FIXED_POINT_STOP
+    return state, rec
 
 
 def _level_rounding(g: Vec, x: Vec, f: float, f_lev: float) -> float:
@@ -282,7 +282,7 @@ def _classic_step(
     if strategy == "d":
         grad_norm = norm(g)
         if grad_norm == 0.0:
-            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop="fixed_point")
+            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop=SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
     w, gap, residual, _, projections = _projected_step(inst, x, g, beta)
     stop = _entry_stop(cfg, f, gap, residual, fixed_point=strategy != "b")
@@ -299,72 +299,34 @@ def _classic_step(
     return _evaluated(inst.objective, w, k + 1), rec
 
 
-_STALL_REL = 1e-9
-_STALL_PATIENCE = 3
-
-
-def _never(x: Vec, x_next: Vec) -> bool:
-    return False
-
-
-def _stall(inst: ProblemInstance):
-    """Strategy A2 stops on consecutive iterates closer than the fixed-point
-    tolerance, or on a stall: once the level value collapses onto the
-    optimal value at working precision, the anchor cut pins the step length
-    near the float noise floor while the iterate is already as close to the
-    solution as the level information allows.  Several consecutive steps
-    below 1e-9 relative to the anchor distance are reported as a fixed-point
-    stop, with the residual at the final iterate left in the report rather
-    than claiming optimality."""
-    stalled = 0
-
-    def stop(x: Vec, x_next: Vec) -> bool:
-        nonlocal stalled
-        moved = norm(x_next - x)
-        if moved <= _FIXED_POINT_TOL:
-            return True
-        stalled = stalled + 1 if moved <= _STALL_REL * max(1.0, norm(x_next - inst.x0)) else 0
-        return stalled >= _STALL_PATIENCE
-
-    return stop
-
-
 def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
-    """The strategy's step, post-step stop rule and monitors."""
+    """The strategy's step and monitors."""
     if strategy == "c":
-        return _armijo_step, _never, _ArmijoMonitors(inst, cfg)
+        return _armijo_step, _ArmijoMonitors(inst, cfg)
     if strategy == "A2":
-        return _anchored_step, _stall(inst), _AnchoredMonitors(inst, cfg)
-    if strategy in ("a", "b", "d"):
-        return partial(_classic_step, strategy), _never, _ClassicMonitors(cfg, strategy)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of 'a', 'b', 'c', 'd', 'A2'")
-
-
-_STOPS = {
-    "fixed_point": SolveStatus.FIXED_POINT_STOP,
-    "residual": SolveStatus.OPTIMAL_RESIDUAL,
-    "non_finite": SolveStatus.NON_FINITE,
-}
+        return _anchored_step, _AnchoredMonitors(inst, cfg)
+    if strategy in STRATEGIES:
+        return partial(_classic_step, strategy), _ClassicMonitors(cfg, strategy)
+    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     """Run strategy "a", "b", "c", "d" or "A2" from inst.x0.
 
-    Stops on the residual tolerance or a fixed point of the projected
-    gradient map (tested before each step), on the strategy's post-step
-    stop rule, or on the iteration cap.  An iterate whose value or
-    projected step is not finite ends the run as NON_FINITE, read from the
-    value and the projection gap each step holds anyway.  A failed line
-    search ends the run as LINE_SEARCH_FAILURE; a failed intersection
-    projection as INTERSECTION_FAILURE: under the anchored method's
-    assumptions the cuts always keep the solution set, so a failed
-    projection indicates a bug or numerically violated assumption rather
-    than a recoverable event.
+    Stops where a step does: on the residual tolerance, on a fixed point of
+    the projected gradient map or of the anchored step, or on an iterate
+    whose value or projected step is not finite (NON_FINITE, read from the
+    value and the projection gap each step holds anyway); otherwise on the
+    iteration cap.  A failed line search ends the run as
+    LINE_SEARCH_FAILURE; a failed intersection projection as
+    INTERSECTION_FAILURE: under the anchored method's assumptions the cuts
+    always keep the solution set, so a failed projection indicates a bug or
+    numerically violated assumption rather than a recoverable event.
 
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
     """
-    step, stop, monitors = _strategy(inst, cfg, strategy)
+    step, monitors = _strategy(inst, cfg, strategy)
     state = _evaluated(inst.objective, inst.x0, 0)
     trace: list[IterateRecord] = []
     last: Optional[IterateRecord] = None
@@ -376,29 +338,25 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
             if rec.stop is not None:
                 # a stop after the anchored step's line search keeps its trials
                 trials += rec.inner_trials
-                status = _STOPS[rec.stop]
+                status = rec.stop
                 break
             if n % cfg.trace_stride == 0:
                 trace.append(rec)
             n, last = n + 1, rec
             trials, projections = trials + rec.inner_trials, projections + rec.projections
             monitors.add(rec, state, next_state)
-            state, x = next_state, state.x
-            if stop(x, state.x):
-                status = SolveStatus.FIXED_POINT_STOP
-                break
+            state = next_state
     except LineSearchError:
         status = SolveStatus.LINE_SEARCH_FAILURE
     except IntersectionError:
         status = SolveStatus.INTERSECTION_FAILURE
     if last is not None and trace[-1] is not last:
         trace.append(last)
-    # every state but c's carries the value and gradient evaluated at its
-    # iterate; c's are carried from the segments, and its report (where its
-    # descent chain ends) reads fresh ones
-    x, f, g = state.x, state.f, state.g
-    if strategy == "c":
-        f, g = value_and_grad(inst.objective, x)
+    # the report reads a fresh value and gradient: c's state carries them
+    # from its segments, and its descent chain ends at the fresh value; every
+    # other state holds these very values
+    x = state.x
+    f, g = value_and_grad(inst.objective, x)
     report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials, projections)
     if n:
         report.monitors = monitors.result(report)

@@ -4,7 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from projgrad import SolveStatus, SolverConfig, get_instance, list_instances, natural_residual, solve
+from projgrad import (
+    IterateRecord,
+    RunReport,
+    SolveStatus,
+    SolverConfig,
+    get_instance,
+    list_instances,
+    natural_residual,
+    solve,
+)
 from projgrad.bench import (
     RunSpec,
     compare_specs,
@@ -15,6 +24,7 @@ from projgrad.bench import (
     parse_trace_csv,
     run_spec,
     status_exit_code,
+    write_trace_csv,
 )
 from projgrad.cli import main
 from projgrad.core import norm
@@ -112,6 +122,18 @@ def test_run_spec_writes_roundtrippable_trace(tmp_path):
         assert parsed["epsilon_qf"] == rec.epsilon_qf
     summary = json.loads((tmp_path / "run_summary.json").read_text())
     assert summary["status"] in ("optimal_residual", "fixed_point_stop")
+
+
+def test_trace_csv_keeps_infinite_and_nan_values(tmp_path):
+    inst = get_instance("flat-quadratic")
+    x = inst.x0
+    rec = IterateRecord(0, x, -np.inf, np.nan, np.inf, 0, np.inf, f_lev=-np.inf, epsilon_qf=np.nan, dist_anchor=0.0)
+    report = RunReport(SolveStatus.NON_FINITE, 1, [rec], x, np.nan, -np.inf, 0, 0)
+    write_trace_csv(tmp_path / "trace.csv", report, inst)
+    step, final = parse_trace_csv(tmp_path / "trace.csv")
+    assert [step[key] for key in ("f", "residual", "beta", "f_lev")] == [-np.inf, np.inf, np.inf, -np.inf]
+    assert np.isnan(step["alpha"]) and np.isnan(step["epsilon_qf"])
+    assert np.isnan(final["f"]) and final["residual"] == -np.inf and final["f_lev"] == -np.inf
 
 
 def test_summary_file_is_json_dumps_of_the_row(tmp_path):

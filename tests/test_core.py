@@ -89,6 +89,17 @@ def test_beta_range_enforced():
     assert SolverConfig().beta == 1.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("residual_tol", np.nan), ("exo_constant", np.nan), ("exo_constant", np.inf), ("max_outer_iters", np.nan),
+     ("max_inner_iters", np.nan), ("trace_stride", np.nan)],
+)
+def test_config_rejects_non_finite_parameters(field, value):
+    # a NaN residual_tol could never be met: no residual compares <= to NaN
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_record_defaults():
     rec = IterateRecord(k=0, x=np.zeros(2), f_val=1.0, alpha=1.0, beta=1.0, inner_trials=0, residual=0.5)
     assert rec.f_lev is None and rec.epsilon_qf is None and rec.dist_anchor is None

@@ -106,6 +106,22 @@ def test_objective_validation():
         check_gradient(Quadratic(Q=np.eye(1), b=np.zeros(1)), np.zeros(1), 0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PNorm(p=np.nan, shift=np.zeros(2)),
+        lambda: PNorm(p=np.inf, shift=np.zeros(2)),
+        lambda: Quadratic(Q=np.eye(2), b=np.zeros(2), c=np.nan),
+        lambda: Quadratic(Q=np.diag([1.0, np.inf]), b=np.zeros(2)),
+        lambda: LogSumExp(rows=np.array([[1.0, np.nan], [0.0, 1.0]]), offsets=np.zeros(2)),
+    ],
+    ids=["pnorm-p-nan", "pnorm-p-inf", "quadratic-c-nan", "quadratic-q-inf", "logsumexp-rows-nan"],
+)
+def test_objective_rejects_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def _segment_cases():
     rng = np.random.default_rng(41)
     n = 6

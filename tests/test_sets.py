@@ -323,6 +323,26 @@ def test_set_validation():
         Box(lower=np.zeros(2), upper=np.ones(2)).project(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ball(center=np.zeros(2), radius=np.nan),
+        lambda: Simplex(scale=np.nan),
+        lambda: Simplex(scale=np.inf),
+        lambda: Halfspace(normal=np.ones(2), offset=np.nan),
+        lambda: Hyperplane(normal=np.ones(2), offset=np.inf),
+        lambda: Box(lower=np.array([0.0, np.inf]), upper=np.full(2, np.inf)),
+    ],
+    ids=["ball-radius-nan", "simplex-scale-nan", "simplex-scale-inf", "halfspace-offset-nan", "hyperplane-offset-inf",
+         "box-lower-inf"],
+)
+def test_set_rejects_non_finite_parameters(make):
+    # Box alone keeps infinite bounds, which make it unbounded, but a lower
+    # bound of +inf leaves no real point
+    with pytest.raises(ValueError, match="finite|inf"):
+        make()
+
+
 def _random_cut_case(rng, kind, dim, count):
     """A base of the given kind, cuts through a point of it (some with zero
     entries in their normal, some nearly parallel to one another or, on the

@@ -138,6 +138,22 @@ def test_armijo_solve_starts_optimal():
     assert np.array_equal(rep.final_x, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("strategy", ["a", "b", "c", "d", "A2"])
+def test_every_strategy_stops_at_an_interior_minimizer_without_a_step(strategy):
+    # the gradient vanishes at x0: d's stepsize is undefined there, the
+    # others' projected steps do not move (b reads the residual alone)
+    inst = ProblemInstance(
+        objective=Quadratic(Q=np.eye(2), b=np.array([-0.5, -0.5])),
+        feasible_set=Box(lower=np.zeros(2), upper=np.ones(2)),
+        x0=np.array([0.5, 0.5]),
+    )
+    rep = solve(inst, SolverConfig(beta=0.5), strategy)
+    expected = SolveStatus.OPTIMAL_RESIDUAL if strategy == "b" else SolveStatus.FIXED_POINT_STOP
+    assert rep.status is expected
+    assert rep.iterations == 0 and rep.trace == []
+    assert np.array_equal(rep.final_x, inst.x0) and rep.final_residual == 0.0
+
+
 def test_armijo_solve_optimal_status_implies_residual_bound():
     inst = get_instance("pnorm1p5-box")
     cfg = SolverConfig(residual_tol=1e-6)
@@ -444,6 +460,14 @@ def test_instance_rejects_objective_of_other_dimension():
 
     with pytest.raises(ValueError, match="dimension"):
         ProblemInstance(objective=PNorm(p=2.0, shift=np.zeros(3)), feasible_set=Simplex(scale=1.0), x0=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("fstar", [np.nan, -np.inf])
+def test_instance_rejects_non_finite_known_fstar(fstar):
+    # a NaN optimal value would fail the epsilon_sum monitor on every run
+    base = get_instance("quadratic-box")
+    with pytest.raises(ValueError, match="known_fstar"):
+        ProblemInstance(objective=base.objective, feasible_set=base.feasible_set, x0=base.x0, known_fstar=fstar)
 
 
 def dense_box_qp(n, seed, b_scale=2.0):
