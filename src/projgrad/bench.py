@@ -225,7 +225,7 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
         strategy=spec.strategy,
         status=report.status.value,
         iterations=report.iterations,
-        final_x=[float(v) for v in report.final_x],
+        final_x=report.final_x.tolist(),
         final_residual=report.final_residual,
         final_f=report.final_f,
         total_inner_trials=report.inner_trials,

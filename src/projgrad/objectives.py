@@ -121,7 +121,16 @@ class _PNormSegment:
 
 @dataclass(frozen=True, eq=False)
 class Quadratic:
-    """f(x) = 0.5 <x, Qx> + <b, x> + c with Q symmetric positive semidefinite."""
+    """f(x) = 0.5 <x, Qx> + <b, x> + c with Q symmetric positive semidefinite.
+
+    Construction checks that Q is symmetric (to np.allclose with atol 1e-12;
+    an exactly symmetric Q skips that comparison) and positive semidefinite.
+    A Cholesky factorization of Q certifies the latter: it succeeds only
+    when Q is positive definite up to rounding.  Only when it fails, as for
+    a singular Q, are the eigenvalues computed, and Q is accepted when the
+    smallest is at least -1e-10 max(1, |largest|).  Both factorization and
+    eigenvalues read the lower triangle of Q.
+    """
 
     Q: np.ndarray
     b: Vec
@@ -134,11 +143,14 @@ class Quadratic:
             raise ValueError(f"Q must be square and match b, got Q {Q.shape}, b {b.shape}")
         if not (np.isfinite(Q).all() and math.isfinite(self.c)):
             raise ValueError("Q and c must be finite")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        if not (np.array_equal(Q, Q.T) or np.allclose(Q, Q.T, atol=1e-12)):
             raise ValueError("Q must be symmetric")
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
-            raise ValueError(f"Q must be positive semidefinite, smallest eigenvalue {eigs.min()}")
+        try:
+            np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(Q)
+            if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
+                raise ValueError(f"Q must be positive semidefinite, smallest eigenvalue {eigs.min()}") from None
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", b)
 

@@ -77,6 +77,11 @@ class ProblemInstance:
         object.__setattr__(self, "x0", as_vector(self.x0))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution", as_vector(self.known_solution))
+            if self.known_solution.shape != self.x0.shape:
+                raise ValueError(
+                    f"known_solution dimension {self.known_solution.shape[0]} "
+                    f"does not match x0 dimension {self.x0.shape[0]}"
+                )
         if self.known_fstar is not None and not math.isfinite(self.known_fstar):
             raise ValueError(f"known_fstar must be finite, got {self.known_fstar}")
         dim = getattr(self.objective, "dim", None)

@@ -24,6 +24,7 @@ from projgrad.bench import (
     parse_trace_csv,
     run_spec,
     status_exit_code,
+    summarize,
     write_trace_csv,
 )
 from projgrad.cli import main
@@ -141,6 +142,15 @@ def test_summary_file_is_json_dumps_of_the_row(tmp_path):
     row, _ = run_spec(spec, out_prefix=str(tmp_path / "run"))
     assert (tmp_path / "run_summary.json").read_text() == json.dumps(dataclasses.asdict(row)) + "\n"
     assert list(json.loads((tmp_path / "run_summary.json").read_text())) == [f.name for f in dataclasses.fields(row)]
+
+
+def test_summary_final_x_roundtrips_bit_exactly():
+    spec = RunSpec(problem_id="pnorm1p5-box", problem=get_instance("pnorm1p5-box"), strategy="c", config=SolverConfig())
+    report = solve(spec.problem, spec.config, spec.strategy)
+    final_x = summarize(spec, report, 0.0).final_x
+    assert all(type(v) is float for v in final_x)
+    assert final_x == [float(v) for v in report.final_x]
+    assert np.array(json.loads(json.dumps(final_x))).tobytes() == report.final_x.tobytes()
 
 
 def test_run_spec_deterministic_traces(tmp_path):

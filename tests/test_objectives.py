@@ -95,15 +95,70 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         PNorm(p=1.0, shift=np.zeros(2))
     with pytest.raises(ValueError):
-        Quadratic(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros(2))  # not symmetric
-    with pytest.raises(ValueError):
-        Quadratic(Q=np.array([[-1.0]]), b=np.zeros(1))  # not PSD
-    with pytest.raises(ValueError):
         LogSumExp(rows=np.zeros((2, 2)), offsets=np.zeros(3))
     with pytest.raises(ValueError):
         PNorm(p=2.0, shift=np.zeros(2)).value(np.zeros(3))
     with pytest.raises(ValueError):
         check_gradient(Quadratic(Q=np.eye(1), b=np.zeros(1)), np.zeros(1), 0.0)
+
+
+def _dense_pd(n):
+    M = np.random.default_rng(3).standard_normal((n, n))
+    return M.T @ M / n + 0.5 * np.eye(n)
+
+
+def _with_spectrum(eigs):
+    """U diag(eigs) U' for a fixed orthogonal U, made exactly symmetric."""
+    U, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((len(eigs), len(eigs))))
+    Q = (U * eigs) @ U.T
+    return 0.5 * (Q + Q.T)
+
+
+def _skewed(rel):
+    """A positive definite Q whose (0, 1) entry exceeds its (1, 0) entry by rel."""
+    Q = _dense_pd(5)
+    Q[0, 1] *= 1.0 + rel
+    return Q
+
+
+# each Q with the verdict of the rule "symmetric to np.allclose(atol=1e-12)
+# and smallest eigenvalue >= -1e-10 max(1, |largest|)": None accepts, a
+# string is the start of the rejection message
+PSD_VERDICTS = {
+    "dense-pd-300": (lambda: _dense_pd(300), None),
+    "flat-quadratic": (lambda: np.diag([1.0, 0.0]), None),
+    "rank-one-50": (lambda: np.ones((50, 50)), None),
+    "lambda-min-minus-1e-12": (lambda: _with_spectrum([1.0, 0.5, 0.25, -1e-12]), None),
+    "asymmetric-1e-9": (lambda: _skewed(1e-9), None),
+    "lambda-min-minus-1e-8": (lambda: _with_spectrum([1.0, 0.5, 0.25, -1e-8]), "Q must be positive semidefinite"),
+    "minus-one": (lambda: np.array([[-1.0]]), "Q must be positive semidefinite"),
+    "asymmetric-1e-3": (lambda: _skewed(1e-3), "Q must be symmetric"),
+    "upper-triangular": (lambda: np.array([[0.0, 1.0], [0.0, 0.0]]), "Q must be symmetric"),
+}
+
+
+@pytest.mark.parametrize("make, verdict", PSD_VERDICTS.values(), ids=PSD_VERDICTS.keys())
+def test_quadratic_psd_verdicts(make, verdict):
+    Q = make()
+    b = np.zeros(Q.shape[0])
+    if verdict is None:
+        Quadratic(Q=Q, b=b)
+        return
+    with pytest.raises(ValueError, match=verdict) as excinfo:
+        Quadratic(Q=Q, b=b)
+    if "semidefinite" in verdict:
+        # the message names the smallest eigenvalue, as eigvalsh computes it
+        assert float(str(excinfo.value).rsplit(" ", 1)[1]) == np.linalg.eigvalsh(Q).min()
+
+
+def test_positive_definite_quadratic_computes_no_eigenvalues(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on an exactly symmetric positive definite Q")
+
+    Q = _dense_pd(300)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np, "allclose", refuse)
+    Quadratic(Q=Q, b=np.zeros(300))
 
 
 @pytest.mark.parametrize(

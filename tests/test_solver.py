@@ -462,6 +462,15 @@ def test_instance_rejects_objective_of_other_dimension():
         ProblemInstance(objective=PNorm(p=2.0, shift=np.zeros(3)), feasible_set=Simplex(scale=1.0), x0=np.array([0.5, 0.5]))
 
 
+def test_instance_rejects_known_solution_of_other_dimension():
+    # unchecked, the mismatch surfaces mid-run as a numpy broadcast error in the monitors
+    base = get_instance("quadratic-box")
+    with pytest.raises(ValueError, match="known_solution dimension 3 does not match x0 dimension 2"):
+        ProblemInstance(
+            objective=base.objective, feasible_set=base.feasible_set, x0=base.x0, known_solution=np.zeros(3)
+        )
+
+
 @pytest.mark.parametrize("fstar", [np.nan, -np.inf])
 def test_instance_rejects_non_finite_known_fstar(fstar):
     # a NaN optimal value would fail the epsilon_sum monitor on every run
