@@ -8,7 +8,6 @@ A run spec is a JSON file:
                                     "known_fstar": number?},
       "strategy": "a" | "b" | "c" | "d" | "A2",
       "config": {"beta": 0.5, "theta": 0.5, "delta": 1e-4, ...},
-      "seed": 0,
       "output": "runs/qb"
     }
 
@@ -90,7 +89,6 @@ class RunSpec:
     problem_id: str
     strategy: str
     config: SolverConfig
-    seed: int = 0
     output: Optional[str] = None
     explicit_config: frozenset = frozenset()
 
@@ -204,7 +202,6 @@ def load_spec(path: str | Path) -> RunSpec:
         problem_id=problem_id,
         strategy=strategy,
         config=config,
-        seed=int(raw.get("seed", 0)),
         output=raw.get("output"),
         explicit_config=frozenset(raw_config),
     )
@@ -291,13 +288,17 @@ def status_exit_code(status: SolveStatus) -> int:
     return _EXIT_CODES[status]
 
 
+def _timed_solve(spec: RunSpec) -> tuple[RunReport, SummaryRow]:
+    """Solve the spec and summarize the run with its wall time."""
+    start = time.perf_counter()
+    report = solve(spec.problem, spec.config, spec.strategy)
+    return report, summarize(spec, report, time.perf_counter() - start)
+
+
 def run_spec(spec: RunSpec, out_prefix: Optional[str] = None) -> tuple[SummaryRow, int]:
     """Execute a run spec, write trace CSV and summary JSON when an output
     prefix is known, and return the summary with its exit code."""
-    start = time.perf_counter()
-    report = solve(spec.problem, spec.config, spec.strategy)
-    wall = time.perf_counter() - start
-    row = summarize(spec, report, wall)
+    report, row = _timed_solve(spec)
     prefix = out_prefix or spec.output
     if prefix:
         prefix_path = Path(prefix)
@@ -337,12 +338,7 @@ def compare_specs(specs: list[RunSpec]) -> list[SummaryRow]:
             raise ValueError(
                 f"compare needs one instance across specs, got {specs[0].problem_id!r} vs {other.problem_id!r}"
             )
-    rows = []
-    for spec in specs:
-        start = time.perf_counter()
-        report = solve(spec.problem, spec.config, spec.strategy)
-        rows.append(summarize(spec, report, time.perf_counter() - start))
-    return rows
+    return [_timed_solve(spec)[1] for spec in specs]
 
 
 def format_comparison(rows: list[SummaryRow]) -> str:

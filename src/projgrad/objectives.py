@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _check_point(obj, *points: Vec) -> None:
+    for x in points:
+        if x.shape != (obj.dim,):
+            raise ValueError(f"point of shape {x.shape} does not match objective dimension {obj.dim}")
+
+
 class Segment(Protocol):
     """An objective restricted to the line x + t d.
 
@@ -68,26 +74,21 @@ class PNorm:
         return self.shift.shape[0]
 
     def value(self, x: Vec) -> float:
-        self._check(x)
+        _check_point(self, x)
         return float(norm(x - self.shift) ** self.p / self.p)
 
     def gradient(self, x: Vec) -> Vec:
-        self._check(x)
+        _check_point(self, x)
         return _pnorm_gradient(self.p, x - self.shift)
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
-        self._check(x)
+        _check_point(self, x)
         r = x - self.shift
         return float(norm(r) ** self.p / self.p), _pnorm_gradient(self.p, r)
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
-        self._check(x)
-        self._check(d)
+        _check_point(self, x, d)
         return _PNormSegment(self.p, x - self.shift, d)
-
-    def _check(self, x: Vec) -> None:
-        if x.shape != self.shift.shape:
-            raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
 
 
 def _pnorm_gradient(p: float, r: Vec) -> Vec:
@@ -162,23 +163,18 @@ class Quadratic:
         return self.value_and_grad(x)[0]
 
     def gradient(self, x: Vec) -> Vec:
-        self._check(x)
-        return self.Q @ x + self.b
+        return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
         """One product with Q for both the value and the gradient."""
-        self._check(x)
+        _check_point(self, x)
         Qx = self.Q @ x
         return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
         """One product with Q, for Qd; each decrease(t) is then O(1)."""
-        self._check(d)
+        _check_point(self, d)
         return _QuadraticSegment(g, d, self.Q @ d)
-
-    def _check(self, x: Vec) -> None:
-        if x.shape != self.b.shape:
-            raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,12 +199,8 @@ class LogSumExp:
         return self.rows.shape[1]
 
     def _scores(self, x: Vec) -> Vec:
-        self._check(x)
+        _check_point(self, x)
         return self.rows @ x + self.offsets
-
-    def _check(self, x: Vec) -> None:
-        if x.shape != (self.dim,):
-            raise ValueError(f"point of shape {x.shape} does not match objective dimension {self.dim}")
 
     def value(self, x: Vec) -> float:
         return _logsumexp(self._scores(x))
@@ -222,8 +214,7 @@ class LogSumExp:
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
         """One pass over the rows for both the scores at x and A d."""
-        self._check(x)
-        self._check(d)
+        _check_point(self, x, d)
         xd = self.rows @ np.column_stack((x, d))
         return _LogSumExpSegment(self.rows, xd[:, 0] + self.offsets, xd[:, 1])
 

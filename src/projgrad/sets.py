@@ -122,8 +122,9 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """Halfspace {x : <normal, x> <= offset}."""
+class _Plane:
+    """The body of Halfspace and Hyperplane: a nonzero normal and a finite
+    offset, the excess <normal, x> - offset and the shift along the normal."""
 
     normal: Vec
     offset: float
@@ -131,21 +132,30 @@ class Halfspace:
     def __post_init__(self) -> None:
         n = as_vector(self.normal)
         if norm(n) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         if not math.isfinite(self.offset):
-            raise ValueError(f"halfspace offset must be finite, got {self.offset}")
+            raise ValueError(f"{type(self).__name__.lower()} offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", n)
 
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def project(self, x: Vec) -> Vec:
+    def _excess(self, x: Vec) -> float:
         _check_dim(self.dim, x)
-        excess = dot(self.normal, x) - self.offset
-        if excess <= 0.0:
-            return x.copy()
+        return dot(self.normal, x) - self.offset
+
+    def _shift(self, x: Vec, excess: float) -> Vec:
         return x - (excess / dot(self.normal, self.normal)) * self.normal
+
+
+@dataclass(frozen=True, eq=False)
+class Halfspace(_Plane):
+    """Halfspace {x : <normal, x> <= offset}."""
+
+    def project(self, x: Vec) -> Vec:
+        excess = self._excess(x)
+        return x.copy() if excess <= 0.0 else self._shift(x, excess)
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
         _check_dim(self.dim, x)
@@ -153,32 +163,14 @@ class Halfspace:
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane:
+class Hyperplane(_Plane):
     """Hyperplane {x : <normal, x> = offset}."""
 
-    normal: Vec
-    offset: float
-
-    def __post_init__(self) -> None:
-        n = as_vector(self.normal)
-        if norm(n) == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"hyperplane offset must be finite, got {self.offset}")
-        object.__setattr__(self, "normal", n)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
     def project(self, x: Vec) -> Vec:
-        _check_dim(self.dim, x)
-        excess = dot(self.normal, x) - self.offset
-        return x - (excess / dot(self.normal, self.normal)) * self.normal
+        return self._shift(x, self._excess(x))
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
-        _check_dim(self.dim, x)
-        return abs(dot(self.normal, x) - self.offset) <= tol
+        return abs(self._excess(x)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,13 +405,18 @@ class _At(NamedTuple):
     planes' residuals r_i = <n_i, x> - b_i, and the face of the base at x
     with the Gram matrix of the normals' components along it, which gives
     the residuals' exact slopes there: on a face x moves by -J sum_j dlam_j n_j
-    for the face's orthogonal projector J, so dr_i = -sum_j <J n_i, J n_j> dlam_j."""
+    for the face's orthogonal projector J, so dr_i = -sum_j <J n_i, J n_j> dlam_j.
+    face keys the face; free marks the coordinates along it (the support on
+    a simplex), low those on a box's lower bound, and parts holds J n_i on free."""
 
     x: Vec
     lam: tuple
     r: tuple
     face: bytes
     gram: tuple
+    low: Optional[Vec]
+    free: Vec
+    parts: list
 
 
 def _at(base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], x: Vec, lam: tuple, size: float) -> _At:
@@ -435,14 +432,14 @@ def _at(base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], x: 
         face, parts = low.tobytes() + high.tobytes(), [n[free] for n in normals]
     else:
         # the support moves with the common shift of the simplex projection
-        support = x > near
-        face, parts = support.tobytes(), [_centered(n[support]) for n in normals]
+        low, free = None, x > near
+        face, parts = free.tobytes(), [_centered(n[free]) for n in normals]
     r = tuple(float(n @ x) - b for n, b in zip(normals, offsets))
     if len(parts) == 1:
-        return _At(x, lam, r, face, ((float(parts[0] @ parts[0]),),))
+        return _At(x, lam, r, face, ((float(parts[0] @ parts[0]),),), low, free, parts)
     p, q = parts
     pq = float(p @ q)
-    return _At(x, lam, r, face, ((float(p @ p), pq), (pq, float(q @ q))))
+    return _At(x, lam, r, face, ((float(p @ p), pq), (pq, float(q @ q))), low, free, parts)
 
 
 def _centered(v: Vec) -> Vec:
@@ -531,20 +528,16 @@ def _face_solve(base: Union[Box, Simplex], normals: list[Vec], offsets: list[flo
     gram = np.array(at.gram)
     if not np.linalg.det(gram) > _FACE_ROUNDING * np.prod(np.diag(gram)):
         return at.x, np.array(at.lam)
+    free = at.free
     if isinstance(base, Box):
-        low, high = np.frombuffer(at.face, dtype=bool).reshape(2, -1)
-        free = ~(low | high)
-        a = np.where(low, base.lower, base.upper)
+        a = np.where(at.low, base.lower, base.upper)
         a[free] = anchor[free]
-        parts = [n[free] for n in normals]
     else:
-        free = np.frombuffer(at.face, dtype=bool)
         a = np.zeros_like(anchor)
         a[free] = _centered(anchor[free]) + base.scale / np.count_nonzero(free)
-        parts = [_centered(n[free]) for n in normals]
     lam = np.linalg.solve(gram, [float(n @ a) - b for n, b in zip(normals, offsets)])
     x = a
-    for m, part in zip(lam, parts):
+    for m, part in zip(lam, at.parts):
         x[free] -= m * part
     if isinstance(base, Box):
         inside = np.all(x[free] >= base.lower[free]) and np.all(x[free] <= base.upper[free])

@@ -123,8 +123,12 @@ class RunReport:
 
 def natural_residual(inst: ProblemInstance, x: Vec) -> float:
     """||x - P_C(x - grad f(x))||, zero exactly at solutions."""
-    g = inst.objective.gradient(x)
-    return norm(x - inst.feasible_set.project(x - g))
+    return _gap(inst.feasible_set, x, inst.objective.gradient(x))
+
+
+def _gap(set_: FeasibleSet, x: Vec, step: Vec) -> float:
+    """||x - P_C(x - step)||: the natural residual for the gradient as step."""
+    return norm(x - set_.project(x - step))
 
 
 def quasi_fejer_epsilon(
@@ -165,10 +169,11 @@ def _projected_step(
     projections made."""
     set_ = inst.feasible_set
     w = set_.project(x - beta * g)
-    gap = norm(x - w)
+    d = x - w
+    gap = norm(d)
     if beta == 1.0:
-        return w, gap, gap, dot(g, x - w), 1
-    return w, gap, norm(x - set_.project(x - g)), dot(g, x - w), 2
+        return w, gap, gap, dot(g, d), 1
+    return w, gap, _gap(set_, x, g), dot(g, d), 2
 
 
 def _entry_stop(
@@ -362,7 +367,7 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     # other state holds these very values
     x = state.x
     f, g = value_and_grad(inst.objective, x)
-    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials, projections)
+    report = RunReport(status, n, trace, x, f, _gap(inst.feasible_set, x, g), trials, projections)
     if n:
         report.monitors = monitors.result(report)
     return report
@@ -433,7 +438,7 @@ class _ArmijoMonitors:
         inst, cfg, x = self.inst, self.cfg, report.final_x
         self.descent.link(report.final_f)
         beta = cfg.beta
-        final_gap = report.final_residual if beta == 1.0 else norm(x - inst.feasible_set.project(x - beta * self.last.g))
+        final_gap = report.final_residual if beta == 1.0 else _gap(inst.feasible_set, x, beta * self.last.g)
         product = min(self.product, final_gap**2)
         out = {
             "descent": self.descent.result(),

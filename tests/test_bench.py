@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 
 from projgrad import (
+    Ball,
+    Box,
+    Halfspace,
+    Hyperplane,
     IterateRecord,
+    LogSumExp,
+    PNorm,
+    Quadratic,
     RunReport,
+    Simplex,
     SolveStatus,
     SolverConfig,
+    WholeSpace,
     get_instance,
     list_instances,
     natural_residual,
@@ -52,15 +61,54 @@ def test_registry_lists_acceptance_instances():
 
 
 def test_load_spec_roundtrip(tmp_path):
+    # top-level keys that load_spec does not read, such as "seed", are ignored
     path = write_spec(tmp_path, "qb.json", {"problem": "quadratic-box", "strategy": "c", "seed": 3})
     spec = load_spec(path)
     assert spec.problem_id == "quadratic-box"
     assert spec.strategy == "c"
-    assert spec.seed == 3
     inline = write_spec(tmp_path, "inline.json", {"problem": CENTERED_QUADRATIC, "strategy": "b"})
     spec = load_spec(inline)
     assert spec.problem_id == "inline"
     assert spec.problem.feasible_set.contains(np.array([0.5, 0.5]), 0.0)
+
+
+QUADRATIC = {"kind": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "b": [-1.0, 0.0], "c": 0.5}
+HALF_BOX = {"kind": "box", "lower": [0.0, None], "upper": [1.0, 2.0]}
+
+# one row per documented kind: the part it fills (the other part is QUADRATIC
+# or HALF_BOX), its JSON, a feasible start, the type built and its fields
+SPEC_KINDS = [
+    ("objective", {"kind": "pnorm", "p": 1.5, "shift": [2.0, 0.5]}, [0.5, 0.5], PNorm,
+     {"p": 1.5, "shift": [2.0, 0.5]}),
+    ("objective", QUADRATIC, [0.5, 0.5], Quadratic, {"Q": [[2.0, 0.0], [0.0, 1.0]], "b": [-1.0, 0.0], "c": 0.5}),
+    ("objective", {"kind": "logsumexp", "rows": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], "offsets": [0.0, 0.5, 0.0]},
+     [0.5, 0.5], LogSumExp, {"rows": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], "offsets": [0.0, 0.5, 0.0]}),
+    ("set", HALF_BOX, [0.5, 0.5], Box, {"lower": [0.0, -np.inf], "upper": [1.0, 2.0]}),
+    ("set", {"kind": "ball", "center": [0.0, 1.0], "radius": 0.5}, [0.0, 0.5], Ball,
+     {"center": [0.0, 1.0], "radius": 0.5}),
+    ("set", {"kind": "halfspace", "normal": [1.0, 1.0], "offset": -1.0}, [-1.0, 0.0], Halfspace,
+     {"normal": [1.0, 1.0], "offset": -1.0}),
+    ("set", {"kind": "hyperplane", "normal": [1.0, 2.0], "offset": 2.0}, [0.0, 1.0], Hyperplane,
+     {"normal": [1.0, 2.0], "offset": 2.0}),
+    ("set", {"kind": "simplex", "scale": 2.0}, [0.5, 1.5], Simplex, {"scale": 2.0}),
+    ("set", {"kind": "wholespace"}, [3.0, -4.0], WholeSpace, {}),
+]
+
+
+def test_load_spec_builds_every_documented_kind(tmp_path):
+    for part, kind, x0, cls, fields in SPEC_KINDS:
+        problem = {"objective": QUADRATIC, "set": HALF_BOX, "x0": x0, part: kind}
+        spec = load_spec(write_spec(tmp_path, "kind.json", {"problem": problem, "strategy": "c"}))
+        built = spec.problem.objective if part == "objective" else spec.problem.feasible_set
+        assert type(built) is cls, kind
+        for name, value in fields.items():
+            assert np.array_equal(getattr(built, name), value), (kind, name)
+        row, code = run_spec(spec)
+        assert code == 0 and row.final_residual <= 1e-6, (kind, row.status, row.final_residual)
+    for part in ("objective", "set"):
+        problem = {"objective": QUADRATIC, "set": HALF_BOX, "x0": [0.5, 0.5], part: {"kind": "cubic"}}
+        with pytest.raises(ValueError, match=f"unknown {part} kind 'cubic'"):
+            load_spec(write_spec(tmp_path, "unknown.json", {"problem": problem, "strategy": "c"}))
 
 
 def test_load_spec_rejects_infeasible_start(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -315,12 +316,28 @@ def test_set_validation():
         Box(lower=np.array([1.0]), upper=np.array([0.0]))
     with pytest.raises(ValueError):
         Ball(center=np.zeros(2), radius=0.0)
-    with pytest.raises(ValueError):
+    # Halfspace and Hyperplane share their validation; each message names its own set
+    with pytest.raises(ValueError, match="^halfspace normal must be nonzero$"):
         Halfspace(normal=np.zeros(2), offset=1.0)
+    with pytest.raises(ValueError, match="^hyperplane offset must be finite, got inf$"):
+        Hyperplane(normal=np.ones(2), offset=np.inf)
     with pytest.raises(ValueError):
         Simplex(scale=-1.0)
     with pytest.raises(ValueError):
         Box(lower=np.zeros(2), upper=np.ones(2)).project(np.zeros(3))
+
+
+@pytest.mark.parametrize("make", [Box, Ball, Halfspace, Hyperplane, Simplex, WholeSpace])
+def test_sets_are_frozen(make):
+    """No attribute of a set can be assigned, its fields or any other."""
+    args = {
+        Box: (np.zeros(2), np.ones(2)), Ball: (np.zeros(2), 1.0), Halfspace: (np.ones(2), 1.0),
+        Hyperplane: (np.ones(2), 1.0), Simplex: (), WholeSpace: (),
+    }[make]
+    set_ = make(*args)
+    for name in ("normal", "offset", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(set_, name, 0.0)
 
 
 @pytest.mark.parametrize(
