@@ -34,15 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SolverConfig, Vec, as_vector, norm
+from .core import SolverConfig, as_vector, norm
 from .objectives import LogSumExp, Objective, PNorm, Quadratic
-from .oracle import (
-    grid_refine_minimize,
-    min_distance_point,
-    quadratic_oracle,
-    quadratic_solution_set,
-    system_from_set,
-)
+from .oracle import min_distance_point, quadratic_oracle, quadratic_solution_set, system_from_set
 from .registry import get_instance
 from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
 from .solver import STRATEGIES, ProblemInstance, RunReport, SolveStatus, solve
@@ -172,11 +166,15 @@ def load_spec(path: str | Path) -> RunSpec:
     """Load and validate a run spec file; rejects malformed fields and an
     infeasible starting point with its distance to the set spelled out."""
     path = Path(path)
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read spec: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a spec must be a JSON object, got {type(raw).__name__}")
     strategy = raw.get("strategy", "c")
     if strategy not in STRATEGIES:
         raise ValueError(f"{path}: unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -193,6 +191,8 @@ def load_spec(path: str | Path) -> RunSpec:
     else:
         raise ValueError(f"{path}: 'problem' must be a registry id or an inline object")
     raw_config = raw.get("config", {})
+    if not isinstance(raw_config, dict):
+        raise ValueError(f"{path}: 'config' must be a JSON object, got {type(raw_config).__name__}")
     try:
         config = config_from_json(raw_config)
     except (TypeError, ValueError) as exc:
@@ -357,34 +357,35 @@ class OracleReport:
     reference: list[float]
     f_reference: float
     method: str
-    converged: bool
-    unique: Optional[bool] = None
-    projection_of_start: Optional[list[float]] = None
+    unique: bool
+    projection_of_start: list[float]
     strategy_distances: dict[str, float] = field(default_factory=dict)
     strategy_status: dict[str, str] = field(default_factory=dict)
 
 
 def oracle_check(inst: ProblemInstance, strategies: tuple[str, ...] = ("b", "c", "A2")) -> OracleReport:
-    """Cross-check solver limits against an independent reference solution.
+    """Cross-check solver limits against an exact reference solution.
 
-    Quadratic objectives go through the active-set enumeration oracle (with
-    the solution-set characterization used to report uniqueness and the
-    solution closest to the start); other objectives use the projected grid
-    search with fixed-point polishing.  Oracle nonconvergence is flagged in
-    the report, never raised.
+    A p-norm f = ||x - shift||^p / p increases with ||x - shift||, so its
+    one minimizer over C is P_C(shift), at any dimension.  A quadratic goes
+    through the active-set enumeration oracle, up to dimension 4, with the
+    solution-set characterization used to report uniqueness and the solution
+    closest to the start.  Any other objective has no exact reference and
+    raises ValueError.
     """
-    dim = inst.x0.shape[0]
-    if dim > 4:
-        raise ValueError(f"oracle_check supports dimensions up to 4, got {dim}")
     obj, set_ = inst.objective, inst.feasible_set
-    unique: Optional[bool] = None
-    proj_start: Optional[list[float]] = None
-    if isinstance(obj, Quadratic):
+    if isinstance(obj, PNorm):
+        reference = closest = set_.project(obj.shift)
+        unique = True
+        method = "projection"
+    elif isinstance(obj, Quadratic):
+        dim = inst.x0.shape[0]
+        if dim > 4:
+            raise ValueError(f"oracle_check enumerates active sets for quadratics up to dimension 4, got {dim}")
         sys = system_from_set(set_, dim)
         reference = quadratic_oracle(obj, sys)
         sol_set = quadratic_solution_set(obj, sys, reference)
         closest = min_distance_point(sol_set, inst.x0)
-        proj_start = [float(v) for v in closest]
         rng = np.random.default_rng(0)
         unique = all(
             norm(min_distance_point(sol_set, reference + rng.standard_normal(dim)) - reference) <= 1e-7
@@ -392,21 +393,14 @@ def oracle_check(inst: ProblemInstance, strategies: tuple[str, ...] = ("b", "c",
         )
         reference = closest if not unique else reference
         method = "active-set-qp"
-        converged = True
     else:
-        center = inst.x0.copy()
-        halfwidth = 2.0 * max(1.0, norm(inst.x0))
-        if isinstance(obj, PNorm):
-            halfwidth = max(halfwidth, norm(obj.shift - inst.x0) + 1.0)
-        reference, converged = grid_refine_minimize(obj, set_, center, halfwidth)
-        method = "grid-refine"
+        raise ValueError(f"oracle_check has no exact reference for a {type(obj).__name__} objective")
     report = OracleReport(
         reference=[float(v) for v in reference],
         f_reference=obj.value(reference),
         method=method,
-        converged=converged,
         unique=unique,
-        projection_of_start=proj_start,
+        projection_of_start=[float(v) for v in closest],
     )
     for strategy in strategies:
         solver_report = solve(inst, SolverConfig(), strategy)

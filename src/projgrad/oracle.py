@@ -8,22 +8,18 @@ feasible candidate is returned.  The true optimum appears under its own
 active set, and no feasible candidate can beat it, so the minimum over
 candidates is the exact answer.  Intended for dimensions up to ~4 with a
 handful of constraints.
-
-For non-quadratic objectives ``grid_refine_minimize`` seeds a coarse
-projected grid search and polishes the best point with a guarded
-constant-step projected gradient fixed-point iteration.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import Vec, dot, norm
-from .objectives import Objective, Quadratic
+from .objectives import Quadratic
 from .sets import Ball, Box, FeasibleSet, Halfspace, Hyperplane, Simplex, WholeSpace
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "projection_oracle",
     "quadratic_oracle",
     "quadratic_solution_set",
-    "grid_refine_minimize",
 ]
 
 
@@ -120,6 +115,23 @@ def _affine_projector(A: np.ndarray, b: np.ndarray):
     return project, null_component
 
 
+def _active_sets(sys: ConstraintSystem):
+    """Yield (A, b) for every active set: the equalities stacked with each
+    subset of at most dim + 1 inequalities, all read as A x = b."""
+    m = len(sys.ineq_normals)
+    for active in itertools.chain.from_iterable(
+        itertools.combinations(range(m), r) for r in range(min(m, sys.dim + 1) + 1)
+    ):
+        rows = sys.eq_normals + [sys.ineq_normals[i] for i in active]
+        rhs = sys.eq_offsets + [sys.ineq_offsets[i] for i in active]
+        yield np.array(rows, dtype=np.float64).reshape(len(rows), sys.dim), np.array(rhs, dtype=np.float64)
+
+
+def _admissible(sys: ConstraintSystem, A: np.ndarray, b: np.ndarray, x: Vec, tol: float) -> bool:
+    """A candidate must meet its own active set's equalities and the system."""
+    return norm(A @ x - b) <= tol and sys.feasible(x, tol)
+
+
 def min_distance_point(sys: ConstraintSystem, anchor: Vec, tol: float = 1e-9) -> Vec:
     """Exact projection of ``anchor`` onto the constraint system.
 
@@ -128,16 +140,9 @@ def min_distance_point(sys: ConstraintSystem, anchor: Vec, tol: float = 1e-9) ->
     returned.  Raises ValueError when no candidate is feasible, which for a
     consistent system can only happen if it is actually empty.
     """
-    m = len(sys.ineq_normals)
     best: Optional[Vec] = None
     best_dist = np.inf
-    for active in itertools.chain.from_iterable(
-        itertools.combinations(range(m), r) for r in range(min(m, sys.dim + 1) + 1)
-    ):
-        rows = sys.eq_normals + [sys.ineq_normals[i] for i in active]
-        rhs = sys.eq_offsets + [sys.ineq_offsets[i] for i in active]
-        A = np.array(rows, dtype=np.float64).reshape(len(rows), sys.dim)
-        b = np.array(rhs, dtype=np.float64)
+    for A, b in _active_sets(sys):
         project, null_component = _affine_projector(A, b)
         for ball_active in (False, True) if sys.ball is not None else (False,):
             if not ball_active:
@@ -153,9 +158,7 @@ def min_distance_point(sys: ConstraintSystem, anchor: Vec, tol: float = 1e-9) ->
                 if vn <= 1e-14 or rho_sq < -1e-12 * max(1.0, r) * r:
                     continue
                 x = project(c) + (np.sqrt(max(rho_sq, 0.0)) / vn) * v
-            if rows and norm(A @ x - b) > tol:
-                continue
-            if not sys.feasible(x, tol):
+            if not _admissible(sys, A, b, x, tol):
                 continue
             d = norm(x - anchor)
             if d < best_dist - 1e-15:
@@ -196,17 +199,9 @@ def quadratic_oracle(obj: Quadratic, sys: ConstraintSystem, tol: float = 1e-9) -
     """Minimize a convex quadratic over the constraint system by active-set
     enumeration; the ball constraint, when active, is handled by bisecting
     on its multiplier."""
-    m = len(sys.ineq_normals)
-    dim = sys.dim
     best: Optional[Vec] = None
     best_val = np.inf
-    for active in itertools.chain.from_iterable(
-        itertools.combinations(range(m), r) for r in range(min(m, dim + 1) + 1)
-    ):
-        rows = sys.eq_normals + [sys.ineq_normals[i] for i in active]
-        rhs_list = sys.eq_offsets + [sys.ineq_offsets[i] for i in active]
-        A = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-        rhs = np.array(rhs_list, dtype=np.float64)
+    for A, rhs in _active_sets(sys):
         candidates = []
         x_flat = _kkt_solve(obj.Q, obj.b, A, rhs)
         if x_flat is not None:
@@ -242,9 +237,7 @@ def quadratic_oracle(obj: Quadratic, sys: ConstraintSystem, tol: float = 1e-9) -
                     if x_mu is not None:
                         candidates.append(x_mu)
         for x in candidates:
-            if rows and norm(A @ x - rhs) > tol:
-                continue
-            if not sys.feasible(x, tol):
+            if not _admissible(sys, A, rhs, x, tol):
                 continue
             val = obj.value(x)
             if val < best_val - 1e-15:
@@ -261,14 +254,7 @@ def quadratic_solution_set(obj: Quadratic, sys: ConstraintSystem, x_hat: Vec) ->
     <grad f(x_hat), x - x_hat> = 0, so the solution set is the feasible set
     intersected with those equalities.
     """
-    out = ConstraintSystem(
-        dim=sys.dim,
-        eq_normals=list(sys.eq_normals),
-        eq_offsets=list(sys.eq_offsets),
-        ineq_normals=list(sys.ineq_normals),
-        ineq_offsets=list(sys.ineq_offsets),
-        ball=sys.ball,
-    )
+    out = replace(sys, eq_normals=list(sys.eq_normals), eq_offsets=list(sys.eq_offsets))
     Qx = obj.Q @ x_hat
     for i in range(sys.dim):
         out.add_eq(obj.Q[i], float(Qx[i]))
@@ -276,46 +262,3 @@ def quadratic_solution_set(obj: Quadratic, sys: ConstraintSystem, x_hat: Vec) ->
     out.add_eq(g, dot(g, x_hat))
     return out
 
-
-def grid_refine_minimize(
-    obj: Objective,
-    set_: FeasibleSet,
-    center: Vec,
-    halfwidth: float,
-    points_per_axis: int = 5,
-    polish_iters: int = 200_000,
-    residual_tol: float = 1e-12,
-) -> tuple[Vec, bool]:
-    """Coarse projected grid search followed by fixed-point polishing.
-
-    Grid points spanning the box around ``center`` are projected onto the
-    set and scored; the best seed is refined by x <- P(x - beta g) with beta
-    halved whenever the objective fails to decrease.  Returns the point and
-    whether the natural residual dropped below ``residual_tol``.
-    """
-    dim = center.shape[0]
-    axes = [np.linspace(center[i] - halfwidth, center[i] + halfwidth, points_per_axis) for i in range(dim)]
-    best = set_.project(center)
-    best_val = obj.value(best)
-    for combo in itertools.product(*axes):
-        x = set_.project(np.array(combo, dtype=np.float64))
-        v = obj.value(x)
-        if v < best_val:
-            best, best_val = x, v
-    x, fx = best, best_val
-    beta = 1.0
-    converged = False
-    for _ in range(polish_iters):
-        g = obj.gradient(x)
-        if norm(x - set_.project(x - g)) <= residual_tol:
-            converged = True
-            break
-        y = set_.project(x - beta * g)
-        fy = obj.value(y)
-        if fy <= fx:
-            x, fx = y, fy
-        else:
-            beta *= 0.5
-            if beta < 1e-12:
-                break
-    return x, converged

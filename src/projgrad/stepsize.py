@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import Vec
 from .objectives import Objective, Segment, segment
 from .sets import FeasibleSet

@@ -17,7 +17,6 @@ from projgrad import (
     ProblemInstance,
     Quadratic,
     Simplex,
-    SolveStatus,
     SolverConfig,
     WholeSpace,
     armijo_boundary,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from projgrad import (
     IterateRecord,
     LogSumExp,
     PNorm,
+    ProblemInstance,
     Quadratic,
     RunReport,
     Simplex,
@@ -20,7 +22,6 @@ from projgrad import (
     WholeSpace,
     get_instance,
     list_instances,
-    natural_residual,
     solve,
 )
 from projgrad.bench import (
@@ -150,6 +151,25 @@ def test_load_spec_parse_error_carries_location(tmp_path):
     path.write_text('{"problem": "quadratic-box",\n  "strategy": }')
     with pytest.raises(ValueError, match="line 2"):
         load_spec(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read spec"),
+        ("[1, 2]", "a spec must be a JSON object, got list"),
+        ('{"problem": "quadratic-box", "config": [1]}', "'config' must be a JSON object, got list"),
+    ],
+    ids=["missing", "top-level-list", "config-list"],
+)
+def test_load_spec_rejects_unreadable_or_non_object(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {re.escape(message)}"):
+        load_spec(path)
+    assert main(["solve", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_spec_writes_roundtrippable_trace(tmp_path):
@@ -310,9 +330,36 @@ def test_oracle_check_quadratic_box_matches_clamp():
 
 def test_oracle_check_pnorm_ball_matches_radial_point():
     report = oracle_check(get_instance("pnorm4-ball"))
-    assert report.method == "grid-refine"
-    assert report.converged
+    assert report.method == "projection"
+    assert report.unique is True
     assert norm(np.array(report.reference) - np.array([1.0, 0.0])) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_oracle_check_pnorm_reference_is_projection_of_shift(n):
+    shift = 2.0 * np.random.default_rng(n).standard_normal(n)
+    sets = [
+        Box(lower=-np.ones(n), upper=np.ones(n)),
+        Ball(center=np.zeros(n), radius=1.0),
+        Simplex(scale=1.0),
+        Halfspace(normal=np.ones(n), offset=float(shift.sum()) - 1.0),
+    ]
+    for set_ in sets:
+        inst = ProblemInstance(PNorm(p=4.0, shift=shift), set_, set_.project(np.zeros(n)))
+        report = oracle_check(inst, strategies=("b",))
+        assert report.method == "projection"
+        assert report.reference == set_.project(shift).tolist(), type(set_).__name__
+        assert report.unique is True
+        assert report.projection_of_start == report.reference
+
+
+def test_oracle_check_rejects_objective_without_exact_reference(tmp_path, capsys):
+    problem = {"objective": SPEC_KINDS[2][1], "set": HALF_BOX, "x0": [0.5, 0.5]}
+    path = write_spec(tmp_path, "lse.json", {"problem": problem, "strategy": "c"})
+    with pytest.raises(ValueError, match="LogSumExp"):
+        oracle_check(load_spec(path).problem)
+    assert main(["oracle", "--spec", str(path)]) == 1
+    assert "LogSumExp" in capsys.readouterr().err
 
 
 def test_oracle_check_flat_instance_reports_solution_set():
@@ -322,15 +369,12 @@ def test_oracle_check_flat_instance_reports_solution_set():
 
 
 def test_oracle_check_rejects_large_dimension():
-    big = get_instance("quadratic-box")
-    from projgrad import Box, ProblemInstance, Quadratic
-
     inst = ProblemInstance(
         objective=Quadratic(Q=np.eye(5), b=np.zeros(5)),
         feasible_set=Box(lower=np.zeros(5), upper=np.ones(5)),
         x0=np.zeros(5),
     )
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="quadratics up to dimension 4"):
         oracle_check(inst)
 
 
@@ -361,6 +405,14 @@ def test_cli_compare_and_oracle(tmp_path, capsys):
     assert main(["oracle", "--spec", str(c)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["reference"][0] - 1.0) <= 1e-8
+
+
+def test_cli_oracle_pnorm4_ball_is_exact(tmp_path, capsys):
+    path = write_spec(tmp_path, "p4.json", {"problem": "pnorm4-ball", "strategy": "c"})
+    assert main(["oracle", "--spec", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["reference"] == [1.0, 0.0]
+    assert report["method"] == "projection" and "converged" not in report
 
 
 def test_cli_bad_spec_returns_one(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import projgrad
 
@@ -13,3 +15,24 @@ def test_every_exported_name_exists():
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
         assert len(set(exported)) == len(exported), module.__name__
+
+
+def test_no_unused_imports():
+    # an imported name must be used in its module or re-exported in __all__
+    found = {}
+    for path in sorted(Path(projgrad.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(importlib.import_module(f"projgrad.{path.stem}").__dict__.get("__all__", ()))
+        unused = sorted(imported - used - exported)
+        if unused:
+            found[path.name] = unused
+    assert not found, found
