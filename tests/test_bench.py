@@ -22,6 +22,7 @@ from projgrad import (
     WholeSpace,
     get_instance,
     list_instances,
+    objectives,
     solve,
 )
 from projgrad.bench import (
@@ -405,6 +406,31 @@ def test_cli_compare_and_oracle(tmp_path, capsys):
     assert main(["oracle", "--spec", str(c)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["reference"][0] - 1.0) <= 1e-8
+
+
+def test_cli_compare_inline_specs_certify_q_once(tmp_path, capsys, monkeypatch):
+    # three specs load three equal Q arrays, which are certified once
+    problem = {
+        "objective": {"kind": "quadratic", "Q": [[4.0, 1.0], [1.0, 2.0]], "b": [-2.0, -1.0]},
+        "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "x0": [1.0, 0.0],
+    }
+    paths = [
+        str(write_spec(tmp_path, f"{s}.json", {"problem": problem, "strategy": s, "config": {"max_outer_iters": 40}}))
+        for s in ("b", "c", "A2")
+    ]
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda Q: calls.append(Q.shape) or cholesky(Q))
+    monkeypatch.setattr(objectives, "_CERTIFIED", {})
+    assert main(["compare", "--specs", *paths]) == 0
+    assert calls == [(2, 2)]
+    assert capsys.readouterr().out == (
+        "strategy             status   iters   inner   projs     residual              f\n"
+        "       b   optimal_residual      19      29      48    3.725e-09    -0.57142857\n"
+        "       c   optimal_residual      19      28      19    3.725e-09    -0.57142857\n"
+        "      A2      iteration_cap      40      46      40    8.309e-02    -0.57061971\n"
+    )
 
 
 def test_cli_oracle_pnorm4_ball_is_exact(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import projgrad
@@ -36,3 +38,14 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert not found, found
+
+
+def test_import_loads_no_hashing_or_ssl_module():
+    # hashlib loads OpenSSL, several MB of resident memory for every user
+    src = str(Path(projgrad.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import projgrad; "
+        "print(sorted({'hashlib', '_hashlib', '_ssl'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,8 +1,18 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
-from projgrad import LogSumExp, PNorm, Quadratic, check_gradient
+from projgrad import LogSumExp, PNorm, Quadratic, check_gradient, objectives
 from projgrad.core import dot, norm
+
+
+@pytest.fixture(autouse=True)
+def empty_certified_memo(monkeypatch):
+    # each test certifies its matrices afresh, whichever tests ran before it
+    monkeypatch.setattr(objectives, "_CERTIFIED", {})
 
 
 def test_pnorm_values():
@@ -159,6 +169,102 @@ def test_positive_definite_quadratic_computes_no_eigenvalues(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np, "allclose", refuse)
     Quadratic(Q=Q, b=np.zeros(300))
+
+
+def _verdict(Q):
+    """None if Quadratic accepts Q, else its error message."""
+    try:
+        Quadratic(Q=Q, b=np.zeros(Q.shape[0]))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_equal_content_is_certified_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda Q: calls.append(Q.shape) or cholesky(Q))
+    Q = _dense_pd(50)
+    Quadratic(Q=Q, b=np.zeros(50))
+    # a distinct array with equal content, another b and c: no second factorization
+    Quadratic(Q=Q.copy(), b=np.ones(50), c=2.0)
+    assert calls == [(50, 50)]
+
+
+def test_in_place_edit_is_certified_again():
+    Q = _with_spectrum([1.0, 0.5, 0.25, 0.125])
+    Quadratic(Q=Q, b=np.zeros(4))
+    Q[:] = _with_spectrum([1.0, 0.5, 0.25, -1e-8])
+    with pytest.raises(ValueError, match="Q must be positive semidefinite") as excinfo:
+        Quadratic(Q=Q, b=np.zeros(4))
+    assert float(str(excinfo.value).rsplit(" ", 1)[1]) == np.linalg.eigvalsh(Q).min()
+
+
+REJECTED = {name: make for name, (make, verdict) in PSD_VERDICTS.items() if verdict is not None}
+
+
+@pytest.mark.parametrize("make", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_matrix_is_never_recorded(make):
+    Q = make()
+    first = _verdict(Q)
+    assert first is not None and _verdict(Q) == first
+    assert not objectives._CERTIFIED
+
+
+def test_memo_hit_still_validates_b_and_c():
+    Q = _dense_pd(5)
+    Quadratic(Q=Q, b=np.zeros(5))
+    with pytest.raises(ValueError, match="match b"):
+        Quadratic(Q=Q, b=np.zeros(4))
+    with pytest.raises(ValueError, match="finite"):
+        Quadratic(Q=Q, b=np.zeros(5), c=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        Quadratic(Q=Q, b=np.full(5, np.inf))
+
+
+@pytest.mark.parametrize("make", [make for make, _ in PSD_VERDICTS.values()], ids=PSD_VERDICTS.keys())
+def test_fortran_order_gets_the_same_verdict(make):
+    Q = make()
+    fortran = np.asfortranarray(Q)
+    assert objectives._key(fortran) == objectives._key(Q)
+    assert _verdict(fortran) == _verdict(Q)
+
+
+def test_memo_is_bounded_and_keeps_no_array():
+    Q = _dense_pd(50)
+    ref = weakref.ref(Q)
+    Quadratic(Q=Q, b=np.zeros(50))
+    del Q
+    assert ref() is None
+    for k in range(2 * objectives._CERTIFIED_MAX):
+        Quadratic(Q=np.array([[k + 1.0]]), b=np.zeros(1))
+    assert len(objectives._CERTIFIED) == objectives._CERTIFIED_MAX
+    assert objectives._key(np.array([[1.0]])) not in objectives._CERTIFIED
+
+
+def test_concurrent_constructions_keep_the_bound():
+    errors = []
+
+    def construct(first):
+        try:
+            for k in range(first, first + 2500):
+                Quadratic(Q=np.array([[k + 1.0]]), b=np.zeros(1))
+        except Exception as exc:  # collected for the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=construct, args=(2500 * t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(objectives._CERTIFIED) == objectives._CERTIFIED_MAX
 
 
 @pytest.mark.parametrize(
