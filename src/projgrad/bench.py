@@ -193,6 +193,9 @@ def load_spec(path: str | Path) -> RunSpec:
     raw_config = raw.get("config", {})
     if not isinstance(raw_config, dict):
         raise ValueError(f"{path}: 'config' must be a JSON object, got {type(raw_config).__name__}")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"{path}: 'output' must be a string, got {type(output).__name__}")
     try:
         config = config_from_json(raw_config)
     except (TypeError, ValueError) as exc:
@@ -202,7 +205,7 @@ def load_spec(path: str | Path) -> RunSpec:
         problem_id=problem_id,
         strategy=strategy,
         config=config,
-        output=raw.get("output"),
+        output=output,
         explicit_config=frozenset(raw_config),
     )
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,14 +84,14 @@ class SolverConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not (0.0 < self.residual_tol < np.inf):
             raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
-        if not self.max_outer_iters >= 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if not self.max_inner_iters >= 1:
-            raise ValueError("max_inner_iters must be at least 1")
+        for name in ("max_outer_iters", "max_inner_iters", "trace_stride"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if not count >= 1:
+                raise ValueError(f"{name} must be at least 1")
         if not (0.0 < self.exo_constant < np.inf):
             raise ValueError(f"exo_constant must be positive and finite, got {self.exo_constant}")
-        if not self.trace_stride >= 1:
-            raise ValueError("trace_stride must be at least 1")
 
 
 class SolveStatus(enum.Enum):

@@ -55,8 +55,8 @@ class IntersectionError(RuntimeError):
         self.base_projections = base_projections
 
 
-def _check_dim(set_dim: Optional[int], x: Vec) -> None:
-    if set_dim is not None and x.shape != (set_dim,):
+def _check_dim(set_dim: int, x: Vec) -> None:
+    if x.shape != (set_dim,):
         raise ValueError(f"point of shape {x.shape} does not match set dimension {set_dim}")
 
 
@@ -188,10 +188,6 @@ class Simplex:
         if not (0.0 < self.scale < math.inf):
             raise ValueError(f"simplex scale must be positive and finite, got {self.scale}")
 
-    @property
-    def dim(self) -> Optional[int]:
-        return None
-
     def project(self, x: Vec) -> Vec:
         u = np.sort(x)[::-1]
         cumsum = np.cumsum(u)
@@ -211,10 +207,6 @@ class Simplex:
 class WholeSpace:
     """The entire space; projection is the identity."""
 
-    @property
-    def dim(self) -> Optional[int]:
-        return None
-
     def project(self, x: Vec) -> Vec:
         return x.copy()
 
@@ -227,8 +219,9 @@ FeasibleSet = Union[Box, Ball, Halfspace, Hyperplane, Simplex, WholeSpace]
 
 # relative rounding allowance of the cut and plane checks
 _REL_TOL = 1e-12
-# allowances within which a pattern is taken when none certifies within one:
-# a level gap can fall below the accuracy of an ill-conditioned multiplier
+# allowances within which the Gram solve of several planes (_planes) still
+# counts as holding them: nearly parallel rows lose digits to its
+# conditioning, inconsistent rows miss by far more
 _LOOSE = 100.0
 # relative rounding within which a coordinate of a base projection counts
 # as on a bound (a few units in the last place)
@@ -244,11 +237,12 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     Solves the dual exactly.  With multipliers lam >= 0 on the cuts the
     nearest point is x = P_base(anchor - sum_i lam_i n_i), so the patterns
     of binding cuts -- none, each one alone, then both -- are solved in turn
-    as equalities <n_i, x> = b_i through their multipliers.  A pattern whose
-    multipliers are nonnegative and at whose point every cut holds (pinned
-    ones as equalities) satisfies the KKT system of the projection, which
-    certifies the point.  Each pattern starts its search from the pattern
-    that pins its cuts after the first, solved before it.
+    as equalities <n_i, x> = b_i through their multipliers; the solve
+    returns a point only when it holds its pinned planes.  A pattern whose
+    multipliers are nonnegative and at whose point every unpinned cut holds
+    satisfies the KKT system of the projection, which certifies the point.
+    Each pattern starts its search from the pattern that pins its cuts after
+    the first, solved before it.
 
     More than two cuts raise ValueError.  When no pattern certifies,
     IntersectionError carries the candidate that violates the cuts least,
@@ -264,8 +258,7 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
         return base.project(y)
 
     # pattern none always yields a candidate, so tried is never empty below
-    loose, tried, solved = [], [], {}
-    anchor_size, normal_sizes = norm(anchor), [norm(c.normal) for c in cuts]
+    tried, solved = [], {}
     for count in range(len(cuts) + 1):
         for pinned in itertools.combinations(range(len(cuts)), count):
             found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, solved.get(pinned[1:]))
@@ -273,23 +266,10 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
             if found is None:
                 continue
             x, lam = found
-            # (violation, allowance) per cut; pinned cuts must hold as equalities
-            x_size = norm(x)
-            values = [float(c.normal @ x) - c.offset for c in cuts]
-            checks = [
-                (abs(v) if i in pinned else v, _slack(c.offset, size, x_size, anchor_size))
-                for i, (c, v, size) in enumerate(zip(cuts, values, normal_sizes))
-            ]
-            if all(m >= 0.0 for m in lam):
-                if all(v <= s for v, s in checks):
-                    return x
-                if all(v <= _LOOSE * s for v, s in checks):
-                    loose.append(x)
-            tried.append((max(values, default=0.0), x))
-    if loose:
-        # several patterns can hold within the loose allowance; the point
-        # nearest the anchor is the projection's own choice among them
-        return min(loose, key=lambda x: norm(x - anchor))
+            checks = _excesses(cuts, x, anchor)
+            if all(m >= 0.0 for m in lam) and all(v <= s for i, (v, s) in enumerate(checks) if i not in pinned):
+                return x
+            tried.append((max((v for v, _ in checks), default=0.0), x))
     best = min(tried, key=lambda entry: entry[0])[1]
     raise IntersectionError(
         "no pattern of binding cuts certifies a projection onto the intersection",
@@ -304,6 +284,12 @@ def _slack(offset: float, normal_size: float, x_size: float, size: float) -> flo
     return _REL_TOL * (abs(offset) + normal_size * (x_size + size))
 
 
+def _excesses(cuts: list[Halfspace], x: Vec, anchor: Vec) -> list[tuple[float, float]]:
+    """(<n, x> - b, its rounding allowance) for each cut, x projected from anchor."""
+    x_size, size = norm(x), norm(anchor)
+    return [(float(c.normal @ x) - c.offset, _slack(c.offset, norm(c.normal), x_size, size)) for c in cuts]
+
+
 Found = Optional[tuple[Vec, np.ndarray]]
 
 
@@ -311,15 +297,19 @@ def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anch
     """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i
     of the pinned cuts, with the planes' multipliers lam: anchor - x -
     sum_i lam_i n_i lies in the normal cone of base at x.  None when the
-    planes miss the base, except that one plane on a box or a simplex
-    yields its point of closest approach (see _plane_root).  project is the
-    base projection; start is the projection pinned to the planes after the
-    first (None when they miss the base), where the first plane's
-    multiplier is 0."""
+    point found does not hold its planes within rounding, as when they miss
+    the base.  project is the base projection; start is the projection
+    pinned to the planes after the first (None when there is none), where
+    the first plane's multiplier is 0."""
     if not pinned:
         return project(anchor), np.zeros(0)
     if isinstance(base, (Box, Simplex)):
-        return None if start is None else _polyhedral_pinned(base, project, pinned, anchor, start)
+        found = None if start is None else _polyhedral_pinned(base, project, pinned, anchor, start)
+        # the searches end on the point nearest the planes, which holds them
+        # only where they meet the base
+        if found is None or any(abs(v) > s for v, s in _excesses(pinned, found[0], anchor)):
+            return None
+        return found
     A, b = np.array([c.normal for c in pinned]), np.array([c.offset for c in pinned])
     if isinstance(base, Ball):
         return _ball_pinned(base, _planes(A, b), anchor)
@@ -533,8 +523,9 @@ def _face_solve(base: Union[Box, Simplex], normals: list[Vec], offsets: list[flo
         a = np.where(at.low, base.lower, base.upper)
         a[free] = anchor[free]
     else:
+        count = np.count_nonzero(free)
         a = np.zeros_like(anchor)
-        a[free] = _centered(anchor[free]) + base.scale / np.count_nonzero(free)
+        a[free] = _centered(anchor[free]) + base.scale / count
     lam = np.linalg.solve(gram, [float(n @ a) - b for n, b in zip(normals, offsets)])
     x = a
     for m, part in zip(lam, at.parts):
@@ -542,6 +533,9 @@ def _face_solve(base: Union[Box, Simplex], normals: list[Vec], offsets: list[flo
     if isinstance(base, Box):
         inside = np.all(x[free] >= base.lower[free]) and np.all(x[free] <= base.upper[free])
     else:
+        # the centered parts sum to 0 only up to rounding, which lam scales:
+        # put the point back on the simplex plane
+        x[free] += (base.scale - x[free].sum()) / count
         inside = np.all(x[free] >= 0.0)
     return (x, lam) if inside else (at.x, np.array(at.lam))
 
@@ -561,7 +555,8 @@ def _plane_root(base: Union[Box, Simplex], evaluate, at: _At, y: Vec, n: Vec, of
     <n, P_C(y - lam n)> - offset, the other multipliers held.  When the
     residual keeps its sign, the point where it comes closest to 0, past
     which it is constant: a plane that touches the base only in rounding
-    then still yields its point of contact, and certification decides.
+    then still yields its point of contact, and _pinned_projection's check
+    of the planes decides.
 
     On a box the breakpoints of the residual have closed forms and are
     searched all at once (_box_breakpoint_root), so the root costs one

@@ -131,9 +131,7 @@ def _gap(set_: FeasibleSet, x: Vec, step: Vec) -> float:
     return norm(x - set_.project(x - step))
 
 
-def quasi_fejer_epsilon(
-    x_k: Vec, x_next: Vec, alpha: float, w_k: Vec, f_k: float, f_next: float, cfg: SolverConfig
-) -> float:
+def quasi_fejer_epsilon(x_k: Vec, alpha: float, w_k: Vec, f_k: float, f_next: float, cfg: SolverConfig) -> float:
     """Per-step slack -alpha ||x - w||^2 + 2 (beta / delta) (f_k - f_next).
 
     beta stands for the upper bound of the stepsizes, which for the
@@ -217,7 +215,7 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     ls = armijo_feasible_direction(
         inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
-    eps = quasi_fejer_epsilon(x, ls.trial_point, ls.alpha, w, f, ls.f_trial, cfg)
+    eps = quasi_fejer_epsilon(x, ls.alpha, w, f, ls.f_trial, cfg)
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin,
                         projections=projections)
     return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec

@@ -160,8 +160,14 @@ def test_load_spec_parse_error_carries_location(tmp_path):
         (None, "cannot read spec"),
         ("[1, 2]", "a spec must be a JSON object, got list"),
         ('{"problem": "quadratic-box", "config": [1]}', "'config' must be a JSON object, got list"),
+        ('{"problem": "quadratic-box", "output": 5}', "'output' must be a string, got int"),
+        ('{"problem": "quadratic-box", "strategy": "z"}', "unknown strategy 'z'"),
+        ('{"problem": 7}', "'problem' must be a registry id or an inline object"),
+        ('{"problem": "quadratic-box", "config": {"max_inner_iters": 1.5}}',
+         "bad config: max_inner_iters must be an integer, got 1.5"),
     ],
-    ids=["missing", "top-level-list", "config-list"],
+    ids=["missing", "top-level-list", "config-list", "output-int", "unknown-strategy", "problem-number",
+         "inner-iters-float"],
 )
 def test_load_spec_rejects_unreadable_or_non_object(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"

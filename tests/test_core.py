@@ -92,10 +92,12 @@ def test_beta_range_enforced():
 @pytest.mark.parametrize(
     "field, value",
     [("residual_tol", np.nan), ("exo_constant", np.nan), ("exo_constant", np.inf), ("max_outer_iters", np.nan),
-     ("max_inner_iters", np.nan), ("trace_stride", np.nan)],
+     ("max_inner_iters", np.nan), ("trace_stride", np.nan), ("max_outer_iters", 2.5), ("max_inner_iters", 2.5),
+     ("trace_stride", 2.5), ("max_outer_iters", True), ("max_inner_iters", True), ("trace_stride", True)],
 )
 def test_config_rejects_non_finite_parameters(field, value):
-    # a NaN residual_tol could never be met: no residual compares <= to NaN
+    # a NaN residual_tol could never be met: no residual compares <= to NaN;
+    # the counts are integers, and True is a flag, not a count
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
 

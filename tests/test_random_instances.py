@@ -109,11 +109,12 @@ def test_anchored_intersection_base_projections_are_pinned(monkeypatch):
     monkeypatch.setattr(solver, "project_intersection", flagged)
     for _, inst in seed_202_instances():
         solve(inst, SolverConfig(max_outer_iters=80), "A2")
-    assert (calls[0], counted[0]) == (525, 1159)
+    assert (calls[0], counted[0]) == (525, 1149)
 
 
 ROUNDING_FLOOR_RUNS = [(3, 45, 25), (202, 52, 17), (6, 4, 58), (2, 36, 27), (13, 16, 26), (16, 3, 19),
-                       (202, 50, 45), (19, 33, 22), (16, 58, 60), (1, 59, 29), (8, 31, 23)]
+                       (202, 50, 45), (19, 33, 25), (16, 58, 60), (1, 59, 30), (8, 31, 24), (5, 0, 35),
+                       (17, 2, 28)]
 
 
 @pytest.mark.parametrize(
@@ -126,13 +127,27 @@ def test_anchored_stops_near_the_closest_solution_at_the_rounding_floor(seed, tr
     # cuts_keep_solution failing), the Ball and Box runs 2/36, 13/16 and
     # 16/3 ended in INTERSECTION_FAILURE.  202/50, 19/33, 1/59 and 8/31
     # stop where the projection onto the cuts returns the iterate, and 16/58
-    # one step after a move of 1.6e-9; 1/59 and 8/31 take, on the way,
-    # intersection projections that certify only within the loose allowance
+    # one step after a move of 1.6e-9.  On the simplex runs 1/59, 8/31, 5/0
+    # and 17/2 the level-pinned face point once drifted off the simplex
+    # plane, and intersection projections that held the cuts only within a
+    # 100x allowance stopped 5/0 and 17/2 1.4e-6 and 2.0e-6 away
     (_, inst), = random_instances(seed, [trial])
     rep = solve(inst, SolverConfig(max_outer_iters=80), "A2")
     assert rep.status in STOPPED
     assert rep.iterations == iterations
     assert norm(rep.final_x - inst.known_solution) <= 1e-6
     assert {"ball_containment", "cuts_keep_solution"} <= rep.monitors.keys()
+    for name, monitor in rep.monitors.items():
+        assert monitor.passed, name
+
+
+def test_anchored_ball_run_with_nearly_parallel_pinned_planes_keeps_running():
+    # seed 3, trial 58 (Ball): the point pinned to both cuts comes from the
+    # Gram solve of two nearly parallel planes, which holds them only within
+    # that solve's own allowance; the run must not end INTERSECTION_FAILURE
+    (_, inst), = random_instances(3, [58])
+    assert isinstance(inst.feasible_set, Ball)
+    rep = solve(inst, SolverConfig(max_outer_iters=80), "A2")
+    assert rep.status is SolveStatus.ITERATION_CAP
     for name, monitor in rep.monitors.items():
         assert monitor.passed, name

@@ -486,6 +486,31 @@ def test_intersection_level_cut_nearly_constant_on_a_simplex_face(scale, cuts, a
     assert norm(got - _exact_simplex_projection(scale, cuts, anchor)) <= 1e-9
 
 
+@pytest.mark.parametrize("cuts", [
+    # the level and anchor cuts of A2's 22nd and 23rd steps (from iterates
+    # 21 and 22) on the random QP of seed 17, trial 2; the level normal is
+    # nearly constant on the support of the point, so its multiplier is large
+    [(["0x1.894f38726233cp-1", "-0x1.fc473c25bfddcp-2", "-0x1.fc44ab7741c37p-2"], "-0x1.0b430cee535bcp-2"),
+     (["0x1.962eb2d6f5e38p-3", "-0x1.be13722ff2c86p-2", "0x1.e5f83188dee34p-3"], "-0x1.58ce684e5df9ep-3")],
+    [(["0x1.894f387260d05p-1", "-0x1.fc473c25c849cp-2", "-0x1.fc44ab774176bp-2"], "-0x1.0b430cee57005p-2"),
+     (["0x1.962eb2d6f5e38p-3", "-0x1.be13722fefd29p-2", "0x1.e5f83188e9c1ap-3"], "-0x1.58ce684e5a6aap-3")],
+], ids=["step-22", "step-23"])
+def test_intersection_face_point_holds_the_simplex_plane_and_the_cuts(cuts):
+    # the level-pinned face point a - lam m, with lam near 7e4, leaves the
+    # plane sum(x) = scale by the rounding of the centered m's sum unless it
+    # is put back on it, and then misses the level plane by more than its
+    # rounding allowance; the anchor-pinned point violates the level cut by
+    # 6x that allowance, so neither may be taken
+    scale = float.fromhex("0x1.0d3843c3442a4p-1")
+    anchor = np.array([float.fromhex(v) for v in ("0x1.962eb2d6f5e38p-3", "0x0.0p+0", "0x1.4f592e1b0d62cp-2")])
+    cuts = [Halfspace(normal=np.array([float.fromhex(v) for v in n]), offset=float.fromhex(b)) for n, b in cuts]
+    x = project_intersection(Simplex(scale=scale), cuts, anchor)
+    assert abs(float(x.sum()) - scale) <= 4.0 * np.finfo(float).eps * scale
+    for c in cuts:
+        allowance = 1e-12 * (abs(c.offset) + norm(c.normal) * (norm(x) + norm(anchor)))
+        assert float(c.normal @ x) - c.offset <= allowance
+
+
 @pytest.mark.parametrize("base", [
     Box(lower=np.zeros(3), upper=np.ones(3)),
     Box(lower=np.array([0.0, -np.inf, 0.0]), upper=np.array([1.0, 1.0, np.inf])),

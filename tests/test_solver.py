@@ -182,7 +182,7 @@ def test_line_search_failure_surfaces_in_status():
 def test_quasi_fejer_epsilon_stationary_is_zero():
     cfg = SolverConfig()
     x = np.array([0.3, -0.7])
-    assert quasi_fejer_epsilon(x, x, 0.5, x, 1.23, 1.23, cfg) == 0.0
+    assert quasi_fejer_epsilon(x, 0.5, x, 1.23, 1.23, cfg) == 0.0
 
 
 def test_quasi_fejer_sum_bound():
