@@ -143,8 +143,8 @@ def _set_from_json(d: dict) -> FeasibleSet:
 def problem_from_json(d: dict) -> ProblemInstance:
     known = d.get("known_solution")
     return ProblemInstance(
-        objective=_objective_from_json(d["objective"]),
-        feasible_set=_set_from_json(d["set"]),
+        objective=_objective_from_json(_json_object(d["objective"], "'objective'")),
+        feasible_set=_set_from_json(_json_object(d["set"], "'set'")),
         x0=as_vector(d["x0"]),
         known_solution=None if known is None else as_vector(known),
         known_fstar=None if d.get("known_fstar") is None else float(d["known_fstar"]),
@@ -155,16 +155,25 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(SolverConfig))
 
 
 def config_from_json(d: dict) -> SolverConfig:
-    """SolverConfig from a spec's config object."""
+    """SolverConfig from a spec's config object; its errors read 'bad config: ...'."""
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return SolverConfig(**d)
+        raise ValueError(f"bad config: unknown config keys: {sorted(unknown)}")
+    try:
+        return SolverConfig(**d)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad config: {exc}") from exc
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def load_spec(path: str | Path) -> RunSpec:
-    """Load and validate a run spec file; rejects malformed fields and an
-    infeasible starting point with its distance to the set spelled out."""
+    """Load and validate a run spec file.  Every rejection is a ValueError that
+    names the file; an infeasible start gives its distance to the set."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -173,45 +182,40 @@ def load_spec(path: str | Path) -> RunSpec:
         raise ValueError(f"{path}: cannot read spec: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: a spec must be a JSON object, got {type(raw).__name__}")
+    try:
+        return _spec_from_json(raw)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _spec_from_json(raw) -> RunSpec:
+    """The spec of a parsed spec file; a missing field raises KeyError."""
+    raw = _json_object(raw, "a spec")
     strategy = raw.get("strategy", "c")
     if strategy not in STRATEGIES:
-        raise ValueError(f"{path}: unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     problem_field = raw.get("problem")
     if isinstance(problem_field, str):
-        problem = get_instance(problem_field)
-        problem_id = problem_field
+        problem, problem_id = get_instance(problem_field), problem_field
     elif isinstance(problem_field, dict):
-        try:
-            problem = problem_from_json(problem_field)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        problem_id = "inline"
+        problem, problem_id = problem_from_json(problem_field), "inline"
     else:
-        raise ValueError(f"{path}: 'problem' must be a registry id or an inline object")
-    raw_config = raw.get("config", {})
-    if not isinstance(raw_config, dict):
-        raise ValueError(f"{path}: 'config' must be a JSON object, got {type(raw_config).__name__}")
+        raise ValueError("'problem' must be a registry id or an inline object")
+    raw_config = _json_object(raw.get("config", {}), "'config'")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
-        raise ValueError(f"{path}: 'output' must be a string, got {type(output).__name__}")
-    try:
-        config = config_from_json(raw_config)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad config: {exc}") from exc
+        raise ValueError(f"'output' must be a string, got {type(output).__name__}")
     spec = RunSpec(
         problem=problem,
         problem_id=problem_id,
         strategy=strategy,
-        config=config,
+        config=config_from_json(raw_config),
         output=output,
         explicit_config=frozenset(raw_config),
     )
-    try:
-        spec.require_strategy_params()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    spec.require_strategy_params()
     return spec
 
 

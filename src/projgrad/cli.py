@@ -64,7 +64,7 @@ def main(argv=None) -> int:
             for name in list_instances():
                 print(name)
             return 0
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -166,8 +166,10 @@ class Quadratic:
     Q is certified once per process for each distinct content: a Q whose
     shape and C-order bytes hash like one of the last 32 accepted matrices
     skips these checks and costs only the hash (at n = 2000 on one core,
-    0.012-0.016 s against 0.17-0.23 s cold; README.md gives the command).  An
-    edited or rejected Q is checked again.  b and c are validated on every
+    0.012-0.016 s against 0.17-0.23 s cold; README.md gives the command).  A
+    new construction checks an edited or rejected Q again, but a float64 Q is
+    kept, not copied: editing it in place after construction goes unchecked
+    and can make the objective nonconvex.  b and c are validated on every
     construction.
     """
 

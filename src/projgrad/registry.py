@@ -96,7 +96,6 @@ def list_instances() -> list[str]:
 
 
 def get_instance(instance_id: str) -> ProblemInstance:
-    try:
-        return _REGISTRY[instance_id]()
-    except KeyError:
-        raise KeyError(f"unknown instance {instance_id!r}; known: {', '.join(list_instances())}") from None
+    if instance_id not in _REGISTRY:
+        raise ValueError(f"unknown instance {instance_id!r}; known: {', '.join(list_instances())}")
+    return _REGISTRY[instance_id]()

@@ -45,12 +45,11 @@ __all__ = [
 
 class IntersectionError(RuntimeError):
     """No pattern of binding cuts certifies a projection onto the intersection;
-    ``best`` is the candidate that violates the cuts least, ``patterns_tried``
-    the patterns solved and ``base_projections`` the base projections made."""
+    ``patterns_tried`` counts the patterns solved and ``base_projections`` the
+    base projections made."""
 
-    def __init__(self, message: str, best: Vec, patterns_tried: int = 0, base_projections: int = 0):
+    def __init__(self, message: str, patterns_tried: int = 0, base_projections: int = 0):
         super().__init__(message)
-        self.best = best
         self.patterns_tried = patterns_tried
         self.base_projections = base_projections
 
@@ -245,8 +244,8 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     the first, solved before it.
 
     More than two cuts raise ValueError.  When no pattern certifies,
-    IntersectionError carries the candidate that violates the cuts least,
-    the number of patterns tried and the base projections made.
+    IntersectionError carries the number of patterns tried and the base
+    projections made.
     """
     if len(cuts) > 2:
         raise ValueError(f"project_intersection handles at most two cuts, got {len(cuts)}")
@@ -257,8 +256,7 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
         spent += 1
         return base.project(y)
 
-    # pattern none always yields a candidate, so tried is never empty below
-    tried, solved = [], {}
+    solved = {}
     for count in range(len(cuts) + 1):
         for pinned in itertools.combinations(range(len(cuts)), count):
             found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, solved.get(pinned[1:]))
@@ -269,11 +267,9 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
             checks = _excesses(cuts, x, anchor)
             if all(m >= 0.0 for m in lam) and all(v <= s for i, (v, s) in enumerate(checks) if i not in pinned):
                 return x
-            tried.append((max((v for v, _ in checks), default=0.0), x))
-    best = min(tried, key=lambda entry: entry[0])[1]
     raise IntersectionError(
         "no pattern of binding cuts certifies a projection onto the intersection",
-        best=best, patterns_tried=len(solved), base_projections=spent,
+        patterns_tried=len(solved), base_projections=spent,
     )
 
 
@@ -487,7 +483,7 @@ def _polyhedral_pinned(
     else:
         n1 = normals[0]
 
-        def solved_second(lam1: float, src: _At) -> Optional[_At]:
+        def solved_second(lam1: float, src: _At) -> _At:
             g = src.gram
             tilt = -g[0][1] / g[1][1] if g[1][1] > 0.0 else 0.0
             at = evaluate((lam1, src.lam[1] + tilt * (lam1 - src.lam[0])))
@@ -629,8 +625,6 @@ def _face_newton_root(step, at: _At, i: int, slope, curvature: float, far: float
                     return None
                 mu = max(4.0 * lo, lo + reach)
         nxt = step(origin + sign * mu, src)
-        if nxt is None:
-            return None
         rho = sign * nxt.r[i]
         if rho == 0.0 or (newton and nxt.face == src.face):
             return nxt

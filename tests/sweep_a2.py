@@ -8,8 +8,9 @@ a residual above tol, the largest distance from a stopped run to P_S(x0)
 (the oracle solution), and the runs that end INTERSECTION_FAILURE or fail a
 monitor.  --out writes one line per run (seed, trial, base, status,
 iterations, final_x as float.hex), so that the runs of two checkouts can be
-diffed.  Exits 1 on any INTERSECTION_FAILURE or failed monitor.  Pytest
-does not collect this file: its name does not match test_*.py.
+diffed.  Exits 1 on any INTERSECTION_FAILURE or failed monitor, or when
+more runs exit 0 above tol than MAX_EXIT_0_ABOVE_TOL.  Pytest does not
+collect this file: its name does not match test_*.py.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from test_random_instances import STOPPED, random_instances  # noqa: E402
 SEEDS = (202, *range(1, 21))
 TRIALS = range(60)
 BUDGET = 80
+# runs that exit 0 with a residual above tol, measured with numpy 2.4.6; a
+# change may lower this bound, never raise it
+MAX_EXIT_0_ABOVE_TOL = 417
 
 
 def main(argv=None) -> int:
@@ -66,7 +70,7 @@ def main(argv=None) -> int:
         "intersection_failures": failures,
         "failed_monitors": failed_monitors,
     }))
-    return 1 if failures or failed_monitors else 0
+    return 1 if failures or failed_monitors or above_tol > MAX_EXIT_0_ABOVE_TOL else 0
 
 
 if __name__ == "__main__":

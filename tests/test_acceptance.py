@@ -31,6 +31,8 @@ from projgrad.core import dot, norm
 from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
 
+from test_solver import CountingSet
+
 EPS = np.finfo(float).eps
 ARMIJO_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm1p5-box")
 UNIQUE_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm4-ball-far")
@@ -182,22 +184,6 @@ def test_criterion_7_strategy_comparison():
 
     # feasible direction: exactly one projection per outer iteration, plus
     # one for the entry test that ends the run and one for the final residual
-    class CountingSet:
-        def __init__(self, inner):
-            self.inner = inner
-            self.projections = 0
-
-        @property
-        def dim(self):
-            return self.inner.dim
-
-        def project(self, x):
-            self.projections += 1
-            return self.inner.project(x)
-
-        def contains(self, x, tol=0.0):
-            return self.inner.contains(x, tol)
-
     counting = CountingSet(inst.feasible_set)
     counted_inst = ProblemInstance(objective=inst.objective, feasible_set=counting, x0=inst.x0)
     rep_c = solve(counted_inst, cfg, "c")

@@ -165,18 +165,27 @@ def test_load_spec_parse_error_carries_location(tmp_path):
         ('{"problem": 7}', "'problem' must be a registry id or an inline object"),
         ('{"problem": "quadratic-box", "config": {"max_inner_iters": 1.5}}',
          "bad config: max_inner_iters must be an integer, got 1.5"),
+        ('{"problem": {"objective": {"kind": "pnorm", "p": 4}, "set": {"kind": "wholespace"}, "x0": [0]}}',
+         "missing field 'shift'"),
+        ('{"problem": {"objective": {"kind": "pnorm", "p": null, "shift": [0]}, "set": {"kind": "wholespace"},'
+         ' "x0": [0]}}', "float() argument must be a string or a"),
+        ('{"problem": {"objective": "quadratic", "set": {"kind": "wholespace"}, "x0": [0]}}',
+         "'objective' must be a JSON object, got str"),
+        ('{"problem": "no-such"}', "unknown instance 'no-such'; known: flat-quadratic, "),
     ],
     ids=["missing", "top-level-list", "config-list", "output-int", "unknown-strategy", "problem-number",
-         "inner-iters-float"],
+         "inner-iters-float", "pnorm-without-shift", "p-null", "objective-string", "unknown-instance"],
 )
 def test_load_spec_rejects_unreadable_or_non_object(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"
     if text is not None:
         path.write_text(text)
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {re.escape(message)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_spec(path)
     assert main(["solve", "--spec", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    # one line, no traceback
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_run_spec_writes_roundtrippable_trace(tmp_path):

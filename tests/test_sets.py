@@ -121,15 +121,23 @@ def test_intersection_ball_cut_matches_qp_oracle():
     assert np.allclose(got, expected, atol=1e-8)
 
 
-def test_intersection_nonconvergence_carries_best_iterate():
-    # empty intersection: two contradictory cuts; no binding pattern certifies
+@pytest.mark.parametrize("base", [
+    WholeSpace(),
+    Ball(center=np.zeros(2), radius=2.0),
+    Halfspace(normal=np.array([0.0, 1.0]), offset=5.0),
+], ids=["wholespace", "ball", "halfspace"])
+def test_contradictory_cuts_fail_after_every_pattern_and_one_base_projection(base):
+    # x1 <= -1 and x1 >= 1 share no point: each cut alone is solved on its
+    # plane without projecting onto the base, and the two planes are
+    # inconsistent, so the base projection of pattern none is the only one
     cuts = [
-        Halfspace(normal=np.array([1.0]), offset=-1.0),  # x <= -1
-        Halfspace(normal=np.array([-1.0]), offset=-1.0),  # x >= 1
+        Halfspace(normal=np.array([1.0, 0.0]), offset=-1.0),
+        Halfspace(normal=np.array([-1.0, 0.0]), offset=-1.0),
     ]
     with pytest.raises(IntersectionError) as err:
-        project_intersection(WholeSpace(), cuts, np.array([0.0]))
-    assert err.value.best.shape == (1,)
+        project_intersection(base, cuts, np.zeros(2))
+    assert err.value.patterns_tried == 4
+    assert err.value.base_projections == 1
 
 
 def _least_squares_cone_coefficients(normals, residual):

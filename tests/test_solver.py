@@ -38,10 +38,6 @@ class CountingSet:
         self.inner = inner
         self.projections = 0
 
-    @property
-    def dim(self):
-        return self.inner.dim
-
     def project(self, x):
         self.projections += 1
         return self.inner.project(x)
@@ -286,6 +282,19 @@ def test_anchored_matches_armijo_on_unique_solutions():
         assert all(m.passed for m in r2.monitors.values())
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="A2 crawls toward an interior solution (ROADMAP item 9)")
+def test_anchored_reaches_tolerance_on_2d_box_qp_with_interior_solution():
+    # b and c end optimal_residual here in 19 iterations; A2 ends
+    # iteration_cap at 200 with residual 2.2e-3
+    inst = ProblemInstance(
+        objective=Quadratic(Q=np.array([[4.0, 1.0], [1.0, 2.0]]), b=np.array([-2.0, -1.0])),
+        feasible_set=Box(lower=np.zeros(2), upper=np.ones(2)),
+        x0=np.array([1.0, 0.0]),
+    )
+    rep = solve(inst, SolverConfig(max_outer_iters=200), "A2")
+    assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+
+
 def test_anchored_monitor_suite_details():
     inst = get_instance("flat-quadratic")
     rep = solve(inst, SolverConfig(), "A2")
@@ -379,7 +388,7 @@ def test_intersection_failure_surfaces_in_status(monkeypatch):
     from projgrad.sets import IntersectionError
 
     def exploding(base, cuts, anchor):
-        raise IntersectionError("forced", best=anchor)
+        raise IntersectionError("forced")
 
     monkeypatch.setattr(solver_module, "project_intersection", exploding)
     rep = solve(get_instance("flat-quadratic"), SolverConfig(), "A2")
