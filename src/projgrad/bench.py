@@ -84,14 +84,6 @@ class RunSpec:
     strategy: str
     config: SolverConfig
     output: Optional[str] = None
-    explicit_config: frozenset = frozenset()
-
-    def require_strategy_params(self) -> None:
-        """Strategy-specific parameters must have been given explicitly."""
-        if self.strategy == "a" and "beta" not in self.explicit_config:
-            raise ValueError("strategy 'a' requires an explicit 'beta' in config")
-        if self.strategy == "d" and "exo_constant" not in self.explicit_config:
-            raise ValueError("strategy 'd' requires an explicit 'exo_constant' in config")
 
 
 @dataclass
@@ -110,44 +102,62 @@ class SummaryRow:
     dist_known_solution: Optional[float] = None
 
 
+def _field(d: dict, name: str, convert=as_vector, default=None):
+    """convert(d[name]), or convert(d.get(name, default)) when a default is
+    given.  A missing field raises KeyError; a value that convert rejects
+    raises a ValueError that names the field."""
+    value = d[name] if default is None else d.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name!r}: {exc}") from exc
+
+
+def _matrix(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _bounds(unbounded: float):
+    """Box bounds from a list whose null entries mean unbounded."""
+    return lambda values: np.array([unbounded if v is None else float(v) for v in values])
+
+
 def _objective_from_json(d: dict) -> Objective:
     kind = d.get("kind")
     if kind == "pnorm":
-        return PNorm(p=float(d["p"]), shift=as_vector(d["shift"]))
+        return PNorm(p=_field(d, "p", float), shift=_field(d, "shift"))
     if kind == "quadratic":
-        return Quadratic(Q=np.asarray(d["Q"], dtype=np.float64), b=as_vector(d["b"]), c=float(d.get("c", 0.0)))
+        return Quadratic(Q=_field(d, "Q", _matrix), b=_field(d, "b"), c=_field(d, "c", float, 0.0))
     if kind == "logsumexp":
-        return LogSumExp(rows=np.asarray(d["rows"], dtype=np.float64), offsets=as_vector(d["offsets"]))
+        return LogSumExp(rows=_field(d, "rows", _matrix), offsets=_field(d, "offsets"))
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
 def _set_from_json(d: dict) -> FeasibleSet:
     kind = d.get("kind")
     if kind == "box":
-        lower = [(-np.inf if v is None else float(v)) for v in d["lower"]]
-        upper = [(np.inf if v is None else float(v)) for v in d["upper"]]
-        return Box(lower=np.array(lower), upper=np.array(upper))
+        return Box(lower=_field(d, "lower", _bounds(-np.inf)), upper=_field(d, "upper", _bounds(np.inf)))
     if kind == "ball":
-        return Ball(center=as_vector(d["center"]), radius=float(d["radius"]))
+        return Ball(center=_field(d, "center"), radius=_field(d, "radius", float))
     if kind == "halfspace":
-        return Halfspace(normal=as_vector(d["normal"]), offset=float(d["offset"]))
+        return Halfspace(normal=_field(d, "normal"), offset=_field(d, "offset", float))
     if kind == "hyperplane":
-        return Hyperplane(normal=as_vector(d["normal"]), offset=float(d["offset"]))
+        return Hyperplane(normal=_field(d, "normal"), offset=_field(d, "offset", float))
     if kind == "simplex":
-        return Simplex(scale=float(d.get("scale", 1.0)))
+        return Simplex(scale=_field(d, "scale", float, 1.0))
     if kind == "wholespace":
         return WholeSpace()
     raise ValueError(f"unknown set kind {kind!r}")
 
 
 def problem_from_json(d: dict) -> ProblemInstance:
-    known = d.get("known_solution")
+    known, fstar = d.get("known_solution"), d.get("known_fstar")
     return ProblemInstance(
         objective=_objective_from_json(_json_object(d["objective"], "'objective'")),
         feasible_set=_set_from_json(_json_object(d["set"], "'set'")),
-        x0=as_vector(d["x0"]),
-        known_solution=None if known is None else as_vector(known),
-        known_fstar=None if d.get("known_fstar") is None else float(d["known_fstar"]),
+        x0=_field(d, "x0"),
+        known_solution=None if known is None else _field(d, "known_solution"),
+        known_fstar=None if fstar is None else _field(d, "known_fstar", float),
     )
 
 
@@ -171,9 +181,10 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
-def load_spec(path: str | Path) -> RunSpec:
-    """Load and validate a run spec file.  Every rejection is a ValueError that
-    names the file; an infeasible start gives its distance to the set."""
+def load_spec(path: str | Path, strategy: Optional[str] = None) -> RunSpec:
+    """Load and validate a run spec file; strategy, when given, replaces the
+    spec's own.  Every rejection is a ValueError that names the file; an
+    infeasible start gives its distance to the set."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -183,17 +194,23 @@ def load_spec(path: str | Path) -> RunSpec:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        return _spec_from_json(raw)
+        return _spec_from_json(raw, strategy)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _spec_from_json(raw) -> RunSpec:
-    """The spec of a parsed spec file; a missing field raises KeyError."""
+# the parameter each of these strategies reads that has no meaningful default
+_STRATEGY_PARAMS = {"a": "beta", "d": "exo_constant"}
+
+
+def _spec_from_json(raw, strategy: Optional[str]) -> RunSpec:
+    """The spec of a parsed spec file, run with strategy when given; a
+    missing field raises KeyError."""
     raw = _json_object(raw, "a spec")
-    strategy = raw.get("strategy", "c")
+    if strategy is None:
+        strategy = raw.get("strategy", "c")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     problem_field = raw.get("problem")
@@ -207,16 +224,11 @@ def _spec_from_json(raw) -> RunSpec:
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ValueError(f"'output' must be a string, got {type(output).__name__}")
-    spec = RunSpec(
-        problem=problem,
-        problem_id=problem_id,
-        strategy=strategy,
-        config=config_from_json(raw_config),
-        output=output,
-        explicit_config=frozenset(raw_config),
-    )
-    spec.require_strategy_params()
-    return spec
+    config = config_from_json(raw_config)
+    required = _STRATEGY_PARAMS.get(strategy)
+    if required is not None and required not in raw_config:
+        raise ValueError(f"strategy {strategy!r} requires an explicit {required!r} in config")
+    return RunSpec(problem=problem, problem_id=problem_id, strategy=strategy, config=config, output=output)
 
 
 def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:

@@ -37,10 +37,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            spec = load_spec(args.spec)
-            if args.strategy:
-                spec = dataclasses.replace(spec, strategy=args.strategy)
-                spec.require_strategy_params()
+            spec = load_spec(args.spec, args.strategy)
             overrides = {}
             if args.max_iters is not None:
                 overrides["max_outer_iters"] = args.max_iters

@@ -113,14 +113,7 @@ class IterateRecord:
     solver, and gap (||x - w|| for the projected step w) by both.
     projections counts the base projections of the projected gradient step:
     the projected point, the residual's own projection when the stepsize is
-    not 1, and the rejected trials of the boundary search.  stop
-    marks a terminal no-step record with the status that ends the run:
-    FIXED_POINT_STOP (the projected point coincides with the iterate; for
-    A2 also the level has met the value within the rounding of the level
-    cut, or the projection onto the cuts returns the iterate),
-    OPTIMAL_RESIDUAL (the natural residual is below tolerance) or NON_FINITE
-    (the value at the iterate or the gap of its projected step is not
-    finite).
+    not 1, and the rejected trials of the boundary search.
     """
 
     k: int
@@ -136,4 +129,3 @@ class IterateRecord:
     gap: Optional[float] = None
     gap_margin: Optional[float] = None
     projections: int = 0
-    stop: Optional[SolveStatus] = None

@@ -17,13 +17,14 @@ the same prelude: one projection of a gradient step at the strategy's own
 stepsize, whose gap to the iterate gives the natural residual when that
 stepsize is 1.
 
-Every stop is the step's own: a step that stops returns its state
-unchanged with a record naming the ``SolveStatus`` that ends the run.  The
-driver owns the loop, the mapping of typed failures to a ``SolveStatus``,
-the subsampled trace and the final report, and names no strategy.  After
-every step it feeds the strategy's runtime monitors, accumulators over the
-inequalities the iteration is known to satisfy, with the step's record and
-the two states, values the step already holds.
+Every stop is the step's own: a step that stops raises it with the
+``SolveStatus`` that ends the run and the line-search trials it spent, so a
+record always describes a step that was taken.  The driver owns the loop,
+the one mapping of every end of a run to a ``SolveStatus``, the subsampled
+trace and the final report, and names no strategy.  After every step it
+feeds the strategy's runtime monitors, accumulators over the inequalities
+the iteration is known to satisfy, with the step's record and the two
+states, values the step already holds.
 """
 
 from __future__ import annotations
@@ -174,32 +175,39 @@ def _projected_step(
     return w, gap, _gap(set_, x, g), dot(g, d), 2
 
 
+class _Stop(Exception):
+    """The end of a run that a step decides, with the line-search trials the
+    step spent before it (only the anchored step stops after its search)."""
+
+    def __init__(self, status: SolveStatus, trials: int = 0) -> None:
+        super().__init__(status.value)
+        self.status, self.trials = status, trials
+
+
 def _entry_stop(
     cfg: SolverConfig, f: float, gap: float, residual: float, descent_gap: float = math.inf, fixed_point: bool = True
-) -> Optional[SolveStatus]:
-    """Pre-step stop: NON_FINITE when the value at the iterate or the gap of
-    its projected step is not finite (a NaN or infinite value or gradient
-    reaches both), FIXED_POINT_STOP (when tested) when the projected step
-    does not move or gives no descent, OPTIMAL_RESIDUAL at the residual
-    tolerance."""
+) -> None:
+    """Pre-step stop, raised as _Stop: NON_FINITE when the value at the
+    iterate or the gap of its projected step is not finite (a NaN or
+    infinite value or gradient reaches both), FIXED_POINT_STOP (when tested)
+    when the projected step does not move or gives no descent,
+    OPTIMAL_RESIDUAL at the residual tolerance."""
     if not (math.isfinite(f) and math.isfinite(gap)):
-        return SolveStatus.NON_FINITE
+        raise _Stop(SolveStatus.NON_FINITE)
     if fixed_point and (gap <= _FIXED_POINT_TOL or descent_gap <= 0.0):
-        return SolveStatus.FIXED_POINT_STOP
+        raise _Stop(SolveStatus.FIXED_POINT_STOP)
     if residual <= cfg.residual_tol:
-        return SolveStatus.OPTIMAL_RESIDUAL
-    return None
+        raise _Stop(SolveStatus.OPTIMAL_RESIDUAL)
 
 
 def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
     """One projected gradient step with the feasible-direction search.
 
     Computes w = P_C(x - beta grad f(x)); when x is a fixed point of that
-    map (or the natural residual is already below tolerance) returns the
-    state unchanged with its stop in the record.  Otherwise backtracks along
-    the segment to w and moves to the accepted convex combination; the next
-    state carries the value and gradient there, both from the segment of
-    the search that accepted it.
+    map (or the natural residual is already below tolerance) raises its
+    stop.  Otherwise backtracks along the segment to w and moves to the
+    accepted convex combination; the next state carries the value and
+    gradient there, both from the segment of the search that accepted it.
 
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
@@ -207,15 +215,12 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     x, k, f, g, _ = state
     beta = cfg.beta
     w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
-    margin = descent_gap - gap**2 / beta
-    stop = _entry_stop(cfg, f, gap, residual, descent_gap)
-    if stop is not None:
-        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, epsilon_qf=0.0, gap=gap, gap_margin=margin, stop=stop)
-        return state, rec
+    _entry_stop(cfg, f, gap, residual, descent_gap)
     ls = armijo_feasible_direction(
         inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
     eps = quasi_fejer_epsilon(x, ls.alpha, w, f, ls.f_trial, cfg)
+    margin = descent_gap - gap**2 / beta
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin,
                         projections=projections)
     return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
@@ -230,7 +235,7 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     step) the anchor cut, and projects the anchor onto base-set-and-cuts.
     The level cut keeps every solution while excluding the current iterate;
     the anchor cut keeps the iterates moving away from the anchor.  The step
-    is a FIXED_POINT_STOP instead, keeping the search's trials, once the
+    raises a FIXED_POINT_STOP instead, with the search's trials, once the
     level lies within the rounding of the cut's offset below the value, or
     once the projection lands within the fixed-point tolerance of the
     iterate: x_{k+1} = x_k leaves the value, gradient and level as they are,
@@ -240,18 +245,14 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     x, k, f, g, f_lev = state
     beta = cfg.beta
     w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
-    dist_anchor = norm(x - inst.x0)
-    stop = _entry_stop(cfg, f, gap, residual, descent_gap)
-    if stop is not None:
-        rec = IterateRecord(k, x, f, 0.0, beta, 0, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap, stop=stop)
-        return state, rec
+    _entry_stop(cfg, f, gap, residual, descent_gap)
     ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
     f_lev = min(f_lev, obj.value(ls.trial_point))
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor, gap=gap)
+    dist_anchor = norm(x - inst.x0)
     # a level within the rounding of the cut's offset below the value gives a
     # cut that no longer separates the iterate from the solutions, and where
     # g is nearly normal to a face of the base, as near a solution on that
@@ -265,10 +266,10 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
             cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
         x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
         if norm(x_next - x) > _FIXED_POINT_TOL:
-            rec.projections = projections
+            rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
+                                gap=gap, projections=projections)
             return _evaluated(obj, x_next, k + 1, f_lev), rec
-    rec.stop = SolveStatus.FIXED_POINT_STOP
-    return state, rec
+    raise _Stop(SolveStatus.FIXED_POINT_STOP, ls.trials)
 
 
 def _level_rounding(g: Vec, x: Vec, f: float, f_lev: float) -> float:
@@ -290,12 +291,10 @@ def _classic_step(
     if strategy == "d":
         grad_norm = norm(g)
         if grad_norm == 0.0:
-            return state, IterateRecord(k, x, f, 0.0, 0.0, 0, 0.0, stop=SolveStatus.FIXED_POINT_STOP)
+            raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
     w, gap, residual, _, projections = _projected_step(inst, x, g, beta)
-    stop = _entry_stop(cfg, f, gap, residual, fixed_point=strategy != "b")
-    if stop is not None:
-        return state, IterateRecord(k, x, f, 1.0, beta, 0, residual, stop=stop)
+    _entry_stop(cfg, f, gap, residual, fixed_point=strategy != "b")
     trials = 0
     if strategy == "b":
         ls = armijo_boundary(
@@ -326,10 +325,11 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     whose value or projected step is not finite (NON_FINITE, read from the
     value and the projection gap each step holds anyway); otherwise on the
     iteration cap.  A failed line search ends the run as
-    LINE_SEARCH_FAILURE; a failed intersection projection as
-    INTERSECTION_FAILURE: under the anchored method's assumptions the cuts
-    always keep the solution set, so a failed projection indicates a bug or
-    numerically violated assumption rather than a recoverable event.
+    LINE_SEARCH_FAILURE, its trials counted; a failed intersection
+    projection as INTERSECTION_FAILURE: under the anchored method's
+    assumptions the cuts always keep the solution set, so a failed
+    projection indicates a bug or numerically violated assumption rather
+    than a recoverable event.
 
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
@@ -343,19 +343,16 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     try:
         while n < cfg.max_outer_iters:
             next_state, rec = step(inst, cfg, state)
-            if rec.stop is not None:
-                # a stop after the anchored step's line search keeps its trials
-                trials += rec.inner_trials
-                status = rec.stop
-                break
             if n % cfg.trace_stride == 0:
                 trace.append(rec)
             n, last = n + 1, rec
             trials, projections = trials + rec.inner_trials, projections + rec.projections
             monitors.add(rec, state, next_state)
             state = next_state
-    except LineSearchError:
-        status = SolveStatus.LINE_SEARCH_FAILURE
+    except _Stop as stop:
+        status, trials = stop.status, trials + stop.trials
+    except LineSearchError as exc:
+        status, trials = SolveStatus.LINE_SEARCH_FAILURE, trials + exc.trials
     except IntersectionError:
         status = SolveStatus.INTERSECTION_FAILURE
     if last is not None and trace[-1] is not last:

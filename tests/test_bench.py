@@ -145,6 +145,17 @@ def test_load_spec_strategy_parameter_presence(tmp_path):
         load_spec(path_d)
     ok = write_spec(tmp_path, "a_ok.json", {"problem": "quadratic-box", "strategy": "a", "config": {"beta": 0.5}})
     assert load_spec(ok).config.beta == 0.5
+    # an overriding strategy meets the same rule in place of the spec's own
+    assert load_spec(path_a, "c").strategy == "c"
+    with pytest.raises(ValueError, match="'exo_constant'"):
+        load_spec(ok, "d")
+
+
+def test_cli_strategy_override_error_names_the_file(tmp_path, capsys):
+    path = write_spec(tmp_path, "qb.json", {"problem": "quadratic-box"})
+    assert main(["solve", "--spec", str(path), "--strategy", "a"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: strategy 'a' requires an explicit 'beta' in config\n"
 
 
 def test_load_spec_parse_error_carries_location(tmp_path):
@@ -168,13 +179,16 @@ def test_load_spec_parse_error_carries_location(tmp_path):
         ('{"problem": {"objective": {"kind": "pnorm", "p": 4}, "set": {"kind": "wholespace"}, "x0": [0]}}',
          "missing field 'shift'"),
         ('{"problem": {"objective": {"kind": "pnorm", "p": null, "shift": [0]}, "set": {"kind": "wholespace"},'
-         ' "x0": [0]}}', "float() argument must be a string or a"),
+         ' "x0": [0]}}', "'p': float() argument must be a string or a"),
+        ('{"problem": {"objective": {"kind": "pnorm", "p": 2, "shift": [0]},'
+         ' "set": {"kind": "box", "lower": null, "upper": [1]}, "x0": [0]}}',
+         "'lower': 'NoneType' object is not iterable"),
         ('{"problem": {"objective": "quadratic", "set": {"kind": "wholespace"}, "x0": [0]}}',
          "'objective' must be a JSON object, got str"),
         ('{"problem": "no-such"}', "unknown instance 'no-such'; known: flat-quadratic, "),
     ],
     ids=["missing", "top-level-list", "config-list", "output-int", "unknown-strategy", "problem-number",
-         "inner-iters-float", "pnorm-without-shift", "p-null", "objective-string", "unknown-instance"],
+         "inner-iters-float", "pnorm-without-shift", "p-null", "lower-null", "objective-string", "unknown-instance"],
 )
 def test_load_spec_rejects_unreadable_or_non_object(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"

@@ -105,4 +105,4 @@ def test_config_rejects_non_finite_parameters(field, value):
 def test_record_defaults():
     rec = IterateRecord(k=0, x=np.zeros(2), f_val=1.0, alpha=1.0, beta=1.0, inner_trials=0, residual=0.5)
     assert rec.f_lev is None and rec.epsilon_qf is None and rec.dist_anchor is None
-    assert rec.stop is None
+    assert not hasattr(rec, "stop")  # a record is a step taken; a stop is raised, not recorded

@@ -77,7 +77,6 @@ def test_armijo_step_worked_example():
     rep = first_step(inst, cfg, "c")
     assert rep.iterations == 1
     rec = rep.trace[0]
-    assert rec.stop is None
     assert rec.alpha == 1.0
     assert rec.inner_trials == 0
     assert np.array_equal(rep.final_x, [1.0])
@@ -173,6 +172,25 @@ def test_line_search_failure_surfaces_in_status():
     )
     rep = solve(inst, SolverConfig(max_inner_iters=30), "c")
     assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    # the failed search's trials are counted, though no step was taken
+    assert rep.iterations == 0 and rep.inner_trials == 30
+
+
+def test_anchored_stop_keeps_its_search_trials():
+    # A2 stops after its line search; the stop carries that search's trials
+    # into the report, though the stop makes no record
+    inst = get_instance("pnorm4-ball")
+    cfg = SolverConfig(delta=0.9)
+    rep = solve(inst, cfg, "A2")
+    assert rep.status is SolveStatus.FIXED_POINT_STOP and rep.iterations == 103
+    x = rep.final_x
+    f, g = value_and_grad(inst.objective, x)
+    w = inst.feasible_set.project(x - cfg.beta * g)
+    stopping = armijo_feasible_direction(
+        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+    ).trials
+    assert stopping > 0
+    assert rep.inner_trials - sum(r.inner_trials for r in rep.trace) == stopping
 
 
 def test_quasi_fejer_epsilon_stationary_is_zero():
