@@ -252,46 +252,38 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
     )
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
+def _trace_row(x: np.ndarray, known: Optional[np.ndarray], **values) -> list:
+    """One trace row of TRACE_COLUMNS from values by column name, with the
+    distance from x to the known solution: k and inner_trials as integers,
+    the rest in shortest round-trip decimal, a missing value empty."""
+    if known is not None:
+        values["dist_known_solution"] = norm(x - known)
+    return [
+        "" if (v := values.get(name)) is None else v if name in ("k", "inner_trials") else repr(float(v))
+        for name in TRACE_COLUMNS
+    ]
 
 
 def write_trace_csv(path: str | Path, report: RunReport, inst: ProblemInstance) -> None:
     """One row per recorded iteration plus a terminal row for the final
-    iterate (step fields left empty)."""
+    iterate: its step fields empty, its f_lev the last record's, and its
+    distance to the anchor when the last record has one."""
     known = inst.known_solution
+    last = report.trace[-1] if report.trace else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in report.trace:
-            writer.writerow(
-                [
-                    r.k,
-                    _fmt(r.f_val),
-                    _fmt(r.residual),
-                    _fmt(r.alpha),
-                    _fmt(r.beta),
-                    r.inner_trials,
-                    _fmt(r.f_lev),
-                    _fmt(r.epsilon_qf),
-                    _fmt(r.dist_anchor),
-                    _fmt(None if known is None else norm(r.x - known)),
-                ]
-            )
-        writer.writerow(
-            [
-                report.iterations,
-                _fmt(report.final_f),
-                _fmt(report.final_residual),
-                "",
-                "",
-                "",
-                _fmt(report.trace[-1].f_lev) if report.trace and report.trace[-1].f_lev is not None else "",
-                "",
-                _fmt(norm(report.final_x - inst.x0)) if report.trace and report.trace[-1].dist_anchor is not None else "",
-                _fmt(None if known is None else norm(report.final_x - known)),
-            ]
-        )
+            writer.writerow(_trace_row(
+                r.x, known, k=r.k, f=r.f_val, residual=r.residual, alpha=r.alpha, beta=r.beta,
+                inner_trials=r.inner_trials, f_lev=r.f_lev, epsilon_qf=r.epsilon_qf, dist_anchor=r.dist_anchor,
+            ))
+        x = report.final_x
+        writer.writerow(_trace_row(
+            x, known, k=report.iterations, f=report.final_f, residual=report.final_residual,
+            f_lev=None if last is None else last.f_lev,
+            dist_anchor=None if last is None or last.dist_anchor is None else norm(x - inst.x0),
+        ))
 
 
 def parse_trace_csv(path: str | Path) -> list[dict[str, Optional[float]]]:

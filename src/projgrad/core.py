@@ -34,14 +34,18 @@ def as_vector(values) -> Vec:
     return v
 
 
-def _check_same_dim(a: Vec, b: Vec) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def _check_point(dim: int, owner: str, *points: Vec) -> None:
+    """Reject a point that is not a vector of dimension dim, the dimension
+    of the owner ("objective" or "set") that it is given to."""
+    for x in points:
+        if x.shape != (dim,):
+            raise ValueError(f"point of shape {x.shape} does not match {owner} dimension {dim}")
 
 
 def dot(a: Vec, b: Vec) -> float:
     """Inner product of two vectors of equal dimension."""
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.dot(a, b))
 
 

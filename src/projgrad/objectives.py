@@ -19,7 +19,7 @@ from typing import Protocol, Union
 
 import numpy as np
 
-from .core import Vec, as_vector, norm
+from .core import Vec, _check_point, as_vector, norm
 
 __all__ = [
     "PNorm",
@@ -31,12 +31,6 @@ __all__ = [
     "segment",
     "check_gradient",
 ]
-
-
-def _check_point(obj, *points: Vec) -> None:
-    for x in points:
-        if x.shape != (obj.dim,):
-            raise ValueError(f"point of shape {x.shape} does not match objective dimension {obj.dim}")
 
 
 class Segment(Protocol):
@@ -75,20 +69,20 @@ class PNorm:
         return self.shift.shape[0]
 
     def value(self, x: Vec) -> float:
-        _check_point(self, x)
+        _check_point(self.dim, "objective", x)
         return float(norm(x - self.shift) ** self.p / self.p)
 
     def gradient(self, x: Vec) -> Vec:
-        _check_point(self, x)
+        _check_point(self.dim, "objective", x)
         return _pnorm_gradient(self.p, x - self.shift)
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
-        _check_point(self, x)
+        _check_point(self.dim, "objective", x)
         r = x - self.shift
         return float(norm(r) ** self.p / self.p), _pnorm_gradient(self.p, r)
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
-        _check_point(self, x, d)
+        _check_point(self.dim, "objective", x, d)
         return _PNormSegment(self.p, x - self.shift, d)
 
 
@@ -206,13 +200,13 @@ class Quadratic:
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
         """One product with Q for both the value and the gradient."""
-        _check_point(self, x)
+        _check_point(self.dim, "objective", x)
         Qx = self.Q @ x
         return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
         """One product with Q, for Qd; each decrease(t) is then O(1)."""
-        _check_point(self, d)
+        _check_point(self.dim, "objective", d)
         return _QuadraticSegment(g, d, self.Q @ d)
 
 
@@ -238,7 +232,7 @@ class LogSumExp:
         return self.rows.shape[1]
 
     def _scores(self, x: Vec) -> Vec:
-        _check_point(self, x)
+        _check_point(self.dim, "objective", x)
         return self.rows @ x + self.offsets
 
     def value(self, x: Vec) -> float:
@@ -253,7 +247,7 @@ class LogSumExp:
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
         """One pass over the rows for both the scores at x and A d."""
-        _check_point(self, x, d)
+        _check_point(self.dim, "objective", x, d)
         xd = self.rows @ np.column_stack((x, d))
         return _LogSumExpSegment(self.rows, xd[:, 0] + self.offsets, xd[:, 1])
 

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import Vec, as_vector, dot, norm
+from .core import Vec, _check_point, as_vector, dot, norm
 
 __all__ = [
     "Box",
@@ -52,11 +52,6 @@ class IntersectionError(RuntimeError):
         super().__init__(message)
         self.patterns_tried = patterns_tried
         self.base_projections = base_projections
-
-
-def _check_dim(set_dim: int, x: Vec) -> None:
-    if x.shape != (set_dim,):
-        raise ValueError(f"point of shape {x.shape} does not match set dimension {set_dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +78,11 @@ class Box:
         return self.lower.shape[0]
 
     def project(self, x: Vec) -> Vec:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         return np.clip(x, self.lower, self.upper)
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
@@ -108,7 +103,7 @@ class Ball:
         return self.center.shape[0]
 
     def project(self, x: Vec) -> Vec:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         d = x - self.center
         dist = norm(d)
         if dist <= self.radius:
@@ -116,7 +111,7 @@ class Ball:
         return self.center + (self.radius / dist) * d
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         return norm(x - self.center) <= self.radius + tol
 
 
@@ -141,7 +136,7 @@ class _Plane:
         return self.normal.shape[0]
 
     def _excess(self, x: Vec) -> float:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         return dot(self.normal, x) - self.offset
 
     def _shift(self, x: Vec, excess: float) -> Vec:
@@ -157,7 +152,7 @@ class Halfspace(_Plane):
         return x.copy() if excess <= 0.0 else self._shift(x, excess)
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
-        _check_dim(self.dim, x)
+        _check_point(self.dim, "set", x)
         return dot(self.normal, x) <= self.offset + tol
 
 

@@ -15,16 +15,18 @@ Every step maps one state, the iterate with its value and gradient, to the
 next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
 the same prelude: one projection of a gradient step at the strategy's own
 stepsize, whose gap to the iterate gives the natural residual when that
-stepsize is 1.
+stepsize is 1, and which raises the entry stops itself.
 
 Every stop is the step's own: a step that stops raises it with the
 ``SolveStatus`` that ends the run and the line-search trials it spent, so a
-record always describes a step that was taken.  The driver owns the loop,
-the one mapping of every end of a run to a ``SolveStatus``, the subsampled
-trace and the final report, and names no strategy.  After every step it
-feeds the strategy's runtime monitors, accumulators over the inequalities
-the iteration is known to satisfy, with the step's record and the two
-states, values the step already holds.
+record always describes a step that was taken.  A failed intersection
+projection ends the anchored step as such a stop, counting its search's
+trials.  The driver owns the loop, the one mapping of a stop or a failed
+line search to a ``SolveStatus``, the subsampled trace and the final
+report, and names no strategy.  After every step it feeds the strategy's
+runtime monitors, accumulators over the inequalities the iteration is known
+to satisfy, with the step's record and the two states, values the step
+already holds.
 """
 
 from __future__ import annotations
@@ -159,22 +161,6 @@ def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _Poin
     return _Point(x, k, *value_and_grad(obj, x), f_lev)
 
 
-def _projected_step(
-    inst: ProblemInstance, x: Vec, g: Vec, beta: float
-) -> tuple[Vec, float, float, float, int]:
-    """Per-iteration prelude of every strategy, from the gradient g at x:
-    projected step w = P_C(x - beta g), gap ||x - w||, natural residual (the
-    gap itself when beta is 1), descent gap <g, x - w> and the number of
-    projections made."""
-    set_ = inst.feasible_set
-    w = set_.project(x - beta * g)
-    d = x - w
-    gap = norm(d)
-    if beta == 1.0:
-        return w, gap, gap, dot(g, d), 1
-    return w, gap, _gap(set_, x, g), dot(g, d), 2
-
-
 class _Stop(Exception):
     """The end of a run that a step decides, with the line-search trials the
     step spent before it (only the anchored step stops after its search)."""
@@ -184,20 +170,32 @@ class _Stop(Exception):
         self.status, self.trials = status, trials
 
 
-def _entry_stop(
-    cfg: SolverConfig, f: float, gap: float, residual: float, descent_gap: float = math.inf, fixed_point: bool = True
-) -> None:
-    """Pre-step stop, raised as _Stop: NON_FINITE when the value at the
-    iterate or the gap of its projected step is not finite (a NaN or
-    infinite value or gradient reaches both), FIXED_POINT_STOP (when tested)
-    when the projected step does not move or gives no descent,
-    OPTIMAL_RESIDUAL at the residual tolerance."""
+def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: float, descent: bool = False,
+             fixed_point: bool = True) -> tuple[Vec, float, float, float, int]:
+    """Per-iteration prelude of every strategy, from the value f and the
+    gradient g at the iterate x: the projected step w = P_C(x - beta g), the
+    gap ||x - w||, the natural residual (the gap itself when beta is 1), the
+    descent gap <g, x - w> and the number of projections made.
+
+    Raises the entry stops as _Stop: NON_FINITE when f or the gap is not
+    finite (a NaN or infinite value or gradient reaches both);
+    FIXED_POINT_STOP, when fixed_point, if the projected step does not move
+    or, when descent, gives no descent; OPTIMAL_RESIDUAL at the residual
+    tolerance."""
+    x, _, f, g, _ = state
+    set_ = inst.feasible_set
+    w = set_.project(x - beta * g)
+    d = x - w
+    gap = norm(d)
+    residual, projections = (gap, 1) if beta == 1.0 else (_gap(set_, x, g), 2)
+    descent_gap = dot(g, d)
     if not (math.isfinite(f) and math.isfinite(gap)):
         raise _Stop(SolveStatus.NON_FINITE)
-    if fixed_point and (gap <= _FIXED_POINT_TOL or descent_gap <= 0.0):
+    if fixed_point and (gap <= _FIXED_POINT_TOL or (descent and descent_gap <= 0.0)):
         raise _Stop(SolveStatus.FIXED_POINT_STOP)
     if residual <= cfg.residual_tol:
         raise _Stop(SolveStatus.OPTIMAL_RESIDUAL)
+    return w, gap, residual, descent_gap, projections
 
 
 def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
@@ -214,8 +212,7 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     projection_gap_bound and vanishing_product margins."""
     x, k, f, g, _ = state
     beta = cfg.beta
-    w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
-    _entry_stop(cfg, f, gap, residual, descent_gap)
+    w, gap, residual, descent_gap, projections = _prelude(inst, cfg, state, beta, descent=True)
     ls = armijo_feasible_direction(
         inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
@@ -239,13 +236,13 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     level lies within the rounding of the cut's offset below the value, or
     once the projection lands within the fixed-point tolerance of the
     iterate: x_{k+1} = x_k leaves the value, gradient and level as they are,
-    so every later step would return it too.
+    so every later step would return it too.  A projection that fails
+    raises INTERSECTION_FAILURE, with the search's trials.
     """
     obj = inst.objective
     x, k, f, g, f_lev = state
     beta = cfg.beta
-    w, gap, residual, descent_gap, projections = _projected_step(inst, x, g, beta)
-    _entry_stop(cfg, f, gap, residual, descent_gap)
+    w, gap, residual, descent_gap, projections = _prelude(inst, cfg, state, beta, descent=True)
     ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
@@ -264,7 +261,10 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
         if dist_anchor > 0.0:
             # the anchor cut is the whole space while the iterate is the anchor
             cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
-        x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
+        try:
+            x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
+        except IntersectionError:
+            raise _Stop(SolveStatus.INTERSECTION_FAILURE, ls.trials)
         if norm(x_next - x) > _FIXED_POINT_TOL:
             rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
                                 gap=gap, projections=projections)
@@ -293,8 +293,7 @@ def _classic_step(
         if grad_norm == 0.0:
             raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w, gap, residual, _, projections = _projected_step(inst, x, g, beta)
-    _entry_stop(cfg, f, gap, residual, fixed_point=strategy != "b")
+    w, _, residual, _, projections = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
     trials = 0
     if strategy == "b":
         ls = armijo_boundary(
@@ -325,11 +324,11 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     whose value or projected step is not finite (NON_FINITE, read from the
     value and the projection gap each step holds anyway); otherwise on the
     iteration cap.  A failed line search ends the run as
-    LINE_SEARCH_FAILURE, its trials counted; a failed intersection
-    projection as INTERSECTION_FAILURE: under the anchored method's
-    assumptions the cuts always keep the solution set, so a failed
-    projection indicates a bug or numerically violated assumption rather
-    than a recoverable event.
+    LINE_SEARCH_FAILURE, its trials counted.  The anchored step stops on a
+    failed intersection projection as INTERSECTION_FAILURE, its search's
+    trials counted: under the anchored method's assumptions the cuts always
+    keep the solution set, so a failed projection indicates a bug or
+    numerically violated assumption rather than a recoverable event.
 
     The trace keeps every trace_stride-th step record and the last one; the
     monitors see every step, so they are reported at any trace_stride.
@@ -353,8 +352,6 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
         status, trials = stop.status, trials + stop.trials
     except LineSearchError as exc:
         status, trials = SolveStatus.LINE_SEARCH_FAILURE, trials + exc.trials
-    except IntersectionError:
-        status = SolveStatus.INTERSECTION_FAILURE
     if last is not None and trace[-1] is not last:
         trace.append(last)
     # the report reads a fresh value and gradient: c's state carries them

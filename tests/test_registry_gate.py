@@ -2,13 +2,17 @@
 
 Every registry instance is solved by strategies a (beta 0.5), b, c, d and A2
 at the default config, and the status, the iteration count and the final
-point (as float.hex strings) must match the table exactly.  A change that
-claims to leave the arithmetic as it is keeps this table unchanged.
+point (as float.hex strings) must match the table exactly.  A second table
+pins the same runs' accounting and monitors: the line-search trials, the
+projections, and each monitor's verdict and worst margin (as float.hex).
+A change that claims to leave the arithmetic as it is keeps both tables
+unchanged.
 
-The table was generated with numpy 2.4 and its bundled OpenBLAS on x86-64.
-Another BLAS or LAPACK build may round a dot product or pinv's SVD in the
-last bit, which the 5000-step capped runs of strategy d carry into their
-final points; compare such a build's table at an unchanged commit first.
+The tables were generated with numpy 2.4 and its bundled OpenBLAS on
+x86-64.  Another BLAS or LAPACK build may round a dot product or pinv's SVD
+in the last bit, which the 5000-step capped runs of strategy d carry into
+their final points and margins; compare such a build's tables at an
+unchanged commit first.
 """
 
 import pytest
@@ -51,9 +55,77 @@ PINNED = [
     ('quadratic-box', 'A2', 'fixed_point_stop', 5, ('0x1.ffffffffffff8p-1', '0x1.ffffffffffff8p-1')),
 ]
 
+# (instance, strategy, inner_trials, projections, {monitor: (passed, worst_margin)})
+ACCOUNTING = [
+    ('flat-quadratic', 'a', 0, 54, {}),
+    ('flat-quadratic', 'b', 0, 1, {'descent': (True, '0x1.0000000000000p-1')}),
+    ('flat-quadratic', 'c', 0, 1, {'descent': (True, '0x1.0000000000000p-1'),
+        'projection_gap_bound': (True, '0x0.0p+0'), 'vanishing_product': (True, '0x0.0p+0'),
+        'quasi_fejer': (True, '0x1.3880000000000p+13'), 'epsilon_sum': (True, '0x1.000010c6f8000p+0')}),
+    ('flat-quadratic', 'd', 0, 1, {'exogenous_step_bound': (True, '0x0.0p+0')}),
+    ('flat-quadratic', 'A2', 0, 27, {'anchor_monotone': (True, '0x1.0000000000000p-27'),
+        'level_monotone': (True, '0x0.0p+0'), 'level_sandwich': (True, '0x0.0p+0'),
+        'level_gap_step': (True, '0x0.0p+0'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '-0x0.0p+0')}),
+    ('line-1d', 'a', 0, 2, {}),
+    ('line-1d', 'b', 0, 1, {'descent': (True, '0x1.8000000000000p+0')}),
+    ('line-1d', 'c', 0, 1, {'descent': (True, '0x1.8000000000000p+0'),
+        'projection_gap_bound': (True, '0x1.0000000000000p+0'), 'vanishing_product': (True, '0x0.0p+0'),
+        'quasi_fejer': (True, '0x1.d4c0000000000p+14'), 'epsilon_sum': (True, '0x1.000010c6f8000p+0')}),
+    ('line-1d', 'd', 0, 2, {'exogenous_step_bound': (True, '0x0.0p+0')}),
+    ('line-1d', 'A2', 0, 5, {'anchor_monotone': (True, '0x1.8f19240000000p-25'),
+        'level_monotone': (True, '0x0.0p+0'), 'level_sandwich': (True, '0x0.0p+0'),
+        'level_gap_step': (True, '-0x1.f800000000000p-53'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '0x0.0p+0')}),
+    ('pnorm1p5-box', 'a', 0, 54, {}),
+    ('pnorm1p5-box', 'b', 0, 3, {'descent': (True, '0x1.8e7840f600000p-22')}),
+    ('pnorm1p5-box', 'c', 0, 3, {'descent': (True, '0x1.8e7840f000000p-22'),
+        'projection_gap_bound': (True, '0x1.2000000000000p-69'),
+        'vanishing_product': (True, '0x1.e2b2c96d90000p-66'), 'quasi_fejer': (True, '0x1.e669cb4c98874p-8'),
+        'epsilon_sum': (True, '0x1.24dfe4862c000p+0')}),
+    ('pnorm1p5-box', 'd', 0, 10000, {'exogenous_step_bound': (True, '0x0.0p+0')}),
+    ('pnorm1p5-box', 'A2', 0, 24, {'anchor_monotone': (True, '0x1.0b01020000000p-26'),
+        'level_monotone': (True, '0x0.0p+0'), 'level_sandwich': (True, '0x0.0p+0'),
+        'level_gap_step': (True, '0x1.0000000000000p-53'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '-0x0.0p+0')}),
+    ('pnorm4-ball', 'a', 0, 34, {}),
+    ('pnorm4-ball', 'b', 0, 4, {'descent': (True, '0x1.45343dc000000p-27')}),
+    ('pnorm4-ball', 'c', 0, 4, {'descent': (True, '0x1.4534402000000p-27'),
+        'projection_gap_bound': (True, '0x1.45343e4e8ed96p-28'),
+        'vanishing_product': (True, '0x1.0665879eecd97p-80'), 'quasi_fejer': (True, '0x1.8cfa4587ee62ep-13'),
+        'epsilon_sum': (True, '0x1.764909eca0000p+1')}),
+    ('pnorm4-ball', 'd', 0, 10000, {'exogenous_step_bound': (True, '0x1.a36e2b607eef0p-13')}),
+    ('pnorm4-ball', 'A2', 0, 22, {'anchor_monotone': (True, '0x1.a035048000000p-26'),
+        'level_monotone': (True, '0x0.0p+0'), 'level_sandwich': (True, '0x0.0p+0'),
+        'level_gap_step': (True, '0x1.0000000000000p-53'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '-0x0.0p+0')}),
+    ('pnorm4-ball-far', 'a', 0, 24, {}),
+    ('pnorm4-ball-far', 'b', 0, 17, {'descent': (True, '0x0.0p+0')}),
+    ('pnorm4-ball-far', 'c', 0, 17, {'descent': (True, '0x1.6000000000000p-47'),
+        'projection_gap_bound': (True, '0x1.d0f9b6bf5270cp-49'),
+        'vanishing_product': (True, '0x1.73830bfecb734p-54'), 'quasi_fejer': (True, '0x1.d4bf2f064940bp-35'),
+        'epsilon_sum': (True, '0x1.5efc55d600000p+1')}),
+    ('pnorm4-ball-far', 'd', 0, 10000, {'exogenous_step_bound': (True, '0x1.a36d7685b8afcp-13')}),
+    ('pnorm4-ball-far', 'A2', 0, 23, {'anchor_monotone': (True, '0x1.1b9effe000000p-25'),
+        'level_monotone': (True, '0x1.8000000000000p-46'), 'level_sandwich': (True, '0x1.0000000000000p-48'),
+        'level_gap_step': (True, '0x1.7ffc90524f197p-48'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '-0x0.0p+0')}),
+    ('quadratic-box', 'a', 0, 2, {}),
+    ('quadratic-box', 'b', 0, 1, {'descent': (True, '0x1.8000000000000p+1')}),
+    ('quadratic-box', 'c', 0, 1, {'descent': (True, '0x1.8000000000000p+1'),
+        'projection_gap_bound': (True, '0x1.ffffffffffffep+0'), 'vanishing_product': (True, '0x0.0p+0'),
+        'quasi_fejer': (True, '0x1.d4c0000000000p+15'), 'epsilon_sum': (True, '0x1.000008637c000p+1')}),
+    ('quadratic-box', 'd', 0, 4, {'exogenous_step_bound': (True, '0x1.0000000000000p-53')}),
+    ('quadratic-box', 'A2', 0, 5, {'anchor_monotone': (True, '0x1.1a347e3000000p-24'),
+        'level_monotone': (True, '0x0.0p+0'), 'level_sandwich': (True, '0x0.0p+0'),
+        'level_gap_step': (True, '-0x1.7000000000000p-53'), 'ball_containment': (True, '0x0.0p+0'),
+        'cuts_keep_solution': (True, '-0x0.0p+0')}),
+]
+
 
 def test_table_covers_every_instance_and_strategy():
     assert [(iid, s) for iid, s, *_ in PINNED] == [(iid, s) for iid in list_instances() for s in CONFIGS]
+    assert [(iid, s) for iid, s, *_ in ACCOUNTING] == [(iid, s) for iid, s, *_ in PINNED]
 
 
 @pytest.mark.parametrize("instance, strategy, status, iterations, final_x", PINNED,
@@ -62,3 +134,12 @@ def test_registry_run_is_bit_identical(instance, strategy, status, iterations, f
     rep = solve(get_instance(instance), CONFIGS[strategy], strategy)
     assert (rep.status.value, rep.iterations) == (status, iterations)
     assert tuple(float(v).hex() for v in rep.final_x) == final_x
+
+
+@pytest.mark.parametrize("instance, strategy, inner_trials, projections, monitors", ACCOUNTING,
+                         ids=[f"{iid}-{s}" for iid, s, *_ in ACCOUNTING])
+def test_registry_run_accounting_and_monitors_are_bit_identical(instance, strategy, inner_trials, projections,
+                                                                monitors):
+    rep = solve(get_instance(instance), CONFIGS[strategy], strategy)
+    assert (rep.inner_trials, rep.projections) == (inner_trials, projections)
+    assert {name: (m.passed, float(m.worst_margin).hex()) for name, m in rep.monitors.items()} == monitors

@@ -322,6 +322,11 @@ def test_intersection_oracle_equivalence_regression_seeds():
 def test_set_validation():
     with pytest.raises(ValueError):
         Box(lower=np.array([1.0]), upper=np.array([0.0]))
+    for lower, upper in [(np.zeros((2, 2)), np.ones((2, 2))), (np.zeros(2), np.ones(3))]:
+        with pytest.raises(ValueError, match="^box bounds must be 1-D vectors of equal length$"):
+            Box(lower=lower, upper=upper)
+    with pytest.raises(ValueError, match="^box bounds must not be NaN$"):
+        Box(lower=np.array([0.0, np.nan]), upper=np.ones(2))
     with pytest.raises(ValueError):
         Ball(center=np.zeros(2), radius=0.0)
     # Halfspace and Hyperplane share their validation; each message names its own set
@@ -527,11 +532,14 @@ def test_intersection_face_point_holds_the_simplex_plane_and_the_cuts(cuts):
 ])
 def test_intersection_raises_when_cuts_miss_the_base(base):
     # x1 >= 3 misses every base, alone or with x1 + x2 + x3 <= -2; that one
-    # alone misses every base bounded below
+    # alone misses every base bounded below, and with x1 <= 0.3 too (on the
+    # simplex the sum is constant, which the face search meets as a residual
+    # of zero curvature)
     far = Halfspace(normal=-np.eye(3)[0], offset=-3.0)
     below = Halfspace(normal=np.ones(3), offset=-2.0)
+    side = Halfspace(normal=np.eye(3)[0], offset=0.3)
     bounded = not isinstance(base, Box) or bool(np.all(np.isfinite(base.lower)))
-    for cuts in [[far], [far, below], [below, far]] + [[below]] * bounded:
+    for cuts in [[far], [far, below], [below, far]] + [[below], [below, side]] * bounded:
         with pytest.raises(IntersectionError):
             project_intersection(base, cuts, np.array([0.2, 0.3, 0.1]))
 

@@ -183,14 +183,18 @@ def test_anchored_stop_keeps_its_search_trials():
     cfg = SolverConfig(delta=0.9)
     rep = solve(inst, cfg, "A2")
     assert rep.status is SolveStatus.FIXED_POINT_STOP and rep.iterations == 103
-    x = rep.final_x
-    f, g = value_and_grad(inst.objective, x)
-    w = inst.feasible_set.project(x - cfg.beta * g)
-    stopping = armijo_feasible_direction(
-        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
-    ).trials
+    stopping = _search_trials(inst, cfg, rep.final_x)
     assert stopping > 0
     assert rep.inner_trials - sum(r.inner_trials for r in rep.trace) == stopping
+
+
+def _search_trials(inst, cfg, x):
+    """Trials of the feasible-direction search that a step from x runs."""
+    f, g = value_and_grad(inst.objective, x)
+    w = inst.feasible_set.project(x - cfg.beta * g)
+    return armijo_feasible_direction(
+        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+    ).trials
 
 
 def test_quasi_fejer_epsilon_stationary_is_zero():
@@ -403,7 +407,7 @@ def test_classic_rejects_unknown_strategy():
 
 def test_intersection_failure_surfaces_in_status(monkeypatch):
     import projgrad.solver as solver_module
-    from projgrad.sets import IntersectionError
+    from projgrad.sets import IntersectionError, project_intersection
 
     def exploding(base, cuts, anchor):
         raise IntersectionError("forced")
@@ -411,6 +415,23 @@ def test_intersection_failure_surfaces_in_status(monkeypatch):
     monkeypatch.setattr(solver_module, "project_intersection", exploding)
     rep = solve(get_instance("flat-quadratic"), SolverConfig(), "A2")
     assert rep.status is SolveStatus.INTERSECTION_FAILURE
+
+    # the failing step's search runs before its projection: the stop counts
+    # that search's trials, though the step makes no record
+    calls = []
+
+    def fails_at_50th(base, cuts, anchor):
+        calls.append(1)
+        if len(calls) == 50:
+            raise IntersectionError("forced")
+        return project_intersection(base, cuts, anchor)
+
+    monkeypatch.setattr(solver_module, "project_intersection", fails_at_50th)
+    inst, cfg = get_instance("pnorm4-ball"), SolverConfig(delta=0.9)
+    rep = solve(inst, cfg, "A2")
+    assert rep.status is SolveStatus.INTERSECTION_FAILURE and rep.iterations == 49
+    assert sum(r.inner_trials for r in rep.trace) == 142
+    assert rep.inner_trials == 142 + _search_trials(inst, cfg, rep.final_x) == 144
 
 
 def test_instance_requires_feasible_start():
