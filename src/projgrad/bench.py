@@ -181,10 +181,10 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
-def load_spec(path: str | Path, strategy: Optional[str] = None) -> RunSpec:
-    """Load and validate a run spec file; strategy, when given, replaces the
-    spec's own.  Every rejection is a ValueError that names the file; an
-    infeasible start gives its distance to the set."""
+def load_spec(path: str | Path, strategy: Optional[str] = None, **config) -> RunSpec:
+    """Load and validate a run spec file; strategy and each config key, when
+    not None, replace the spec's own.  Every rejection is a ValueError that
+    names the file; an infeasible start gives its distance to the set."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -194,7 +194,7 @@ def load_spec(path: str | Path, strategy: Optional[str] = None) -> RunSpec:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        return _spec_from_json(raw, strategy)
+        return _spec_from_json(raw, strategy, {k: v for k, v in config.items() if v is not None})
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -205,9 +205,9 @@ def load_spec(path: str | Path, strategy: Optional[str] = None) -> RunSpec:
 _STRATEGY_PARAMS = {"a": "beta", "d": "exo_constant"}
 
 
-def _spec_from_json(raw, strategy: Optional[str]) -> RunSpec:
-    """The spec of a parsed spec file, run with strategy when given; a
-    missing field raises KeyError."""
+def _spec_from_json(raw, strategy: Optional[str], overrides: dict) -> RunSpec:
+    """The spec of a parsed spec file, run with strategy when given and the
+    config overrides; a missing field raises KeyError."""
     raw = _json_object(raw, "a spec")
     if strategy is None:
         strategy = raw.get("strategy", "c")
@@ -220,7 +220,7 @@ def _spec_from_json(raw, strategy: Optional[str]) -> RunSpec:
         problem, problem_id = problem_from_json(problem_field), "inline"
     else:
         raise ValueError("'problem' must be a registry id or an inline object")
-    raw_config = _json_object(raw.get("config", {}), "'config'")
+    raw_config = {**_json_object(raw.get("config", {}), "'config'"), **overrides}
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ValueError(f"'output' must be a string, got {type(output).__name__}")

@@ -37,14 +37,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            spec = load_spec(args.spec, args.strategy)
-            overrides = {}
-            if args.max_iters is not None:
-                overrides["max_outer_iters"] = args.max_iters
-            if args.tol is not None:
-                overrides["residual_tol"] = args.tol
-            if overrides:
-                spec = dataclasses.replace(spec, config=dataclasses.replace(spec.config, **overrides))
+            spec = load_spec(args.spec, args.strategy, max_outer_iters=args.max_iters, residual_tol=args.tol)
             row, code = run_spec(spec, out_prefix=args.out)
             print(json.dumps(dataclasses.asdict(row), indent=2))
             return code

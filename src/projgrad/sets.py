@@ -118,14 +118,16 @@ class Ball:
 @dataclass(frozen=True, eq=False)
 class _Plane:
     """The body of Halfspace and Hyperplane: a nonzero normal and a finite
-    offset, the excess <normal, x> - offset and the shift along the normal."""
+    offset, the excess <normal, x> - offset and the shift along the normal.
+    Validation keeps the normal's norm as _normal_size, not a dataclass field."""
 
     normal: Vec
     offset: float
 
     def __post_init__(self) -> None:
         n = as_vector(self.normal)
-        if norm(n) == 0.0:
+        object.__setattr__(self, "_normal_size", norm(n))
+        if self._normal_size == 0.0:
             raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError(f"{type(self).__name__.lower()} offset must be finite, got {self.offset}")
@@ -232,11 +234,12 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     nearest point is x = P_base(anchor - sum_i lam_i n_i), so the patterns
     of binding cuts -- none, each one alone, then both -- are solved in turn
     as equalities <n_i, x> = b_i through their multipliers; the solve
-    returns a point only when it holds its pinned planes.  A pattern whose
-    multipliers are nonnegative and at whose point every unpinned cut holds
-    satisfies the KKT system of the projection, which certifies the point.
-    Each pattern starts its search from the pattern that pins its cuts after
-    the first, solved before it.
+    returns a point only when its check finds the pinned planes holding.  A
+    pattern whose multipliers are nonnegative and at whose point every
+    unpinned cut holds satisfies the KKT system of the projection, which
+    certifies the point; the certificate measures only the unpinned cuts,
+    so each cut is measured once per point (_excesses).  Each pattern
+    starts from the pattern pinning its cuts after the first, solved before it.
 
     More than two cuts raise ValueError.  When no pattern certifies,
     IntersectionError carries the number of patterns tried and the base
@@ -244,7 +247,7 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     """
     if len(cuts) > 2:
         raise ValueError(f"project_intersection handles at most two cuts, got {len(cuts)}")
-    spent = 0
+    spent, size = 0, norm(anchor)
 
     def project(y: Vec) -> Vec:
         nonlocal spent
@@ -254,13 +257,13 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     solved = {}
     for count in range(len(cuts) + 1):
         for pinned in itertools.combinations(range(len(cuts)), count):
-            found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, solved.get(pinned[1:]))
+            found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, size, solved.get(pinned[1:]))
             solved[pinned] = found
             if found is None:
                 continue
             x, lam = found
-            checks = _excesses(cuts, x, anchor)
-            if all(m >= 0.0 for m in lam) and all(v <= s for i, (v, s) in enumerate(checks) if i not in pinned):
+            free = [c for i, c in enumerate(cuts) if i not in pinned]
+            if all(m >= 0.0 for m in lam) and all(v <= s for v, s in _excesses(free, x, size)):
                 return x
     raise IntersectionError(
         "no pattern of binding cuts certifies a projection onto the intersection",
@@ -275,30 +278,34 @@ def _slack(offset: float, normal_size: float, x_size: float, size: float) -> flo
     return _REL_TOL * (abs(offset) + normal_size * (x_size + size))
 
 
-def _excesses(cuts: list[Halfspace], x: Vec, anchor: Vec) -> list[tuple[float, float]]:
-    """(<n, x> - b, its rounding allowance) for each cut, x projected from anchor."""
-    x_size, size = norm(x), norm(anchor)
-    return [(float(c.normal @ x) - c.offset, _slack(c.offset, norm(c.normal), x_size, size)) for c in cuts]
+def _excesses(cuts: list[Halfspace], x: Vec, size: float) -> list[tuple[float, float]]:
+    """(<n, x> - b, its rounding allowance) for each cut, x projected from an
+    anchor of norm size; the allowance reads the norm of n the cut took when
+    it was built.  The certificate passes the unpinned cuts, the pinned check
+    of _pinned_projection the pinned ones."""
+    x_size = norm(x)
+    return [(float(c.normal @ x) - c.offset, _slack(c.offset, c._normal_size, x_size, size)) for c in cuts]
 
 
 Found = Optional[tuple[Vec, np.ndarray]]
 
 
-def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anchor: Vec, start: Found) -> Found:
+def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anchor: Vec, size: float,
+                       start: Found) -> Found:
     """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i
     of the pinned cuts, with the planes' multipliers lam: anchor - x -
     sum_i lam_i n_i lies in the normal cone of base at x.  None when the
     point found does not hold its planes within rounding, as when they miss
-    the base.  project is the base projection; start is the projection
-    pinned to the planes after the first (None when there is none), where
-    the first plane's multiplier is 0."""
+    the base.  project is the base projection and size the anchor's norm;
+    start is the projection pinned to the planes after the first (None when
+    there is none), where the first plane's multiplier is 0."""
     if not pinned:
         return project(anchor), np.zeros(0)
     if isinstance(base, (Box, Simplex)):
         found = None if start is None else _polyhedral_pinned(base, project, pinned, anchor, start)
         # the searches end on the point nearest the planes, which holds them
         # only where they meet the base
-        if found is None or any(abs(v) > s for v, s in _excesses(pinned, found[0], anchor)):
+        if found is None or any(abs(v) > s for v, s in _excesses(pinned, found[0], size)):
             return None
         return found
     A, b = np.array([c.normal for c in pinned]), np.array([c.offset for c in pinned])
@@ -310,7 +317,7 @@ def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anch
         found = _planes(A, b)(anchor)
         if found is None:
             return None
-        if base.contains(found[0], _slack(base.offset, norm(base.normal), norm(found[0]), norm(anchor))):
+        if base.contains(found[0], _slack(base.offset, base._normal_size, norm(found[0]), size)):
             return found
     # a hyperplane base pins its row; a halfspace base pins it once the
     # planes' projection leaves it, and then needs a nonnegative multiplier

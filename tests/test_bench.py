@@ -419,12 +419,28 @@ def test_cli_solve_and_instances(tmp_path, capsys):
     assert "quadratic-box" in capsys.readouterr().out
 
 
-def test_cli_strategy_and_tolerance_overrides(tmp_path, capsys):
-    spec_path = write_spec(tmp_path, "qb.json", {"problem": "line-1d", "strategy": "c"})
+def test_cli_strategy_and_tolerance_overrides(tmp_path, capsys, monkeypatch):
+    spec_path = write_spec(tmp_path, "qb.json", {"problem": "line-1d", "strategy": "c",
+                                                 "config": {"residual_tol": 1e-3, "delta": 0.5}})
+    configs = []
+    monkeypatch.setattr("projgrad.cli.run_spec",
+                        lambda spec, out_prefix: configs.append(spec.config) or run_spec(spec, out_prefix))
     code = main(["solve", "--spec", str(spec_path), "--strategy", "A2", "--max-iters", "50", "--tol", "1e-6"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["strategy"] == "A2"
+    # the overrides replace the spec's values and keep the rest of its config
+    assert [(c.max_outer_iters, c.residual_tol, c.delta) for c in configs] == [(50, 1e-6, 0.5)]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "residual_tol must be positive and finite, got -1.0"),
+    ("--max-iters", "0", "max_outer_iters must be at least 1"),
+])
+def test_cli_config_override_fails_like_the_spec_config(tmp_path, capsys, flag, value, message):
+    path = write_spec(tmp_path, "qb.json", {"problem": "quadratic-box", "strategy": "c"})
+    assert main(["solve", "--spec", str(path), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {path}: bad config: {message}\n"
 
 
 def test_cli_compare_and_oracle(tmp_path, capsys):

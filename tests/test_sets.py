@@ -524,6 +524,21 @@ def test_intersection_face_point_holds_the_simplex_plane_and_the_cuts(cuts):
         assert float(c.normal @ x) - c.offset <= allowance
 
 
+def test_intersection_two_cut_simplex_search_ends_on_the_closer_bracket_end():
+    # the 4th intersection projection of the anchored solver on the A2
+    # sweep's seed 2, trial 23: the face-Newton search of the two-cut dual
+    # narrows its bracket until bisection cannot split it, and takes the
+    # end whose residual is closer to 0
+    base = Simplex(scale=float.fromhex("0x1.354584bdb00c9p+0"))
+    anchor = np.array([float.fromhex(v) for v in ("0x1.88e67332a1a6bp-1", "0x1.c3492c917ce4ep-2")])
+    cuts = [Halfspace(normal=np.array([float.fromhex(v) for v in n]), offset=float.fromhex(b)) for n, b in [
+        (("0x1.eabf742906bbcp-2", "0x1.15782dcf42b71p+1"), "0x1.286f2da316756p-1"),
+        (("-0x1.c349280b0c052p-2", "0x1.c349280b0c052p-2"), "-0x1.1098eb0815453p-1"),
+    ]]
+    ref = projection_oracle(base, cuts, anchor, tol=1e-12)
+    assert norm(project_intersection(base, cuts, anchor) - ref) <= 1e-12
+
+
 @pytest.mark.parametrize("base", [
     Box(lower=np.zeros(3), upper=np.ones(3)),
     Box(lower=np.array([0.0, -np.inf, 0.0]), upper=np.array([1.0, 1.0, np.inf])),
