@@ -111,13 +111,13 @@ class SolveStatus(enum.Enum):
 class IterateRecord:
     """Snapshot of iterate k together with the step taken from it.
 
-    residual is the natural residual ||x - P_C(x - grad f(x))|| at the iterate.
+    residual is what the residual stop read: ||x - w|| / min(beta, 1) for the
+    step's projected point w = P_C(x - beta grad f(x)), the natural residual
+    at beta = 1 and an upper bound on it at any other beta.
     f_lev and dist_anchor are filled only by the anchored solver, epsilon_qf
     and gap_margin (<grad f(x), x - w> - gap^2 / beta) only by the Armijo
-    solver, and gap (||x - w|| for the projected step w) by both.
-    projections counts the base projections of the projected gradient step:
-    the projected point, the residual's own projection when the stepsize is
-    not 1, and the rejected trials of the boundary search.
+    solver, and gap (||x - w||) by both.  projections counts the step's base
+    projections: w, and the rejected trials of the boundary search.
     """
 
     k: int
@@ -132,4 +132,4 @@ class IterateRecord:
     dist_anchor: Optional[float] = None
     gap: Optional[float] = None
     gap_margin: Optional[float] = None
-    projections: int = 0
+    projections: int = 1

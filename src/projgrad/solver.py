@@ -13,9 +13,9 @@ strategy supplies a step:
 
 Every step maps one state, the iterate with its value and gradient, to the
 next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
-the same prelude: one projection of a gradient step at the strategy's own
-stepsize, whose gap to the iterate gives the natural residual when that
-stepsize is 1, and which raises the entry stops itself.
+the same prelude: one base projection of a gradient step at the strategy's
+own stepsize beta, whose gap to the iterate over min(beta, 1) is the
+residual the stop reads, and which raises the entry stops itself.
 
 Every stop is the step's own: a step that stops raises it with the
 ``SolveStatus`` that ends the run and the line-search trials it spent, so a
@@ -126,12 +126,7 @@ class RunReport:
 
 def natural_residual(inst: ProblemInstance, x: Vec) -> float:
     """||x - P_C(x - grad f(x))||, zero exactly at solutions."""
-    return _gap(inst.feasible_set, x, inst.objective.gradient(x))
-
-
-def _gap(set_: FeasibleSet, x: Vec, step: Vec) -> float:
-    """||x - P_C(x - step)||: the natural residual for the gradient as step."""
-    return norm(x - set_.project(x - step))
+    return norm(x - inst.feasible_set.project(x - inst.objective.gradient(x)))
 
 
 def quasi_fejer_epsilon(x_k: Vec, alpha: float, w_k: Vec, f_k: float, f_next: float, cfg: SolverConfig) -> float:
@@ -171,11 +166,14 @@ class _Stop(Exception):
 
 
 def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: float, descent: bool = False,
-             fixed_point: bool = True) -> tuple[Vec, float, float, float, int]:
+             fixed_point: bool = True) -> tuple[Vec, float, float, float]:
     """Per-iteration prelude of every strategy, from the value f and the
     gradient g at the iterate x: the projected step w = P_C(x - beta g), the
-    gap ||x - w||, the natural residual (the gap itself when beta is 1), the
-    descent gap <g, x - w> and the number of projections made.
+    step's one base projection, its gap ||x - w||, the residual
+    gap / min(beta, 1) and the descent gap <g, x - w>.  The gap does not
+    decrease as beta grows and the gap over beta does not increase (Calamai
+    and More 1987, Lemma 2.2), so the residual is the natural residual at
+    beta = 1 and bounds it from above at any other beta.
 
     Raises the entry stops as _Stop: NON_FINITE when f or the gap is not
     finite (a NaN or infinite value or gradient reaches both);
@@ -183,11 +181,10 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: floa
     or, when descent, gives no descent; OPTIMAL_RESIDUAL at the residual
     tolerance."""
     x, _, f, g, _ = state
-    set_ = inst.feasible_set
-    w = set_.project(x - beta * g)
+    w = inst.feasible_set.project(x - beta * g)
     d = x - w
     gap = norm(d)
-    residual, projections = (gap, 1) if beta == 1.0 else (_gap(set_, x, g), 2)
+    residual = gap / min(beta, 1.0)
     descent_gap = dot(g, d)
     if not (math.isfinite(f) and math.isfinite(gap)):
         raise _Stop(SolveStatus.NON_FINITE)
@@ -195,7 +192,7 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: floa
         raise _Stop(SolveStatus.FIXED_POINT_STOP)
     if residual <= cfg.residual_tol:
         raise _Stop(SolveStatus.OPTIMAL_RESIDUAL)
-    return w, gap, residual, descent_gap, projections
+    return w, gap, residual, descent_gap
 
 
 def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
@@ -212,14 +209,13 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     projection_gap_bound and vanishing_product margins."""
     x, k, f, g, _ = state
     beta = cfg.beta
-    w, gap, residual, descent_gap, projections = _prelude(inst, cfg, state, beta, descent=True)
+    w, gap, residual, descent_gap = _prelude(inst, cfg, state, beta, descent=True)
     ls = armijo_feasible_direction(
         inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
     )
     eps = quasi_fejer_epsilon(x, ls.alpha, w, f, ls.f_trial, cfg)
     margin = descent_gap - gap**2 / beta
-    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin,
-                        projections=projections)
+    rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
     return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
 
 
@@ -242,7 +238,7 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     obj = inst.objective
     x, k, f, g, f_lev = state
     beta = cfg.beta
-    w, gap, residual, descent_gap, projections = _prelude(inst, cfg, state, beta, descent=True)
+    w, gap, residual, descent_gap = _prelude(inst, cfg, state, beta, descent=True)
     ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
@@ -267,7 +263,7 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
             raise _Stop(SolveStatus.INTERSECTION_FAILURE, ls.trials)
         if norm(x_next - x) > _FIXED_POINT_TOL:
             rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
-                                gap=gap, projections=projections)
+                                gap=gap)
             return _evaluated(obj, x_next, k + 1, f_lev), rec
     raise _Stop(SolveStatus.FIXED_POINT_STOP, ls.trials)
 
@@ -293,7 +289,7 @@ def _classic_step(
         if grad_norm == 0.0:
             raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w, _, residual, _, projections = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
+    w, _, residual, _ = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
     trials = 0
     if strategy == "b":
         ls = armijo_boundary(
@@ -301,7 +297,7 @@ def _classic_step(
             f_k=f, grad_k=g, w_k=w,
         )
         w, beta, trials = ls.trial_point, ls.beta, ls.trials
-    rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=projections + trials)
+    rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=1 + trials)
     return _evaluated(inst.objective, w, k + 1), rec
 
 
@@ -359,7 +355,7 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     # other state holds these very values
     x = state.x
     f, g = value_and_grad(inst.objective, x)
-    report = RunReport(status, n, trace, x, f, _gap(inst.feasible_set, x, g), trials, projections)
+    report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials, projections)
     if n:
         report.monitors = monitors.result(report)
     return report
@@ -430,7 +426,9 @@ class _ArmijoMonitors:
         inst, cfg, x = self.inst, self.cfg, report.final_x
         self.descent.link(report.final_f)
         beta = cfg.beta
-        final_gap = report.final_residual if beta == 1.0 else _gap(inst.feasible_set, x, beta * self.last.g)
+        final_gap = report.final_residual
+        if beta != 1.0:
+            final_gap = norm(x - inst.feasible_set.project(x - beta * self.last.g))
         product = min(self.product, final_gap**2)
         out = {
             "descent": self.descent.result(),

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -29,6 +30,9 @@ from projgrad.bench import status_exit_code
 from projgrad.core import dot, norm
 from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
+from projgrad.solver import STRATEGIES
+
+from test_random_instances import seed_202_instances
 
 
 class CountingSet:
@@ -577,7 +581,7 @@ def test_boundary_solve_reaches_tol_after_long_backtracks(iid):
 )
 def test_solve_projects_once_per_iteration_and_rejected_trial(iid, strategy, cfg, projections):
     # one projection per iteration (the projected step, which is the first
-    # trial of b and gives the residual at unit stepsize), one per rejected
+    # trial of b and gives the residual), one per rejected
     # boundary trial, one for the entry test that ends the run and one for
     # the final residual; the feasible-direction trials project nothing
     base = get_instance(iid)
@@ -592,18 +596,82 @@ def test_solve_projects_once_per_iteration_and_rejected_trial(iid, strategy, cfg
 
 @pytest.mark.parametrize(
     "iid, strategy, cfg, projections",
-    [("pnorm4-ball", "a", SolverConfig(beta=0.5), 34), ("quadratic-box", "d", SolverConfig(exo_constant=1.0), 4)],
+    [("pnorm4-ball", "a", SolverConfig(beta=0.5), 17), ("quadratic-box", "d", SolverConfig(exo_constant=1.0), 2)],
 )
-def test_off_unit_stepsize_counts_the_residual_projection(iid, strategy, cfg, projections):
-    # away from stepsize 1 a step projects twice, once for its projected
-    # point and once for the natural residual; the entry test that ends the
-    # run does the same, and the final residual projects once more
+def test_every_stepsize_projects_once_per_step(iid, strategy, cfg, projections):
+    # away from stepsize 1 too a step projects once: its residual is read
+    # from its own projected point; the entry test that ends the run projects
+    # once more, and so does the final residual
     base = get_instance(iid)
     counting = CountingSet(base.feasible_set)
     inst = ProblemInstance(objective=base.objective, feasible_set=counting, x0=base.x0)
     rep = solve(inst, cfg, strategy)
-    assert rep.projections == 2 * rep.iterations == projections
-    assert counting.projections == projections + 3
+    assert rep.projections == rep.iterations == projections
+    assert counting.projections == projections + 2
+
+
+@pytest.mark.parametrize("iid", list_instances())
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+def test_an_optimal_stop_is_below_tol(iid, strategy, beta):
+    # the stop reads ||x - w|| / min(beta, 1), never below the natural
+    # residual; ||x - w|| / beta alone is, at beta > 1, and would stop
+    # pnorm4-ball under a, b and c at beta 2 with a residual above tol
+    cfg = SolverConfig(beta=beta, max_outer_iters=300)
+    rep = solve(get_instance(iid), cfg, strategy)
+    if rep.status is SolveStatus.OPTIMAL_RESIDUAL:
+        assert rep.final_residual <= cfg.residual_tol
+
+
+def scale_instances():
+    """The quadratic registry instances and the twelve random QPs of seed
+    202, by name."""
+    yield from ((iid, get_instance(iid)) for iid in ("quadratic-box", "line-1d", "flat-quadratic"))
+    yield from ((f"202/{trial}", inst) for trial, inst in seed_202_instances())
+
+
+SCALE_INSTANCES = dict(scale_instances())
+# run name -> (strategy, config); A2 at the budget of the A2 sweep
+SCALE_RUNS = {"a": ("a", SolverConfig(beta=0.5)), "b": ("b", SolverConfig()), "c": ("c", SolverConfig()),
+              "c-beta0.7": ("c", SolverConfig(beta=0.7)), "A2": ("A2", SolverConfig(max_outer_iters=80)),
+              "A2-beta0.7": ("A2", SolverConfig(beta=0.7, max_outer_iters=80))}
+FACE_SOLVE_SCALE = pytest.mark.xfail(
+    strict=True, reason="sets._face_solve pivots its 2x2 system by f's scale (CHANGES.md, FOUND)")
+
+
+@functools.cache
+def scaled_run(name, run, scale):
+    """The report of a run on the instance with f scaled by scale, beta by
+    1/scale and residual_tol by scale."""
+    inst, (strategy, cfg) = SCALE_INSTANCES[name], SCALE_RUNS[run]
+    obj, fstar = inst.objective, inst.known_fstar
+    inst = ProblemInstance(Quadratic(Q=scale * obj.Q, b=scale * obj.b, c=scale * obj.c), inst.feasible_set,
+                           inst.x0, inst.known_solution, None if fstar is None else scale * fstar)
+    return solve(inst, replace(cfg, beta=cfg.beta / scale, residual_tol=scale * cfg.residual_tol), strategy)
+
+
+@pytest.mark.parametrize("name, run, scale, check", [
+    pytest.param(name, run, scale, check, id=f"{name}-{run}-2^{exp}-{check}",
+                 marks=[FACE_SOLVE_SCALE] if (name, run[:2], check) == ("202/9", "A2", "bits") else [])
+    for exp, scale in ((10, 2.0**10), (40, 2.0**40)) for name in SCALE_INSTANCES for run in SCALE_RUNS
+    for check in ("stop", "bits")
+])
+def test_power_of_two_scaling_moves_no_stop(name, run, scale, check):
+    """f -> s f with beta -> beta / s and residual_tol -> s tol, s a power of
+    two, scales every projected step's gradient part, Armijo test and level
+    value exactly, and every stop reads the gap of the step's own projection
+    over min(beta, 1): so each run keeps its stop, its iteration count and
+    its bits.
+
+    d is left out: its stepsize c / ((k + 1) ||g||) exceeds 1 on some steps,
+    where its stop reads the gap itself, which the scaling does not carry
+    (seed 202 trial 7 at 2^40 goes from fixed_point_stop in 1840 iterations
+    to optimal_residual in 176)."""
+    ref, rep = scaled_run(name, run, 1.0), scaled_run(name, run, scale)
+    if check == "stop":
+        assert (rep.status, rep.iterations) == (ref.status, ref.iterations)
+    else:
+        assert rep.final_x.tobytes() == ref.final_x.tobytes()
 
 
 def posthoc_armijo_margins(inst, cfg, rep):
