@@ -39,7 +39,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             spec = load_spec(args.spec, args.strategy, max_outer_iters=args.max_iters, residual_tol=args.tol)
             row, code = run_spec(spec, out_prefix=args.out)
-            print(json.dumps(dataclasses.asdict(row), indent=2))
+            # vars, not dataclasses.asdict, which deep-copies each entry of final_x
+            print(json.dumps(vars(row), indent=2))
             return code
         if args.command == "compare":
             rows = compare_specs([load_spec(p) for p in args.specs])

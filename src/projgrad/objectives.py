@@ -116,9 +116,10 @@ class _PNormSegment:
 
 
 # keys (see _key) of the last _CERTIFIED_MAX matrices that passed _certify,
-# oldest first; no array is kept.  The lock makes insert-and-trim one step
-# for threads that construct at once.
-_CERTIFIED: dict[tuple[tuple[int, ...], int], None] = {}
+# oldest first, each mapped to whether that Q equals its transpose exactly;
+# no array is kept.  The lock makes insert-and-trim one step for threads
+# that construct at once.
+_CERTIFIED: dict[tuple[tuple[int, ...], int], bool] = {}
 _CERTIFIED_MAX = 32
 _CERTIFIED_LOCK = threading.Lock()
 
@@ -131,11 +132,13 @@ def _key(Q: np.ndarray) -> tuple[tuple[int, ...], int]:
     return Q.shape, hash(tuple(hash(Q[i : i + step].tobytes()) for i in range(0, Q.shape[0], step)))
 
 
-def _certify(Q: np.ndarray) -> None:
-    """Raise ValueError unless Q is finite, symmetric and positive semidefinite."""
+def _certify(Q: np.ndarray) -> bool:
+    """Raise ValueError unless Q is finite, symmetric and positive semidefinite;
+    return whether Q equals its transpose exactly."""
     if not np.isfinite(Q).all():
         raise ValueError("Q and c must be finite")
-    if not (np.array_equal(Q, Q.T) or np.allclose(Q, Q.T, atol=1e-12)):
+    exact = np.array_equal(Q, Q.T)
+    if not (exact or np.allclose(Q, Q.T, atol=1e-12)):
         raise ValueError("Q must be symmetric")
     try:
         np.linalg.cholesky(Q)
@@ -143,6 +146,15 @@ def _certify(Q: np.ndarray) -> None:
         eigs = np.linalg.eigvalsh(Q)
         if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
             raise ValueError(f"Q must be positive semidefinite, smallest eigenvalue {eigs.min()}") from None
+    return exact
+
+
+# A product with a vector of at least _SUPPORT_FLOOR entries, at most
+# 1/_SUPPORT_SHARE of them nonzero, reads only the rows of an exactly
+# symmetric Q on the vector's support.  At n = 2000 the row gather breaks
+# even with the full product near n/4 nonzeros.
+_SUPPORT_FLOOR = 64
+_SUPPORT_SHARE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +177,11 @@ class Quadratic:
     kept, not copied: editing it in place after construction goes unchecked
     and can make the objective nonconvex.  b and c are validated on every
     construction.
+
+    Products with Q also rely on what construction certified: when Q was
+    exactly symmetric, a product with a sparse vector reads the rows of Q
+    on its support (see _times).  After an asymmetric in-place edit such an
+    objective computes products with the transpose of the edited Q.
     """
 
     Q: np.ndarray
@@ -179,14 +196,16 @@ class Quadratic:
         if not math.isfinite(self.c):
             raise ValueError("Q and c must be finite")
         key = _key(Q)
-        if key not in _CERTIFIED:
-            _certify(Q)
+        exact = _CERTIFIED.get(key)
+        if exact is None:
+            exact = _certify(Q)
             with _CERTIFIED_LOCK:
-                _CERTIFIED[key] = None
+                _CERTIFIED[key] = exact
                 if len(_CERTIFIED) > _CERTIFIED_MAX:
                     del _CERTIFIED[next(iter(_CERTIFIED))]
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_exactly_symmetric", exact)
 
     @property
     def dim(self) -> int:
@@ -201,13 +220,25 @@ class Quadratic:
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
         """One product with Q for both the value and the gradient."""
         _check_point(self.dim, "objective", x)
-        Qx = self.Q @ x
+        Qx = self._times(x)
         return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
 
     def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
         """One product with Q, for Qd; each decrease(t) is then O(1)."""
         _check_point(self.dim, "objective", d)
-        return _QuadraticSegment(g, d, self.Q @ d)
+        return _QuadraticSegment(g, d, self._times(d))
+
+    def _times(self, v: Vec) -> Vec:
+        """Q v.  For an exactly symmetric Q and a sparse v (see
+        _SUPPORT_FLOOR) this is v[S] @ Q[S] over the support S of v: the
+        rows on S hold the same entries as the columns Q v sums, so only
+        the order of the sum differs.  A zero v then costs no product."""
+        n = v.shape[0]
+        if self._exactly_symmetric and n >= _SUPPORT_FLOOR:
+            S = np.flatnonzero(v)
+            if S.size * _SUPPORT_SHARE <= n:
+                return v[S] @ self.Q[S]
+        return self.Q @ v
 
 
 @dataclass(frozen=True, eq=False)

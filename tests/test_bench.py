@@ -419,6 +419,22 @@ def test_cli_solve_and_instances(tmp_path, capsys):
     assert "quadratic-box" in capsys.readouterr().out
 
 
+def test_cli_solve_prints_the_row_fields(tmp_path, capsys, monkeypatch):
+    spec_path = write_spec(tmp_path, "qb.json", {"problem": "quadratic-box", "strategy": "c"})
+    rows = []
+
+    def recording(spec, out_prefix):
+        row, code = run_spec(spec, out_prefix)
+        rows.append(row)
+        return row, code
+
+    monkeypatch.setattr("projgrad.cli.run_spec", recording)
+    assert main(["solve", "--spec", str(spec_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(vars(rows[0]), indent=2) + "\n"
+    assert out == json.dumps(dataclasses.asdict(rows[0]), indent=2) + "\n"
+
+
 def test_cli_strategy_and_tolerance_overrides(tmp_path, capsys, monkeypatch):
     spec_path = write_spec(tmp_path, "qb.json", {"problem": "line-1d", "strategy": "c",
                                                  "config": {"residual_tol": 1e-3, "delta": 0.5}})

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import weakref
@@ -191,13 +192,95 @@ def test_equal_content_is_certified_once(monkeypatch):
     assert calls == [(50, 50)]
 
 
-def test_in_place_edit_is_certified_again():
+def test_in_place_edit_is_certified_again(monkeypatch):
     Q = _with_spectrum([1.0, 0.5, 0.25, 0.125])
     Quadratic(Q=Q, b=np.zeros(4))
     Q[:] = _with_spectrum([1.0, 0.5, 0.25, -1e-8])
     with pytest.raises(ValueError, match="Q must be positive semidefinite") as excinfo:
         Quadratic(Q=Q, b=np.zeros(4))
     assert float(str(excinfo.value).rsplit(" ", 1)[1]) == np.linalg.eigvalsh(Q).min()
+
+    # an edit that leaves Q symmetric only to np.allclose is certified
+    # again, and products with the new objective then read Q, not its rows
+    Q = _dense_pd(64)
+    assert Quadratic(Q=Q, b=np.zeros(64))._exactly_symmetric
+    Q[0, 1] += 1e-13
+    calls = _count_certify(monkeypatch)
+    edited = Quadratic(Q=Q, b=np.zeros(64))
+    assert calls == [(64, 64)] and not edited._exactly_symmetric
+    assert edited._times(_unit(64, 1))[0] == Q[0, 1] != Q[1, 0]
+
+
+def _count_certify(monkeypatch):
+    """The shapes of the matrices _certify checks from now on."""
+    calls = []
+    certify = objectives._certify
+    monkeypatch.setattr(objectives, "_certify", lambda Q: calls.append(Q.shape) or certify(Q))
+    return calls
+
+
+def _unit(n, i):
+    v = np.zeros(n)
+    v[i] = 1.0
+    return v
+
+
+def _sparse(n, k, seed):
+    """A vector of n entries with k standard normal ones at random places."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros(n)
+    v[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+    return v
+
+
+def test_product_is_the_plain_product_below_the_floor_or_the_share():
+    floor, share = objectives._SUPPORT_FLOOR, objectives._SUPPORT_SHARE
+    cases = [(floor - 1, 1), (3, 1), (floor, floor // share + 1), (2000, 2000 // share + 1), (2000, 2000)]
+    for n, k in cases:
+        Q = _dense_pd(n)
+        q = Quadratic(Q=Q, b=np.zeros(n))
+        assert q._exactly_symmetric
+        v = _sparse(n, k, seed=n + k)
+        assert q._times(v).tobytes() == (Q @ v).tobytes(), (n, k)
+
+
+def test_nearly_symmetric_q_takes_the_plain_product():
+    Q = _dense_pd(64)
+    Q[0, 1] += 1e-13  # symmetric to np.allclose, not exactly
+    q = Quadratic(Q=Q, b=np.zeros(64))
+    assert not q._exactly_symmetric
+    for v in (_unit(64, 1), _sparse(64, 8, seed=5), np.zeros(64)):
+        assert q._times(v).tobytes() == (Q @ v).tobytes()
+    assert q._times(_unit(64, 1))[0] == Q[0, 1]
+
+
+@pytest.mark.parametrize("n", [64, 2000])
+def test_sparse_product_reads_the_support_rows(n):
+    Q = _dense_pd(n)
+    q = Quadratic(Q=Q, b=np.zeros(n))
+    eps = np.finfo(np.float64).eps
+    for k in sorted({1, max(1, n // 100), n // objectives._SUPPORT_SHARE}):
+        v = _sparse(n, k, seed=k)
+        S = np.flatnonzero(v)
+        Qv = q._times(v)
+        assert Qv.tobytes() == (v[S] @ Q[S]).tobytes(), k
+        # each entry is a sum of the same k products as in Q @ v
+        assert np.all(np.abs(Qv - Q @ v) <= 4.0 * eps * (np.abs(Q) @ np.abs(v))), k
+    assert not q._times(np.zeros(n)).any()
+
+
+def test_memo_hit_keeps_the_exact_symmetry_fact(monkeypatch):
+    exact = _dense_pd(64)
+    nearly = exact.copy()
+    nearly[0, 1] += 1e-13
+    first = [Quadratic(Q=Q, b=np.zeros(64))._exactly_symmetric for Q in (exact, nearly)]
+    calls = _count_certify(monkeypatch)
+    again = [Quadratic(Q=Q.copy(), b=np.ones(64))._exactly_symmetric for Q in (exact, nearly)]
+    assert first == again == [True, False] and calls == []
+    # the fact is no dataclass field: fields and repr are those of (Q, b, c)
+    q = Quadratic(Q=np.eye(2), b=np.zeros(2))
+    assert [f.name for f in dataclasses.fields(q)] == ["Q", "b", "c"]
+    assert "_exactly_symmetric" not in repr(q)
 
 
 REJECTED = {name: make for name, (make, verdict) in PSD_VERDICTS.items() if verdict is not None}

@@ -730,13 +730,16 @@ def test_descent_monitor_sees_wrong_segment_decrease():
 
 
 class CountingMatrix:
-    """Stands in for a Quadratic's Q and counts products with it."""
+    """Stands in for a Quadratic's Q and counts products with it: a full
+    product, or a gather of the rows on a vector's support (see
+    Quadratic._times), which is one product with those rows."""
 
     __array_ufunc__ = None  # numpy defers x @ Q to __rmatmul__
 
     def __init__(self, Q):
         self.Q = Q
         self.products = 0
+        self.support_products = 0
 
     def __matmul__(self, v):
         self.products += 1
@@ -746,15 +749,35 @@ class CountingMatrix:
         self.products += 1
         return v @ self.Q
 
+    def __getitem__(self, rows):
+        self.products += 1
+        self.support_products += 1
+        return self.Q[rows]
+
+
+def dense_simplex_qp(n, seed):
+    """dense_box_qp's objective over the unit simplex from its barycentre."""
+    box = dense_box_qp(n, seed)
+    return ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(n, 1.0 / n))
+
 
 def test_feasible_direction_costs_one_product_per_iteration():
-    # value_and_grad at x0 and at the final point, plus Qd once per iteration
-    for inst in (dense_box_qp(500, seed=7), dense_box_qp(40, seed=11), get_instance("quadratic-box")):
+    # value_and_grad at x0 and at the final point, plus Qd once per
+    # iteration, whether the product is full or reads the support's rows;
+    # on the simplex every direction after the first is sparse
+    cases = [
+        (dense_box_qp(500, seed=7), 1),  # x0 = 0 has an empty support
+        (dense_box_qp(40, seed=11), 0),
+        (get_instance("quadratic-box"), 0),
+        (dense_simplex_qp(500, seed=7), 26),
+    ]
+    for inst, support_products in cases:
         counter = CountingMatrix(inst.objective.Q)
         object.__setattr__(inst.objective, "Q", counter)
         rep = solve(inst, SolverConfig(), "c")
         assert rep.iterations > 0
         assert counter.products == rep.iterations + 2
+        assert counter.support_products == support_products
 
 
 def test_feasible_direction_search_makes_no_value_calls(monkeypatch):
@@ -809,9 +832,7 @@ def test_anchored_step_makes_few_base_projections_at_n_1000(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(solver, "project_intersection", flagged)
-    box = dense_box_qp(1000, seed=7)
-    simplex = ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(1000, 1e-3))
-    for inst in (box, simplex):
+    for inst in (dense_box_qp(1000, seed=7), dense_simplex_qp(1000, seed=7)):
         counted[0] = 0
         rep = solve(inst, SolverConfig(residual_tol=1e-6, max_outer_iters=20), "A2")
         assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 20
