@@ -3,11 +3,19 @@
 All objectives are total on the whole space, so line-search trial points that
 fall outside the feasible set are always evaluable.
 
-The objective protocol has four methods.  ``value(x)`` and ``gradient(x)``
+The objective protocol has five methods.  ``value(x)`` and ``gradient(x)``
 are required; ``value_and_grad(x)`` returns both from one evaluation, and
 ``segment(x, f, g, d)`` returns a `Segment` along ``x + t d`` given the value
-f and gradient g at x.  The module functions `value_and_grad` and `segment`
-fall back to ``value``/``gradient`` for objectives that define only those.
+f and gradient g at x.  ``evaluate(x)`` returns the value, the gradient and
+a carry, what a segment from x can reuse of that evaluation, which
+``segment(x, f, g, d, carry)`` takes back: `PNorm` carries r = x - shift
+and <r, r>, so its segment from a freshly evaluated point forms neither
+again.  A segment built without a carry, as from a point that a segment's
+own gradient reached, forms r from x.  Nothing is kept on the objective: a
+carry lives as long as the caller keeps it.  The module functions
+`value_and_grad`, `evaluate` and `segment` fall back to
+``value``/``gradient`` (and no carry) for objectives that define only
+those.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Protocol, Union
+from typing import Optional, Protocol, Union
 
 import numpy as np
 
@@ -28,6 +36,7 @@ __all__ = [
     "Objective",
     "Segment",
     "value_and_grad",
+    "evaluate",
     "segment",
     "check_gradient",
 ]
@@ -74,20 +83,29 @@ class PNorm:
 
     def gradient(self, x: Vec) -> Vec:
         _check_point(self.dim, "objective", x)
-        return _pnorm_gradient(self.p, x - self.shift)
+        r = x - self.shift
+        return _pnorm_gradient(self.p, r, norm(r))
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
+        return self.evaluate(x)[:2]
+
+    def evaluate(self, x: Vec) -> tuple[float, Vec, tuple[Vec, float]]:
+        """The value and the gradient, from one residual r = x - shift and
+        one <r, r>, which are the carry."""
         _check_point(self.dim, "objective", x)
         r = x - self.shift
-        return float(norm(r) ** self.p / self.p), _pnorm_gradient(self.p, r)
+        rr = float(np.dot(r, r))
+        dist = math.sqrt(rr)
+        return float(dist**self.p / self.p), _pnorm_gradient(self.p, r, dist), (r, rr)
 
-    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+    def segment(self, x: Vec, f: float, g: Vec, d: Vec, carry: Optional[tuple[Vec, float]] = None) -> Segment:
         _check_point(self.dim, "objective", x, d)
-        return _PNormSegment(self.p, x - self.shift, d)
+        r, rr = (x - self.shift, None) if carry is None else carry
+        return _PNormSegment(self.p, r, d, rr)
 
 
-def _pnorm_gradient(p: float, r: Vec) -> Vec:
-    dist = norm(r)
+def _pnorm_gradient(p: float, r: Vec, dist: float) -> Vec:
+    """The gradient at shift + r, dist = ||r||."""
     if dist == 0.0:
         return np.zeros_like(r)
     return dist ** (p - 2.0) * r
@@ -96,11 +114,13 @@ def _pnorm_gradient(p: float, r: Vec) -> Vec:
 class _PNormSegment:
     """With r = x - shift, ||r + t d||^2 = ||r||^2 (1 + q(t)) for the
     quadratic q(t) = t (2 <r, d> + t ||d||^2) / ||r||^2, so the decrease is
-    (||r||^p / p) expm1((p/2) log1p(q)) and no two powers are subtracted."""
+    (||r||^p / p) expm1((p/2) log1p(q)) and no two powers are subtracted.
+    rr is <r, r> when the caller holds it."""
 
-    def __init__(self, p: float, r: Vec, d: Vec) -> None:
+    def __init__(self, p: float, r: Vec, d: Vec, rr: Optional[float] = None) -> None:
         self.p, self.r, self.d = p, r, d
-        self.rr, self.rd, self.dd = float(r @ r), float(r @ d), float(d @ d)
+        self.rr = float(np.dot(r, r)) if rr is None else rr
+        self.rd, self.dd = float(r @ d), float(d @ d)
 
     def decrease(self, t: float) -> float:
         p = self.p
@@ -112,7 +132,8 @@ class _PNormSegment:
         return self.rr ** (0.5 * p) / p * math.expm1(0.5 * p * math.log1p(q))
 
     def gradient(self, t: float) -> Vec:
-        return _pnorm_gradient(self.p, self.r + t * self.d)
+        r = self.r + t * self.d
+        return _pnorm_gradient(self.p, r, norm(r))
 
 
 # keys (see _key) of the last _CERTIFIED_MAX matrices that passed _certify,
@@ -355,11 +376,20 @@ def value_and_grad(obj: Objective, x: Vec) -> tuple[float, Vec]:
     return fused(x) if fused is not None else (obj.value(x), obj.gradient(x))
 
 
-def segment(obj: Objective, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
-    """The objective's segment along x + t d, or one built from value and
+def evaluate(obj: Objective, x: Vec) -> tuple[float, Vec, object]:
+    """The objective's evaluate, or its value_and_grad with no carry (None)."""
+    fused = getattr(obj, "evaluate", None)
+    return fused(x) if fused is not None else (*value_and_grad(obj, x), None)
+
+
+def segment(obj: Objective, x: Vec, f: float, g: Vec, d: Vec, carry: object = None) -> Segment:
+    """The objective's segment along x + t d, given the carry of its
+    evaluation at x when there is one, or a segment built from value and
     gradient."""
     build = getattr(obj, "segment", None)
-    return build(x, f, g, d) if build is not None else _ValueSegment(obj, x, f, d)
+    if build is None:
+        return _ValueSegment(obj, x, f, d)
+    return build(x, f, g, d) if carry is None else build(x, f, g, d, carry)
 
 
 def check_gradient(obj: Objective, x: Vec, h: float) -> float:

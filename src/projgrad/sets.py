@@ -56,7 +56,11 @@ class IntersectionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box {x : lower <= x <= upper}; bounds may be +-inf."""
+    """Axis-aligned box {x : lower <= x <= upper}; bounds may be +-inf.
+
+    A projection allocates one vector: the lower bound is taken into a new
+    one and the upper bound in place, which gives np.clip's bits.
+    """
 
     lower: Vec
     upper: Vec
@@ -79,7 +83,8 @@ class Box:
 
     def project(self, x: Vec) -> Vec:
         _check_point(self.dim, "set", x)
-        return np.clip(x, self.lower, self.upper)
+        y = np.maximum(x, self.lower)
+        return np.minimum(y, self.upper, out=y)
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
         _check_point(self.dim, "set", x)
@@ -108,7 +113,9 @@ class Ball:
         dist = norm(d)
         if dist <= self.radius:
             return x.copy()
-        return self.center + (self.radius / dist) * d
+        d *= self.radius / dist
+        d += self.center
+        return d
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
         _check_point(self.dim, "set", x)
@@ -119,14 +126,16 @@ class Ball:
 class _Plane:
     """The body of Halfspace and Hyperplane: a nonzero normal and a finite
     offset, the excess <normal, x> - offset and the shift along the normal.
-    Validation keeps the normal's norm as _normal_size, not a dataclass field."""
+    Validation keeps <normal, normal> as _normal_sq and its square root, the
+    normal's norm, as _normal_size, neither a dataclass field."""
 
     normal: Vec
     offset: float
 
     def __post_init__(self) -> None:
         n = as_vector(self.normal)
-        object.__setattr__(self, "_normal_size", norm(n))
+        object.__setattr__(self, "_normal_sq", float(np.dot(n, n)))
+        object.__setattr__(self, "_normal_size", math.sqrt(self._normal_sq))
         if self._normal_size == 0.0:
             raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         if not math.isfinite(self.offset):
@@ -142,7 +151,10 @@ class _Plane:
         return dot(self.normal, x) - self.offset
 
     def _shift(self, x: Vec, excess: float) -> Vec:
-        return x - (excess / dot(self.normal, self.normal)) * self.normal
+        """x - (excess / <n, n>) n, in one new vector."""
+        y = self.normal * -(excess / self._normal_sq)
+        y += x
+        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +187,9 @@ class Simplex:
 
     Projection uses the sort-and-threshold rule: sort descending, find the
     largest support size whose cumulative-sum threshold keeps all kept
-    entries positive, then shift and clip.
+    entries positive, then shift and clip.  Only the largest entries are
+    sorted while they settle the rule (see _simplex_threshold), and the
+    shift and clip fill one new vector.
     """
 
     scale: float = 1.0
@@ -185,18 +199,69 @@ class Simplex:
             raise ValueError(f"simplex scale must be positive and finite, got {self.scale}")
 
     def project(self, x: Vec) -> Vec:
-        u = np.sort(x)[::-1]
-        cumsum = np.cumsum(u)
-        ks = np.arange(1, x.shape[0] + 1)
-        candidates = np.nonzero(u * ks > cumsum - self.scale)[0]
-        # the first index always qualifies in exact arithmetic; the check can
-        # only come up empty when entries dwarf the scale in float
-        support = candidates[-1] if candidates.size else 0
-        threshold = (cumsum[support] - self.scale) / (support + 1.0)
-        return np.maximum(x - threshold, 0.0)
+        y = x - _simplex_threshold(x, self.scale)
+        return np.maximum(y, 0.0, out=y)
 
     def contains(self, x: Vec, tol: float = 0.0) -> bool:
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - self.scale) <= tol)
+
+
+# a simplex projection first sorts about the _SIMPLEX_TOP largest entries,
+# picked by a bound read off every _SIMPLEX_STRIDE-th entry, and takes
+# _SIMPLEX_GROWTH times as many while they do not settle its rule
+_SIMPLEX_TOP = 64
+_SIMPLEX_GROWTH = 4
+_SIMPLEX_STRIDE = 16
+_EPS = float(np.finfo(float).eps)
+
+
+def _sorted_threshold(u: Vec, scale: float) -> tuple[float, Vec]:
+    """The sort-and-threshold rule on entries u sorted descending: the
+    threshold of the last index j that passes u_j (j + 1) > S_j - scale,
+    and S, the cumulative sums of u."""
+    cumsum = np.cumsum(u)
+    ks = np.arange(1, u.shape[0] + 1)
+    candidates = np.nonzero(u * ks > cumsum - scale)[0]
+    # the first index always qualifies in exact arithmetic; the check can
+    # only come up empty when entries dwarf the scale in float
+    support = candidates[-1] if candidates.size else 0
+    return (cumsum[support] - scale) / (support + 1.0), cumsum
+
+
+def _simplex_threshold(x: Vec, scale: float) -> float:
+    """The threshold of the sort-and-threshold rule on x, as sorting all of
+    x computes it, bit for bit.
+
+    The rule runs first on the entries of x at or above a bound, the m
+    largest, which it sorts.  On the full sort F(j) does not decrease in
+    exact arithmetic, by (j + 1)(u_j - u_(j+1)), and the cumulative sums
+    past m can only pull it down by their roundings, each at most eps/2 of
+    a sum bounded by 1.01 n max|x|.  A computed F(m - 1) above
+    2 eps (n^2 max|x| + scale) thus leaves every later index failing the
+    test, and the rule's support and threshold on the m entries are those
+    of the full sort.  The bound is an entry of the sorted sample
+    x[::_SIMPLEX_STRIDE], so that about _SIMPLEX_TOP entries pass it, then
+    _SIMPLEX_GROWTH times as many each round that does not settle the
+    rule.  A threshold, unlike a partition of x, costs no more where many
+    entries tie, as on the sparse points of an anchored step.  All of x is
+    sorted at n <= _SIMPLEX_TOP, once the sample runs out or more than half
+    of x passes the bound, and when F is not finite."""
+    n = x.shape[0]
+    if n > _SIMPLEX_TOP:
+        sample, low = np.sort(x[::_SIMPLEX_STRIDE]), abs(float(x.min()))
+        k = _SIMPLEX_TOP // _SIMPLEX_STRIDE
+        while k <= sample.shape[0]:
+            top = x[x >= sample[-k]]
+            # empty only where the sample's bound is NaN
+            if not 0 < 2 * top.shape[0] <= n:
+                break
+            u = np.sort(top)[::-1]
+            threshold, cumsum = _sorted_threshold(u, scale)
+            # F(m - 1) = S_(m-1) - scale - m u_(m-1)
+            if (cumsum[-1] - scale) - u.shape[0] * u[-1] > 2.0 * _EPS * (n * n * max(abs(float(u[0])), low) + scale):
+                return threshold
+            k *= _SIMPLEX_GROWTH
+    return _sorted_threshold(np.sort(x)[::-1], scale)[0]
 
 
 @dataclass(frozen=True, eq=False)

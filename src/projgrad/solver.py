@@ -15,7 +15,11 @@ Every step maps one state, the iterate with its value and gradient, to the
 next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
 the same prelude: one base projection of a gradient step at the strategy's
 own stepsize beta, whose gap to the iterate over min(beta, 1) is the
-residual the stop reads, and which raises the entry stops itself.
+residual the stop reads, and which raises the entry stops itself.  The
+prelude forms the step from the iterate to that projection once, with its
+slope along the gradient, and the line searches take it over; a state from
+a fresh evaluation also carries what the objective's segments from it
+reuse (see objectives.evaluate).
 
 Every stop is the step's own: a step that stops raises it with the
 ``SolveStatus`` that ends the run and the line-search trials it spent, so a
@@ -37,9 +41,9 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .core import IterateRecord, SolverConfig, SolveStatus, Vec, as_vector, dot, norm
-from .objectives import Objective, value_and_grad
+from .objectives import Objective, evaluate, value_and_grad
 from .sets import FeasibleSet, Halfspace, IntersectionError, project_intersection
-from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
+from .stepsize import LineSearchError, Step, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
     "STRATEGIES",
@@ -142,18 +146,21 @@ def quasi_fejer_epsilon(x_k: Vec, alpha: float, w_k: Vec, f_k: float, f_next: fl
 
 
 class _Point(NamedTuple):
-    """Iterate k with the value and gradient there, and the level value of
-    strategy A2 (inf for the others)."""
+    """Iterate k with the value and gradient there, the level value of
+    strategy A2 (inf for the others), and the carry of the objective's
+    evaluation at x (None for a state that a segment's gradient built)."""
 
     x: Vec
     k: int
     f: float
     g: Vec
     f_lev: float = math.inf
+    carry: object = None
 
 
 def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _Point:
-    return _Point(x, k, *value_and_grad(obj, x), f_lev)
+    f, g, carry = evaluate(obj, x)
+    return _Point(x, k, f, g, f_lev, carry)
 
 
 class _Stop(Exception):
@@ -166,11 +173,12 @@ class _Stop(Exception):
 
 
 def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: float, descent: bool = False,
-             fixed_point: bool = True) -> tuple[Vec, float, float, float]:
+             fixed_point: bool = True) -> tuple[Vec, Step, float, float]:
     """Per-iteration prelude of every strategy, from the value f and the
     gradient g at the iterate x: the projected step w = P_C(x - beta g), the
-    step's one base projection, its gap ||x - w||, the residual
-    gap / min(beta, 1) and the descent gap <g, x - w>.  The gap does not
+    step's one base projection, the step w - x with its slope <g, w - x>,
+    the gap ||x - w|| and the residual gap / min(beta, 1); the descent gap
+    is <g, x - w>, the slope's negative.  The gap does not
     decrease as beta grows and the gap over beta does not increase (Calamai
     and More 1987, Lemma 2.2), so the residual is the natural residual at
     beta = 1 and bounds it from above at any other beta.
@@ -180,19 +188,21 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: floa
     FIXED_POINT_STOP, when fixed_point, if the projected step does not move
     or, when descent, gives no descent; OPTIMAL_RESIDUAL at the residual
     tolerance."""
-    x, _, f, g, _ = state
-    w = inst.feasible_set.project(x - beta * g)
-    d = x - w
-    gap = norm(d)
+    x, f, g = state.x, state.f, state.g
+    # x - beta g in one new vector, with the same bits
+    y = g * -beta
+    y += x
+    w = inst.feasible_set.project(y)
+    step = Step.between(x, w, g)
+    gap = norm(step.d)
     residual = gap / min(beta, 1.0)
-    descent_gap = dot(g, d)
     if not (math.isfinite(f) and math.isfinite(gap)):
         raise _Stop(SolveStatus.NON_FINITE)
-    if fixed_point and (gap <= _FIXED_POINT_TOL or (descent and descent_gap <= 0.0)):
+    if fixed_point and (gap <= _FIXED_POINT_TOL or (descent and step.slope >= 0.0)):
         raise _Stop(SolveStatus.FIXED_POINT_STOP)
     if residual <= cfg.residual_tol:
         raise _Stop(SolveStatus.OPTIMAL_RESIDUAL)
-    return w, gap, residual, descent_gap
+    return w, step, gap, residual
 
 
 def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
@@ -207,14 +217,15 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
-    x, k, f, g, _ = state
+    x, k, f, g = state.x, state.k, state.f, state.g
     beta = cfg.beta
-    w, gap, residual, descent_gap = _prelude(inst, cfg, state, beta, descent=True)
+    w, step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
     ls = armijo_feasible_direction(
-        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g, step=step,
+        carry=state.carry,
     )
     eps = quasi_fejer_epsilon(x, ls.alpha, w, f, ls.f_trial, cfg)
-    margin = descent_gap - gap**2 / beta
+    margin = -step.slope - gap**2 / beta
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
     return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
 
@@ -236,10 +247,12 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     raises INTERSECTION_FAILURE, with the search's trials.
     """
     obj = inst.objective
-    x, k, f, g, f_lev = state
+    x, k, f, g, f_lev = state.x, state.k, state.f, state.g, state.f_lev
     beta = cfg.beta
-    w, gap, residual, descent_gap = _prelude(inst, cfg, state, beta, descent=True)
-    ls = armijo_feasible_direction(obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g)
+    w, step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
+    ls = armijo_feasible_direction(
+        obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g, step=step, carry=state.carry
+    )
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
@@ -252,7 +265,7 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     # face, that rounding moves it along the face by itself over g's small
     # component there, past the solution
     if f - f_lev > _level_rounding(g, x, f, f_lev):
-        # g != 0 here: a zero gradient gives descent_gap 0 and the entry stop
+        # g != 0 here: a zero gradient gives descent gap 0 and the entry stop
         cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
         if dist_anchor > 0.0:
             # the anchor cut is the whole space while the iterate is the anchor
@@ -282,19 +295,19 @@ def _classic_step(
     trial is the prelude's projected point; the entry test reads the
     residual alone) or "d" (exogenous stepsize c / ((k + 1) ||g||),
     undefined where the gradient vanishes)."""
-    x, k, f, g, _ = state
+    x, k, f, g = state.x, state.k, state.f, state.g
     beta = cfg.beta
     if strategy == "d":
         grad_norm = norm(g)
         if grad_norm == 0.0:
             raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w, _, residual, _ = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
+    w, step, _, residual = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
     trials = 0
     if strategy == "b":
         ls = armijo_boundary(
             inst.objective, inst.feasible_set, x, beta, cfg.theta, cfg.delta, cfg.max_inner_iters,
-            f_k=f, grad_k=g, w_k=w,
+            f_k=f, grad_k=g, w_k=w, step=step, carry=state.carry,
         )
         w, beta, trials = ls.trial_point, ls.beta, ls.trials
     rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=1 + trials)

@@ -10,25 +10,42 @@ projection per rejected trial (the first trial is the caller's projected
 step); it tests each trial's decrease on the segment from the iterate to
 the trial point.  Both searches compare the segment's decrease, never two
 rounded values of the objective, and start from the value and gradient at
-the iterate that the caller holds.
+the iterate that the caller holds.  A caller that holds the step to its
+projected point, with its slope along the gradient (a `Step`), and the
+carry of the objective's evaluation at the iterate hands both over, and the
+search forms neither again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Vec
 from .objectives import Objective, Segment, segment
 from .sets import FeasibleSet
 
 __all__ = [
+    "Step",
     "LineSearchResult",
     "LineSearchError",
     "armijo_feasible_direction",
     "armijo_boundary",
     "exogenous_step",
 ]
+
+
+class Step(NamedTuple):
+    """The step d = w - x from an iterate x to a projected point w, and its
+    slope <g, d> along the gradient g at x."""
+
+    d: Vec
+    slope: float
+
+    @classmethod
+    def between(cls, x: Vec, w: Vec, g: Vec) -> Step:
+        d = w - x
+        return cls(d, float(g @ d))
 
 
 class LineSearchError(RuntimeError):
@@ -74,11 +91,15 @@ def armijo_feasible_direction(
     max_inner: int,
     f_k: float,
     grad_k: Vec,
+    step: Optional[Step] = None,
+    carry: object = None,
 ) -> LineSearchResult:
     """Backtrack along the segment from xk to the projected point wk.
 
-    f_k and grad_k are the value and gradient at xk.  Accepts the smallest
-    j with
+    f_k and grad_k are the value and gradient at xk, step is wk - xk with
+    its slope when the caller holds it, and carry is what the objective's
+    evaluation at xk left for its segments (see objectives.evaluate).
+    Accepts the smallest j with
 
         f(xk + theta^j (wk - xk)) - f(xk) <= -delta * theta^j * d,
 
@@ -90,20 +111,20 @@ def armijo_feasible_direction(
     The comparison is an exact float <=; no slack is added.  f_trial is
     f(xk) plus the accepted decrease.
     """
-    direction = wk - xk
-    d = -float(grad_k @ direction)
+    direction, slope = Step.between(xk, wk, grad_k) if step is None else step
+    d = -slope
     if d <= 0.0:
         raise ValueError(f"feasible-direction search needs a descent gap, got <g, x-w> = {d}")
-    seg = segment(obj, xk, f_k, grad_k, direction)
-    step = 1.0
+    seg = segment(obj, xk, f_k, grad_k, direction, carry)
+    t = 1.0
     for j in range(max_inner + 1):
-        decrease = seg.decrease(step)
-        if decrease <= -delta * step * d:
-            trial = step * wk + (1.0 - step) * xk
+        decrease = seg.decrease(t)
+        if decrease <= -delta * t * d:
+            trial = t * wk + (1.0 - t) * xk
             return LineSearchResult(
-                alpha=step, beta=None, trials=j, trial_point=trial, f_trial=f_k + decrease, segment=seg
+                alpha=t, beta=None, trials=j, trial_point=trial, f_trial=f_k + decrease, segment=seg
             )
-        step *= theta
+        t *= theta
     raise LineSearchError(
         f"feasible-direction search found no acceptable step within {max_inner} trials", trials=max_inner
     )
@@ -120,6 +141,8 @@ def armijo_boundary(
     f_k: float,
     grad_k: Vec,
     w_k: Vec,
+    step: Optional[Step] = None,
+    carry: object = None,
 ) -> LineSearchResult:
     """Backtrack the pre-projection stepsize, projecting every trial.
 
@@ -131,18 +154,22 @@ def armijo_boundary(
     to w_l, as in the feasible-direction search, so a decrease below the
     float resolution of f(xk) is still seen.  f_k and grad_k are the value
     and gradient at xk, and w_k is the first trial w_0 (the caller's
-    projected step), so the search makes l projections.  At a stationary
+    projected step), so the search makes l projections; step is w_k - xk
+    with its slope when the caller holds it, and carry is what the
+    objective's evaluation at xk left for its segments.  At a stationary
     feasible point the first trial projects back to xk and is accepted with
     equality.
     """
     beta, w = beta_bar, w_k
     for ell in range(max_inner + 1):
         if ell:
-            w = set_.project(xk - beta * grad_k)
-        direction = w - xk
-        seg = segment(obj, xk, f_k, grad_k, direction)
+            y = grad_k * -beta
+            y += xk
+            w = set_.project(y)
+        direction, slope = Step.between(xk, w, grad_k) if ell or step is None else step
+        seg = segment(obj, xk, f_k, grad_k, direction, carry)
         decrease = seg.decrease(1.0)
-        if decrease <= delta * float(grad_k @ direction):
+        if decrease <= delta * slope:
             return LineSearchResult(
                 alpha=1.0, beta=beta, trials=ell, trial_point=w, f_trial=f_k + decrease, segment=seg
             )

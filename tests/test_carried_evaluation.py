@@ -1,0 +1,89 @@
+"""The carry of a fresh evaluation changes no result.
+
+A `PNorm` state built by a fresh evaluation hands r = x - shift and <r, r>
+to the next segment from it.  Every run here is made twice, once through
+the `PNorm` and once through a wrapper that delegates value_and_grad and
+segment but has no evaluate, so its segments form r from x; the two runs
+must agree bit for bit.  `pnorm_instances` is shared with
+tests/sweep_large.py.
+"""
+
+import numpy as np
+import pytest
+
+from projgrad import Ball, Box, Halfspace, PNorm, ProblemInstance, Simplex, SolverConfig, solve
+
+# distance from the shift to the set, per p: the gradient norm at the
+# solution is D^(p-1), so gradients are O(1)
+DISTANCE = {1.5: 25.0, 2.5: 0.09, 4.0: 0.45}
+START = 3.0  # the start is the projection of a point this far from the shift
+SET_NAMES = ("box", "ball", "simplex", "halfspace")
+
+
+def pnorm_instances(n, ps, seed=0):
+    """(p, set name, instance) of (1/p)||x - s||^p over a box, a ball, a
+    simplex and a halfspace in dimension n, for each p in ps.  The shift
+    lies D (see DISTANCE) along a normal of the set from the solution
+    P_C(s); the start is the projection of a point START from the shift."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / np.sqrt(n)
+    a = rng.standard_normal(n)
+    a /= np.linalg.norm(a)
+    sets = {
+        "box": Box(lower=np.full(n, -h), upper=np.full(n, h)),
+        "ball": Ball(center=np.zeros(n), radius=1.0),
+        "simplex": Simplex(scale=1.0),
+        "halfspace": Halfspace(normal=a, offset=0.0),
+    }
+    for p in ps:
+        for name in SET_NAMES:
+            base = sets[name]
+            raw = rng.standard_normal(n) * (2.0 * h)
+            if name == "halfspace":
+                raw += (abs(float(a @ raw)) + 1.0) * a
+            solution = base.project(raw)
+            normal = raw - solution
+            shift = solution + DISTANCE[p] * normal / np.linalg.norm(normal)
+            u = rng.standard_normal(n)
+            x0 = base.project(shift + START * u / np.linalg.norm(u))
+            yield p, name, ProblemInstance(objective=PNorm(p=p, shift=shift), feasible_set=base, x0=x0)
+
+
+class Uncarried:
+    """Delegates to an objective everything but evaluate, so a solve through
+    it evaluates without a carry and every segment forms r from x."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.dim = obj.dim
+
+    def value(self, x):
+        return self.obj.value(x)
+
+    def gradient(self, x):
+        return self.obj.gradient(x)
+
+    def value_and_grad(self, x):
+        return self.obj.value_and_grad(x)
+
+    def segment(self, x, f, g, d):
+        return self.obj.segment(x, f, g, d)
+
+
+@pytest.mark.parametrize("strategy", ["b", "c", "A2"])
+@pytest.mark.parametrize("beta", [1.0, 4.0])  # at beta = 4 the searches backtrack
+def test_carried_evaluation_equals_a_fresh_one(strategy, beta):
+    cfg = SolverConfig(max_outer_iters=40, beta=beta)
+    for p, name, inst in pnorm_instances(2000, (1.5, 4.0)):
+        obj, base = inst.objective, inst.feasible_set
+        before = (dict(vars(obj)), dict(vars(base)))
+        carried = solve(inst, cfg, strategy)
+        after = (vars(obj), vars(base))
+        for old, new in zip(before, after):
+            assert new.keys() == old.keys() and all(new[k] is v for k, v in old.items()), (p, name)
+        fresh = solve(ProblemInstance(objective=Uncarried(obj), feasible_set=base, x0=inst.x0), cfg, strategy)
+        assert carried.iterations > 1, (p, name)
+        assert (carried.status, carried.iterations, carried.inner_trials) == (
+            fresh.status, fresh.iterations, fresh.inner_trials
+        ), (p, name)
+        assert carried.final_x.tobytes() == fresh.final_x.tobytes(), (p, name)

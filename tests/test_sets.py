@@ -15,6 +15,7 @@ from projgrad import (
     WholeSpace,
     project_intersection,
 )
+from projgrad import sets
 from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 
@@ -79,6 +80,68 @@ def test_simplex_projection_matches_kkt_enumeration():
         got = Simplex(scale=scale).project(v)
         want = brute_simplex_projection(v, scale)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def sorted_simplex_projection(x, scale):
+    """The sort-and-threshold rule on all of x, as Simplex.project computed
+    it before it sorted only the largest entries."""
+    u = np.sort(x)[::-1]
+    cumsum = np.cumsum(u)
+    candidates = np.nonzero(u * np.arange(1, x.shape[0] + 1) > cumsum - scale)[0]
+    support = candidates[-1] if candidates.size else 0
+    return np.maximum(x - (cumsum[support] - scale) / (support + 1.0), 0.0)
+
+
+def simplex_vectors(rng, n, count):
+    """count vectors of dimension n: entries of magnitude 1e-3 to 1e3,
+    entries rounded to one decimal (ties at the threshold), all-equal
+    vectors, entries around 1e8, all-negative vectors, and entries of order
+    1/sqrt(n) whose support holds hundreds of entries at n = 20 000."""
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:
+            yield rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 1:
+            yield np.round(rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1), 1)
+        elif kind == 2:
+            yield np.full(n, rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+        elif kind == 3:
+            yield 1e8 + rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 4:
+            yield -np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3)
+        else:
+            yield rng.standard_normal(n) * (2.0 / np.sqrt(n)) + rng.uniform(0.0, 0.01)
+
+
+def test_simplex_projection_equals_the_full_sort_bit_for_bit(monkeypatch):
+    # the rule runs on the largest entries while they settle it; sizes
+    # records how many entries each run of the rule read
+    sizes = []
+    rule = sets._sorted_threshold
+
+    def recorded(u, scale):
+        sizes.append(u.shape[0])
+        return rule(u, scale)
+
+    monkeypatch.setattr(sets, "_sorted_threshold", recorded)
+    rng = np.random.default_rng(26)
+    fell_back = settled_early = vectors = 0
+    for n, count in ((1, 240), (2, 240), (3, 240), (63, 240), (64, 240), (65, 240), (200, 240), (2000, 240),
+                     (20_000, 84)):
+        for x in simplex_vectors(rng, n, count):
+            scale = float(rng.choice([1.0, rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-3, 3)]))
+            sizes.clear()
+            got = Simplex(scale=scale).project(x)
+            want = sorted_simplex_projection(x, scale)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, scale)
+            vectors += 1
+            if n > sets._SIMPLEX_TOP:
+                fell_back += sizes[-1] == n
+                settled_early += sizes[-1] < n
+            else:
+                assert sizes == [n]
+    assert vectors >= 2000
+    assert fell_back > 0 and settled_early > 0
 
 
 def test_contains_examples():
