@@ -1,7 +1,7 @@
 """Projected gradient methods for constrained convex optimization."""
 
 from .core import IterateRecord, SolverConfig, Vec, as_vector, dot, norm
-from .objectives import LogSumExp, Objective, PNorm, Quadratic, check_gradient
+from .objectives import LogSumExp, Objective, PNorm, Point, Quadratic, Step, check_gradient, evaluate
 from .sets import (
     Ball,
     Box,

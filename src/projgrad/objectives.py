@@ -5,15 +5,16 @@ fall outside the feasible set are always evaluable.
 
 The objective protocol has five methods.  ``value(x)`` and ``gradient(x)``
 are required; ``value_and_grad(x)`` returns both from one evaluation, and
-``segment(x, f, g, d)`` returns a `Segment` along ``x + t d`` given the value
-f and gradient g at x.  ``evaluate(x)`` returns the value, the gradient and
-a carry, what a segment from x can reuse of that evaluation, which
-``segment(x, f, g, d, carry)`` takes back: `PNorm` carries r = x - shift
-and <r, r>, so its segment from a freshly evaluated point forms neither
-again.  A segment built without a carry, as from a point that a segment's
-own gradient reached, forms r from x.  Nothing is kept on the objective: a
-carry lives as long as the caller keeps it.  The module functions
-`value_and_grad`, `evaluate` and `segment` fall back to
+``evaluate(x)`` returns them as a `Point` with a carry, what a segment from
+x can reuse of that evaluation.  ``segment(at, step)`` returns a `Segment`
+along ``at.x + t step.d`` from the `Point` at and a `Step` from it.  A step
+is formed once, by ``Step.between(at, w)``, with d = w - x, its slope
+<g, d> and <d, d>, which the segments read rather than form again.  `PNorm`
+carries r = x - shift and <r, r>, so its segment from a freshly evaluated
+point forms neither again; from a point without a carry, as one that a
+segment's own gradient reached, it forms r from x.  Nothing is kept on the
+objective: a carry lives as long as the caller keeps its point.  The module
+functions `value_and_grad`, `evaluate` and `segment` fall back to
 ``value``/``gradient`` (and no carry) for objectives that define only
 those.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import NamedTuple, Protocol, Union
 
 import numpy as np
 
@@ -35,11 +36,38 @@ __all__ = [
     "LogSumExp",
     "Objective",
     "Segment",
+    "Point",
+    "Step",
     "value_and_grad",
     "evaluate",
     "segment",
     "check_gradient",
 ]
+
+
+class Point(NamedTuple):
+    """A point x with the objective's value f and gradient g there, and the
+    carry of the evaluation that gave them (None when it left none)."""
+
+    x: Vec
+    f: float
+    g: Vec
+    carry: object = None
+
+
+class Step(NamedTuple):
+    """The step d = w - x from a point x to w, with its slope <g, d> along
+    the gradient g at x and <d, d>, all formed once by `between`."""
+
+    w: Vec
+    d: Vec
+    slope: float
+    dd: float
+
+    @classmethod
+    def between(cls, at: Point, w: Vec) -> Step:
+        d = w - at.x
+        return cls(w, d, float(at.g @ d), float(d @ d))
 
 
 class Segment(Protocol):
@@ -87,21 +115,24 @@ class PNorm:
         return _pnorm_gradient(self.p, r, norm(r))
 
     def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
-        return self.evaluate(x)[:2]
+        return self.evaluate(x)[1:3]
 
-    def evaluate(self, x: Vec) -> tuple[float, Vec, tuple[Vec, float]]:
+    def evaluate(self, x: Vec) -> Point:
         """The value and the gradient, from one residual r = x - shift and
         one <r, r>, which are the carry."""
         _check_point(self.dim, "objective", x)
         r = x - self.shift
         rr = float(np.dot(r, r))
         dist = math.sqrt(rr)
-        return float(dist**self.p / self.p), _pnorm_gradient(self.p, r, dist), (r, rr)
+        return Point(x, float(dist**self.p / self.p), _pnorm_gradient(self.p, r, dist), (r, rr))
 
-    def segment(self, x: Vec, f: float, g: Vec, d: Vec, carry: Optional[tuple[Vec, float]] = None) -> Segment:
-        _check_point(self.dim, "objective", x, d)
-        r, rr = (x - self.shift, None) if carry is None else carry
-        return _PNormSegment(self.p, r, d, rr)
+    def segment(self, at: Point, step: Step) -> Segment:
+        """Reads r and <r, r> from the point's carry, when it has one."""
+        _check_point(self.dim, "objective", at.x, step.d)
+        if at.carry is not None:
+            return _PNormSegment(self.p, *at.carry, step)
+        r = at.x - self.shift
+        return _PNormSegment(self.p, r, float(np.dot(r, r)), step)
 
 
 def _pnorm_gradient(p: float, r: Vec, dist: float) -> Vec:
@@ -115,12 +146,11 @@ class _PNormSegment:
     """With r = x - shift, ||r + t d||^2 = ||r||^2 (1 + q(t)) for the
     quadratic q(t) = t (2 <r, d> + t ||d||^2) / ||r||^2, so the decrease is
     (||r||^p / p) expm1((p/2) log1p(q)) and no two powers are subtracted.
-    rr is <r, r> when the caller holds it."""
+    rr is <r, r>; ||d||^2 is the step's."""
 
-    def __init__(self, p: float, r: Vec, d: Vec, rr: Optional[float] = None) -> None:
-        self.p, self.r, self.d = p, r, d
-        self.rr = float(np.dot(r, r)) if rr is None else rr
-        self.rd, self.dd = float(r @ d), float(d @ d)
+    def __init__(self, p: float, r: Vec, rr: float, step: Step) -> None:
+        self.p, self.r, self.rr, self.d, self.dd = p, r, rr, step.d, step.dd
+        self.rd = float(r @ step.d)
 
     def decrease(self, t: float) -> float:
         p = self.p
@@ -244,10 +274,10 @@ class Quadratic:
         Qx = self._times(x)
         return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
 
-    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+    def segment(self, at: Point, step: Step) -> Segment:
         """One product with Q, for Qd; each decrease(t) is then O(1)."""
-        _check_point(self.dim, "objective", d)
-        return _QuadraticSegment(g, d, self._times(d))
+        _check_point(self.dim, "objective", step.d)
+        return _QuadraticSegment(at.g, step, self._times(step.d))
 
     def _times(self, v: Vec) -> Vec:
         """Q v.  For an exactly symmetric Q and a sparse v (see
@@ -297,10 +327,10 @@ class LogSumExp:
         s = self._scores(x)
         return _logsumexp(s), self.rows.T @ _softmax(s)
 
-    def segment(self, x: Vec, f: float, g: Vec, d: Vec) -> Segment:
+    def segment(self, at: Point, step: Step) -> Segment:
         """One pass over the rows for both the scores at x and A d."""
-        _check_point(self.dim, "objective", x, d)
-        xd = self.rows @ np.column_stack((x, d))
+        _check_point(self.dim, "objective", at.x, step.d)
+        xd = self.rows @ np.column_stack((at.x, step.d))
         return _LogSumExpSegment(self.rows, xd[:, 0] + self.offsets, xd[:, 1])
 
 
@@ -317,11 +347,12 @@ def _softmax(s: Vec) -> Vec:
 
 class _QuadraticSegment:
     """f(x + t d) - f(x) = t <g, d> + (t^2 / 2) <d, Qd> and the gradient
-    g + t Qd, both exact polynomials in t once Qd is known."""
+    g + t Qd, both exact polynomials in t once Qd is known; <g, d> is the
+    step's slope."""
 
-    def __init__(self, g: Vec, d: Vec, Qd: Vec) -> None:
+    def __init__(self, g: Vec, step: Step, Qd: Vec) -> None:
         self.g, self.Qd = g, Qd
-        self.gd, self.dQd = float(g @ d), float(d @ Qd)
+        self.gd, self.dQd = step.slope, float(step.d @ Qd)
 
     def decrease(self, t: float) -> float:
         return t * self.gd + 0.5 * t * t * self.dQd
@@ -357,8 +388,8 @@ class _LogSumExpSegment:
 class _ValueSegment:
     """Segment of an objective that has only value and gradient."""
 
-    def __init__(self, obj, x: Vec, f: float, d: Vec) -> None:
-        self.obj, self.x, self.f, self.d = obj, x, f, d
+    def __init__(self, obj, at: Point, step: Step) -> None:
+        self.obj, self.x, self.f, self.d = obj, at.x, at.f, step.d
 
     def decrease(self, t: float) -> float:
         return self.obj.value(self.x + t * self.d) - self.f
@@ -376,20 +407,17 @@ def value_and_grad(obj: Objective, x: Vec) -> tuple[float, Vec]:
     return fused(x) if fused is not None else (obj.value(x), obj.gradient(x))
 
 
-def evaluate(obj: Objective, x: Vec) -> tuple[float, Vec, object]:
-    """The objective's evaluate, or its value_and_grad with no carry (None)."""
+def evaluate(obj: Objective, x: Vec) -> Point:
+    """The objective's evaluate, or its value_and_grad with no carry."""
     fused = getattr(obj, "evaluate", None)
-    return fused(x) if fused is not None else (*value_and_grad(obj, x), None)
+    return fused(x) if fused is not None else Point(x, *value_and_grad(obj, x))
 
 
-def segment(obj: Objective, x: Vec, f: float, g: Vec, d: Vec, carry: object = None) -> Segment:
-    """The objective's segment along x + t d, given the carry of its
-    evaluation at x when there is one, or a segment built from value and
-    gradient."""
+def segment(obj: Objective, at: Point, step: Step) -> Segment:
+    """The objective's segment from at along step.d, or a segment built
+    from value and gradient."""
     build = getattr(obj, "segment", None)
-    if build is None:
-        return _ValueSegment(obj, x, f, d)
-    return build(x, f, g, d) if carry is None else build(x, f, g, d, carry)
+    return _ValueSegment(obj, at, step) if build is None else build(at, step)
 
 
 def check_gradient(obj: Objective, x: Vec, h: float) -> float:

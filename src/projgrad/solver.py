@@ -16,9 +16,9 @@ next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
 the same prelude: one base projection of a gradient step at the strategy's
 own stepsize beta, whose gap to the iterate over min(beta, 1) is the
 residual the stop reads, and which raises the entry stops itself.  The
-prelude forms the step from the iterate to that projection once, with its
-slope along the gradient, and the line searches take it over; a state from
-a fresh evaluation also carries what the objective's segments from it
+prelude forms the `Step` from the iterate to that projection once, and the
+line searches take it over with the state itself as their `Point`: a state
+from a fresh evaluation also carries what the objective's segments from it
 reuse (see objectives.evaluate).
 
 Every stop is the step's own: a step that stops raises it with the
@@ -41,9 +41,9 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .core import IterateRecord, SolverConfig, SolveStatus, Vec, as_vector, dot, norm
-from .objectives import Objective, evaluate, value_and_grad
+from .objectives import Objective, Step, evaluate, value_and_grad
 from .sets import FeasibleSet, Halfspace, IntersectionError, project_intersection
-from .stepsize import LineSearchError, Step, armijo_boundary, armijo_feasible_direction, exogenous_step
+from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
     "STRATEGIES",
@@ -133,8 +133,9 @@ def natural_residual(inst: ProblemInstance, x: Vec) -> float:
     return norm(x - inst.feasible_set.project(x - inst.objective.gradient(x)))
 
 
-def quasi_fejer_epsilon(x_k: Vec, alpha: float, w_k: Vec, f_k: float, f_next: float, cfg: SolverConfig) -> float:
-    """Per-step slack -alpha ||x - w||^2 + 2 (beta / delta) (f_k - f_next).
+def quasi_fejer_epsilon(alpha: float, gap: float, f_k: float, f_next: float, cfg: SolverConfig) -> float:
+    """Per-step slack -alpha gap^2 + 2 (beta / delta) (f_k - f_next), with
+    the projection gap = ||x - w||.
 
     beta stands for the upper bound of the stepsizes, which for the
     constant stepsize cfg.beta is exact.  These slacks are nonnegative,
@@ -142,25 +143,25 @@ def quasi_fejer_epsilon(x_k: Vec, alpha: float, w_k: Vec, f_k: float, f_next: fl
     and bound the growth of the squared distance to any solution from one
     iterate to the next.
     """
-    return -alpha * norm(x_k - w_k) ** 2 + 2.0 * (cfg.beta / cfg.delta) * (f_k - f_next)
+    return -alpha * gap**2 + 2.0 * (cfg.beta / cfg.delta) * (f_k - f_next)
 
 
-class _Point(NamedTuple):
-    """Iterate k with the value and gradient there, the level value of
-    strategy A2 (inf for the others), and the carry of the objective's
-    evaluation at x (None for a state that a segment's gradient built)."""
+class _State(NamedTuple):
+    """Iterate k as an objectives.Point: the value and gradient there and
+    the carry of the objective's evaluation at x (None for a state that a
+    segment's gradient built); then k and the level value of strategy A2
+    (inf for the others)."""
 
     x: Vec
-    k: int
     f: float
     g: Vec
+    carry: object
+    k: int
     f_lev: float = math.inf
-    carry: object = None
 
 
-def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _Point:
-    f, g, carry = evaluate(obj, x)
-    return _Point(x, k, f, g, f_lev, carry)
+def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _State:
+    return _State(*evaluate(obj, x), k, f_lev)
 
 
 class _Stop(Exception):
@@ -172,13 +173,14 @@ class _Stop(Exception):
         self.status, self.trials = status, trials
 
 
-def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: float, descent: bool = False,
-             fixed_point: bool = True) -> tuple[Vec, Step, float, float]:
+def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _State, beta: float, descent: bool = False,
+             fixed_point: bool = True) -> tuple[Step, float, float]:
     """Per-iteration prelude of every strategy, from the value f and the
-    gradient g at the iterate x: the projected step w = P_C(x - beta g), the
-    step's one base projection, the step w - x with its slope <g, w - x>,
-    the gap ||x - w|| and the residual gap / min(beta, 1); the descent gap
-    is <g, x - w>, the slope's negative.  The gap does not
+    gradient g at the iterate x: the `Step` to the projected point
+    w = P_C(x - beta g), the step's one base projection, the gap
+    ||x - w||, the square root of the step's <d, d>, and the residual
+    gap / min(beta, 1); the descent gap is <g, x - w>, the step's slope
+    negated.  The gap does not
     decrease as beta grows and the gap over beta does not increase (Calamai
     and More 1987, Lemma 2.2), so the residual is the natural residual at
     beta = 1 and bounds it from above at any other beta.
@@ -188,24 +190,22 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _Point, beta: floa
     FIXED_POINT_STOP, when fixed_point, if the projected step does not move
     or, when descent, gives no descent; OPTIMAL_RESIDUAL at the residual
     tolerance."""
-    x, f, g = state.x, state.f, state.g
     # x - beta g in one new vector, with the same bits
-    y = g * -beta
-    y += x
-    w = inst.feasible_set.project(y)
-    step = Step.between(x, w, g)
-    gap = norm(step.d)
+    y = state.g * -beta
+    y += state.x
+    step = Step.between(state, inst.feasible_set.project(y))
+    gap = math.sqrt(step.dd)
     residual = gap / min(beta, 1.0)
-    if not (math.isfinite(f) and math.isfinite(gap)):
+    if not (math.isfinite(state.f) and math.isfinite(gap)):
         raise _Stop(SolveStatus.NON_FINITE)
     if fixed_point and (gap <= _FIXED_POINT_TOL or (descent and step.slope >= 0.0)):
         raise _Stop(SolveStatus.FIXED_POINT_STOP)
     if residual <= cfg.residual_tol:
         raise _Stop(SolveStatus.OPTIMAL_RESIDUAL)
-    return w, step, gap, residual
+    return step, gap, residual
 
 
-def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
+def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> tuple[_State, IterateRecord]:
     """One projected gradient step with the feasible-direction search.
 
     Computes w = P_C(x - beta grad f(x)); when x is a fixed point of that
@@ -217,20 +217,17 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tup
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
-    x, k, f, g = state.x, state.k, state.f, state.g
+    x, k, f = state.x, state.k, state.f
     beta = cfg.beta
-    w, step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
-    ls = armijo_feasible_direction(
-        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g, step=step,
-        carry=state.carry,
-    )
-    eps = quasi_fejer_epsilon(x, ls.alpha, w, f, ls.f_trial, cfg)
+    step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
+    ls = armijo_feasible_direction(inst.objective, state, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
+    eps = quasi_fejer_epsilon(ls.alpha, gap, f, ls.f_trial, cfg)
     margin = -step.slope - gap**2 / beta
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
-    return _Point(ls.trial_point, k + 1, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
+    return _State(ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha), None, k + 1), rec
 
 
-def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> tuple[_Point, IterateRecord]:
+def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> tuple[_State, IterateRecord]:
     """One step of the anchored variant.
 
     Runs the same entry test and feasible-direction search as strategy c,
@@ -249,16 +246,15 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
     obj = inst.objective
     x, k, f, g, f_lev = state.x, state.k, state.f, state.g, state.f_lev
     beta = cfg.beta
-    w, step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
-    ls = armijo_feasible_direction(
-        obj, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g, step=step, carry=state.carry
-    )
+    step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
+    ls = armijo_feasible_direction(obj, state, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
     # The level is the value at the accepted (feasible) trial point itself,
     # not f + decrease, which carries the rounding of f at x: a level below
     # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
     # in distance on a curved base.
     f_lev = min(f_lev, obj.value(ls.trial_point))
-    dist_anchor = norm(x - inst.x0)
+    to_anchor = inst.x0 - x
+    dist_anchor = norm(to_anchor)
     # a level within the rounding of the cut's offset below the value gives a
     # cut that no longer separates the iterate from the solutions, and where
     # g is nearly normal to a face of the base, as near a solution on that
@@ -269,7 +265,7 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _Point) -> t
         cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
         if dist_anchor > 0.0:
             # the anchor cut is the whole space while the iterate is the anchor
-            cuts.append(Halfspace(normal=inst.x0 - x, offset=dot(inst.x0 - x, x)))
+            cuts.append(Halfspace(normal=to_anchor, offset=dot(to_anchor, x)))
         try:
             x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
         except IntersectionError:
@@ -288,8 +284,8 @@ def _level_rounding(g: Vec, x: Vec, f: float, f_lev: float) -> float:
 
 
 def _classic_step(
-    strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _Point
-) -> tuple[_Point, IterateRecord]:
+    strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _State
+) -> tuple[_State, IterateRecord]:
     """Plain projection step of strategy "a" (constant stepsize beta), "b"
     (boundary search of the pre-projection stepsize from beta, whose first
     trial is the prelude's projected point; the entry test reads the
@@ -302,12 +298,11 @@ def _classic_step(
         if grad_norm == 0.0:
             raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    w, step, _, residual = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
-    trials = 0
+    step, _, residual = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
+    w, trials = step.w, 0
     if strategy == "b":
         ls = armijo_boundary(
-            inst.objective, inst.feasible_set, x, beta, cfg.theta, cfg.delta, cfg.max_inner_iters,
-            f_k=f, grad_k=g, w_k=w, step=step, carry=state.carry,
+            inst.objective, inst.feasible_set, state, step, beta, cfg.theta, cfg.delta, cfg.max_inner_iters
         )
         w, beta, trials = ls.trial_point, ls.beta, ls.trials
     rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=1 + trials)
@@ -421,15 +416,18 @@ class _ArmijoMonitors:
         self.quasi_fejer = _Worst(1e-8)
         self.eps_total = 0.0
         self.f0: Optional[float] = None
-        self.last: Optional[_Point] = None
+        self.last: Optional[_State] = None
+        self.dist2: Optional[float] = None  # ||x - x*||^2 at the next step's iterate
 
-    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
+    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
         self.descent.link(rec.f_val)
         self.gap_bound.add(rec.gap_margin)
         self.product = min(self.product, rec.alpha * rec.gap**2)
         sol = self.inst.known_solution
         if sol is not None:
-            self.quasi_fejer.add(norm(rec.x - sol) ** 2 + rec.epsilon_qf - norm(next_state.x - sol) ** 2)
+            dist2 = norm(rec.x - sol) ** 2 if self.dist2 is None else self.dist2
+            self.dist2 = norm(next_state.x - sol) ** 2
+            self.quasi_fejer.add(dist2 + rec.epsilon_qf - self.dist2)
         self.eps_total += rec.epsilon_qf
         if self.f0 is None:
             self.f0 = rec.f_val
@@ -486,7 +484,7 @@ class _AnchoredMonitors:
             self.center = 0.5 * (inst.x0 + sol)
             self.radius = 0.5 * norm(sol - inst.x0)
 
-    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
+    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
         inst, cfg, g = self.inst, self.cfg, state.g
         self.anchor_monotone.link(rec.dist_anchor)
         self.level_monotone.link(rec.f_lev)
@@ -531,7 +529,7 @@ class _ClassicMonitors:
         self.cfg, self.strategy = cfg, strategy
         self.margins = _Worst(1e-12)
 
-    def add(self, rec: IterateRecord, state: _Point, next_state: _Point) -> None:
+    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
         if self.strategy == "b":
             self.margins.link(rec.f_val)
         elif self.strategy == "d":

@@ -9,43 +9,28 @@ search backtracks the pre-projection stepsize instead and pays one
 projection per rejected trial (the first trial is the caller's projected
 step); it tests each trial's decrease on the segment from the iterate to
 the trial point.  Both searches compare the segment's decrease, never two
-rounded values of the objective, and start from the value and gradient at
-the iterate that the caller holds.  A caller that holds the step to its
-projected point, with its slope along the gradient (a `Step`), and the
-carry of the objective's evaluation at the iterate hands both over, and the
-search forms neither again.
+rounded values of the objective.  Both start from the caller's iterate, a
+`Point` with the value, the gradient and the carry of the objective's
+evaluation there, and from the caller's `Step` to its projected point,
+which the first trial's segment reads and no search forms again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import Vec
-from .objectives import Objective, Segment, segment
+from .objectives import Objective, Point, Segment, Step, segment
 from .sets import FeasibleSet
 
 __all__ = [
-    "Step",
     "LineSearchResult",
     "LineSearchError",
     "armijo_feasible_direction",
     "armijo_boundary",
     "exogenous_step",
 ]
-
-
-class Step(NamedTuple):
-    """The step d = w - x from an iterate x to a projected point w, and its
-    slope <g, d> along the gradient g at x."""
-
-    d: Vec
-    slope: float
-
-    @classmethod
-    def between(cls, x: Vec, w: Vec, g: Vec) -> Step:
-        d = w - x
-        return cls(d, float(g @ d))
 
 
 class LineSearchError(RuntimeError):
@@ -83,46 +68,34 @@ class LineSearchResult:
 
 
 def armijo_feasible_direction(
-    obj: Objective,
-    xk: Vec,
-    wk: Vec,
-    theta: float,
-    delta: float,
-    max_inner: int,
-    f_k: float,
-    grad_k: Vec,
-    step: Optional[Step] = None,
-    carry: object = None,
+    obj: Objective, at: Point, step: Step, theta: float, delta: float, max_inner: int
 ) -> LineSearchResult:
-    """Backtrack along the segment from xk to the projected point wk.
+    """Backtrack along the segment from the iterate x = at.x to the
+    projected point w = step.w.
 
-    f_k and grad_k are the value and gradient at xk, step is wk - xk with
-    its slope when the caller holds it, and carry is what the objective's
-    evaluation at xk left for its segments (see objectives.evaluate).
     Accepts the smallest j with
 
-        f(xk + theta^j (wk - xk)) - f(xk) <= -delta * theta^j * d,
+        f(x + theta^j (w - x)) - f(x) <= -delta * theta^j * d,
 
-    where d = <grad f(xk), xk - wk> must be positive (it is whenever wk is
-    the projection of a gradient step from a non-stationary xk).  The left
-    side is the decrease of the objective's segment; the built-in objectives
-    compute it without subtracting two rounded values of f, so a decrease
-    below the float resolution of f(xk) is still seen.
-    The comparison is an exact float <=; no slack is added.  f_trial is
-    f(xk) plus the accepted decrease.
+    where d = <grad f(x), x - w>, the step's slope negated, must be positive
+    (it is whenever w is the projection of a gradient step from a
+    non-stationary x).  The left side is the decrease of the objective's
+    segment; the built-in objectives compute it without subtracting two
+    rounded values of f, so a decrease below the float resolution of f(x)
+    is still seen.  The comparison is an exact float <=; no slack is added.
+    f_trial is f(x) plus the accepted decrease.
     """
-    direction, slope = Step.between(xk, wk, grad_k) if step is None else step
-    d = -slope
+    d = -step.slope
     if d <= 0.0:
         raise ValueError(f"feasible-direction search needs a descent gap, got <g, x-w> = {d}")
-    seg = segment(obj, xk, f_k, grad_k, direction, carry)
+    seg = segment(obj, at, step)
     t = 1.0
     for j in range(max_inner + 1):
         decrease = seg.decrease(t)
         if decrease <= -delta * t * d:
-            trial = t * wk + (1.0 - t) * xk
+            trial = t * step.w + (1.0 - t) * at.x
             return LineSearchResult(
-                alpha=t, beta=None, trials=j, trial_point=trial, f_trial=f_k + decrease, segment=seg
+                alpha=t, beta=None, trials=j, trial_point=trial, f_trial=at.f + decrease, segment=seg
             )
         t *= theta
     raise LineSearchError(
@@ -133,45 +106,38 @@ def armijo_feasible_direction(
 def armijo_boundary(
     obj: Objective,
     set_: FeasibleSet,
-    xk: Vec,
+    at: Point,
+    step: Step,
     beta_bar: float,
     theta: float,
     delta: float,
     max_inner: int,
-    f_k: float,
-    grad_k: Vec,
-    w_k: Vec,
-    step: Optional[Step] = None,
-    carry: object = None,
 ) -> LineSearchResult:
     """Backtrack the pre-projection stepsize, projecting every trial.
 
-    With w_l = P_C(xk - beta_bar * theta^l * g), accepts the smallest l with
+    With x = at.x, g = at.g and w_l = P_C(x - beta_bar * theta^l * g),
+    accepts the smallest l with
 
-        f(w_l) - f(xk) <= -delta * <g, xk - w_l>,
+        f(w_l) - f(x) <= -delta * <g, x - w_l>,
 
-    where the left side is the decrease of the objective's segment from xk
+    where the left side is the decrease of the objective's segment from x
     to w_l, as in the feasible-direction search, so a decrease below the
-    float resolution of f(xk) is still seen.  f_k and grad_k are the value
-    and gradient at xk, and w_k is the first trial w_0 (the caller's
-    projected step), so the search makes l projections; step is w_k - xk
-    with its slope when the caller holds it, and carry is what the
-    objective's evaluation at xk left for its segments.  At a stationary
-    feasible point the first trial projects back to xk and is accepted with
-    equality.
+    float resolution of f(x) is still seen.  step is the first trial's, to
+    w_0 (the caller's projected step), so the search makes l projections.
+    At a stationary feasible point the first trial projects back to x and
+    is accepted with equality.
     """
-    beta, w = beta_bar, w_k
+    beta = beta_bar
     for ell in range(max_inner + 1):
         if ell:
-            y = grad_k * -beta
-            y += xk
-            w = set_.project(y)
-        direction, slope = Step.between(xk, w, grad_k) if ell or step is None else step
-        seg = segment(obj, xk, f_k, grad_k, direction, carry)
+            y = at.g * -beta
+            y += at.x
+            step = Step.between(at, set_.project(y))
+        seg = segment(obj, at, step)
         decrease = seg.decrease(1.0)
-        if decrease <= delta * slope:
+        if decrease <= delta * step.slope:
             return LineSearchResult(
-                alpha=1.0, beta=beta, trials=ell, trial_point=w, f_trial=f_k + decrease, segment=seg
+                alpha=1.0, beta=beta, trials=ell, trial_point=step.w, f_trial=at.f + decrease, segment=seg
             )
         beta *= theta
     raise LineSearchError(

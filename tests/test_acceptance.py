@@ -14,21 +14,23 @@ from projgrad import (
     Hyperplane,
     LogSumExp,
     PNorm,
+    Point,
     ProblemInstance,
     Quadratic,
     Simplex,
     SolverConfig,
+    Step,
     WholeSpace,
     armijo_boundary,
     armijo_feasible_direction,
     check_gradient,
+    evaluate,
     get_instance,
     natural_residual,
     project_intersection,
     solve,
 )
 from projgrad.core import dot, norm
-from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
 
 from test_solver import CountingSet
@@ -196,9 +198,9 @@ def test_criterion_7_strategy_comparison():
     b_ok = True
     for _ in range(100):
         before = counting_b.projections
-        f, g = value_and_grad(inst.objective, xb)
-        w = counting_b.project(xb - g)
-        res = armijo_boundary(inst.objective, counting_b, xb, 1.0, cfg.theta, cfg.delta, 100, f_k=f, grad_k=g, w_k=w)
+        at = evaluate(inst.objective, xb)
+        step = Step.between(at, counting_b.project(xb - at.g))
+        res = armijo_boundary(inst.objective, counting_b, at, step, 1.0, cfg.theta, cfg.delta, 100)
         b_ok = b_ok and (counting_b.projections - before == res.trials + 1)
         xb = res.trial_point
         if natural_residual(inst, xb) <= 1e-2:
@@ -265,8 +267,9 @@ def test_criterion_9_armijo_trial_counts_and_minimality():
                     w = inst.feasible_set.project(rec.x - rec.beta * g)
                     f = inst.objective.value(rec.x)
                     d = dot(g, rec.x - w)
+                    at = Point(rec.x, f, g)
                     res = armijo_feasible_direction(
-                        inst.objective, rec.x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
+                        inst.objective, at, Step.between(at, w), cfg.theta, cfg.delta, cfg.max_inner_iters
                     )
                     if res.trials != rec.inner_trials:
                         minimality_ok = False

@@ -4,14 +4,15 @@ A `PNorm` state built by a fresh evaluation hands r = x - shift and <r, r>
 to the next segment from it.  Every run here is made twice, once through
 the `PNorm` and once through a wrapper that delegates value_and_grad and
 segment but has no evaluate, so its segments form r from x; the two runs
-must agree bit for bit.  `pnorm_instances` is shared with
-tests/sweep_large.py.
+must agree bit for bit.  Each projected step forms its `Step` once, and
+the search's first segment takes that very step over.  `pnorm_instances`
+is shared with tests/sweep_large.py.
 """
 
 import numpy as np
 import pytest
 
-from projgrad import Ball, Box, Halfspace, PNorm, ProblemInstance, Simplex, SolverConfig, solve
+from projgrad import Ball, Box, Halfspace, PNorm, ProblemInstance, Simplex, SolverConfig, solve, solver
 
 # distance from the shift to the set, per p: the gradient norm at the
 # solution is D^(p-1), so gradients are O(1)
@@ -66,8 +67,8 @@ class Uncarried:
     def value_and_grad(self, x):
         return self.obj.value_and_grad(x)
 
-    def segment(self, x, f, g, d):
-        return self.obj.segment(x, f, g, d)
+    def segment(self, at, step):
+        return self.obj.segment(at, step)
 
 
 @pytest.mark.parametrize("strategy", ["b", "c", "A2"])
@@ -87,3 +88,33 @@ def test_carried_evaluation_equals_a_fresh_one(strategy, beta):
             fresh.status, fresh.iterations, fresh.inner_trials
         ), (p, name)
         assert carried.final_x.tobytes() == fresh.final_x.tobytes(), (p, name)
+
+
+@pytest.mark.parametrize("strategy", ["b", "c", "A2"])
+def test_first_segment_takes_the_preludes_step(strategy, monkeypatch):
+    # the prelude's Step is the one object the first trial's segment reads,
+    # from a point that hands over the carry of a fresh evaluation
+    events = []
+    prelude, segment = solver._prelude, PNorm.segment
+
+    def recorded_prelude(*args, **kwargs):
+        out = prelude(*args, **kwargs)
+        events.append(("prelude", out[0]))
+        return out
+
+    def recorded_segment(self, at, step):
+        events.append(("segment", at, step))
+        return segment(self, at, step)
+
+    monkeypatch.setattr(solver, "_prelude", recorded_prelude)
+    monkeypatch.setattr(PNorm, "segment", recorded_segment)
+    for p, name, inst in pnorm_instances(200, (1.5, 4.0)):
+        events.clear()
+        rep = solve(inst, SolverConfig(max_outer_iters=10, beta=4.0), strategy)
+        firsts = [(now[1], then) for now, then in zip(events, events[1:]) if now[0] == "prelude"]
+        # a step whose search fails or that stops after its search counts no iteration
+        assert len(firsts) >= rep.iterations > 1, (p, name)
+        for step, (kind, at, received) in firsts:
+            assert kind == "segment" and received is step, (p, name)
+            # every state of b and A2 is a fresh evaluation; c's first one is
+            assert at.carry is not None or (strategy == "c" and step is not firsts[0][0]), (p, name)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from projgrad import LogSumExp, PNorm, Quadratic, check_gradient, objectives
+from projgrad import LogSumExp, PNorm, Point, Quadratic, Step, check_gradient, objectives
 from projgrad.core import dot, norm
 
 
@@ -386,11 +386,12 @@ def test_segment_matches_value_and_gradient(case):
     eps = np.finfo(float).eps
     for _ in range(20):
         x = rng.uniform(-2, 2, 6)
-        d = rng.uniform(-2, 2, 6)
         f, g = obj.value_and_grad(x)
         assert f == obj.value(x)
         assert np.array_equal(g, obj.gradient(x))
-        seg = obj.segment(x, f, g, d)
+        at = Point(x, f, g)
+        step = Step.between(at, x + rng.uniform(-2, 2, 6))
+        seg, d = obj.segment(at, step), step.d
         for t in (1.0, theta, theta**10):
             y = x + t * d
             diff = obj.value(y) - f
@@ -407,30 +408,31 @@ def test_segment_sees_decrease_below_value_resolution():
     # ~1e-18 and vanishes in value(x + t d) - value(x)
     obj = Quadratic(Q=np.eye(2), b=np.zeros(2), c=500.0)
     x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    f, g = obj.value_and_grad(x)
+    at = Point(x, *obj.value_and_grad(x))
     t = 1e-18
-    assert obj.value(x + t * d) - f == 0.0
-    assert obj.segment(x, f, g, d).decrease(t) == pytest.approx(-t + 0.5 * t * t, rel=1e-15)
+    assert obj.value(x + t * d) - at.f == 0.0
+    assert obj.segment(at, Step.between(at, x + d)).decrease(t) == pytest.approx(-t + 0.5 * t * t, rel=1e-15)
 
 
 def test_logsumexp_segment_far_along_the_line():
     # t * (A d) overflows expm1: the decrease falls back to the difference of values
     obj = LogSumExp(rows=np.array([[1.0], [-1.0]]), offsets=np.zeros(2))
     x, d = np.zeros(1), np.array([1000.0])
-    f, g = obj.value_and_grad(x)
-    seg = obj.segment(x, f, g, d)
-    assert seg.decrease(1.0) == pytest.approx(obj.value(x + d) - f, rel=1e-15)
-    assert seg.decrease(-1.0) == pytest.approx(obj.value(x - d) - f, rel=1e-15)
+    at = Point(x, *obj.value_and_grad(x))
+    seg = obj.segment(at, Step.between(at, x + d))
+    assert seg.decrease(1.0) == pytest.approx(obj.value(x + d) - at.f, rel=1e-15)
+    assert seg.decrease(-1.0) == pytest.approx(obj.value(x - d) - at.f, rel=1e-15)
 
 
 def test_pnorm_segment_through_the_shift():
     obj = PNorm(p=3.0, shift=np.array([1.0, 1.0]))
     x, d = np.array([2.0, 3.0]), np.array([-1.0, -2.0])
-    f, g = obj.value_and_grad(x)
-    seg = obj.segment(x, f, g, d)
-    assert seg.decrease(1.0) == pytest.approx(-f, rel=1e-15)
+    at = Point(x, *obj.value_and_grad(x))
+    seg = obj.segment(at, Step.between(at, x + d))
+    assert seg.decrease(1.0) == pytest.approx(-at.f, rel=1e-15)
     assert np.array_equal(seg.gradient(1.0), [0.0, 0.0])
-    at_shift = obj.segment(obj.shift, 0.0, np.zeros(2), d)
+    shift = Point(obj.shift, 0.0, np.zeros(2))
+    at_shift = obj.segment(shift, Step.between(shift, obj.shift + d))
     assert at_shift.decrease(0.5) == pytest.approx(obj.value(obj.shift + 0.5 * d))
 
 
@@ -445,7 +447,7 @@ def test_carried_quadratic_gradient_drift():
     for _ in range(5000):
         w = rng.uniform(-1, 1, n)
         t = 0.5 ** int(rng.integers(0, 11))
-        seg = obj.segment(x, f, g, w - x)
+        seg = obj.segment(Point(x, f, g), Step.between(Point(x, f, g), w))
         f, g = f + seg.decrease(t), seg.gradient(t)
         x = t * w + (1.0 - t) * x  # the point the feasible-direction search returns
         exact = obj.Q @ x + obj.b

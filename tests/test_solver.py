@@ -17,8 +17,10 @@ from projgrad import (
     Simplex,
     SolveStatus,
     SolverConfig,
+    Step,
     armijo_boundary,
     armijo_feasible_direction,
+    evaluate,
     get_instance,
     list_instances,
     natural_residual,
@@ -28,7 +30,6 @@ from projgrad import (
 from projgrad import solver
 from projgrad.bench import status_exit_code
 from projgrad.core import dot, norm
-from projgrad.objectives import value_and_grad
 from projgrad.oracle import projection_oracle
 from projgrad.solver import STRATEGIES
 
@@ -194,17 +195,14 @@ def test_anchored_stop_keeps_its_search_trials():
 
 def _search_trials(inst, cfg, x):
     """Trials of the feasible-direction search that a step from x runs."""
-    f, g = value_and_grad(inst.objective, x)
-    w = inst.feasible_set.project(x - cfg.beta * g)
-    return armijo_feasible_direction(
-        inst.objective, x, w, cfg.theta, cfg.delta, cfg.max_inner_iters, f_k=f, grad_k=g
-    ).trials
+    at = evaluate(inst.objective, x)
+    step = Step.between(at, inst.feasible_set.project(x - cfg.beta * at.g))
+    return armijo_feasible_direction(inst.objective, at, step, cfg.theta, cfg.delta, cfg.max_inner_iters).trials
 
 
 def test_quasi_fejer_epsilon_stationary_is_zero():
-    cfg = SolverConfig()
-    x = np.array([0.3, -0.7])
-    assert quasi_fejer_epsilon(x, 0.5, x, 1.23, 1.23, cfg) == 0.0
+    # a zero projection gap and no decrease
+    assert quasi_fejer_epsilon(0.5, 0.0, 1.23, 1.23, SolverConfig()) == 0.0
 
 
 def test_quasi_fejer_sum_bound():
@@ -238,10 +236,10 @@ def test_boundary_search_uses_trials_plus_one_projections():
             return np.array([x[0] ** 3])
 
     obj, x = Quartic(), np.array([2.0])
-    f, g = value_and_grad(obj, x)
+    at = evaluate(obj, x)
     counting = CountingSet(Box(lower=np.array([-10.0]), upper=np.array([10.0])))
-    w = counting.project(x - g)
-    res = armijo_boundary(obj, counting, x, 1.0, 0.5, 0.5, 100, f_k=f, grad_k=g, w_k=w)
+    step = Step.between(at, counting.project(x - at.g))
+    res = armijo_boundary(obj, counting, at, step, 1.0, 0.5, 0.5, 100)
     assert res.trials > 0
     assert counting.projections == res.trials + 1
 
@@ -712,8 +710,8 @@ class SkewedQuadratic(Quadratic):
     decrease by 2 %: the search still converges, but its carried values run
     below the objective."""
 
-    def segment(self, x, f, g, d):
-        exact = super().segment(x, f, g, d)
+    def segment(self, at, step):
+        exact = super().segment(at, step)
         return SimpleNamespace(
             decrease=lambda t: t * exact.gd + 0.49 * t * t * exact.dQd, gradient=exact.gradient
         )
@@ -800,13 +798,12 @@ def test_feasible_direction_search_makes_no_value_calls(monkeypatch):
     box = Box(lower=np.full(2, -10.0), upper=np.full(2, 10.0))
     trials = {"feasible_direction": 0, "boundary": 0}
     for obj in objectives:
-        x = np.array([1.0, 1.0])
-        f, g = obj.value_and_grad(x)
-        w = box.project(x - 4.0 * g)
-        res = armijo_feasible_direction(obj, x, w, 0.5, 0.5, 100, f_k=f, grad_k=g)
+        at = evaluate(obj, np.array([1.0, 1.0]))
+        step = Step.between(at, box.project(at.x - 4.0 * at.g))
+        res = armijo_feasible_direction(obj, at, step, 0.5, 0.5, 100)
         trials["feasible_direction"] += res.trials
-        res = armijo_boundary(obj, box, x, 4.0, 0.5, 0.5, 100, f_k=f, grad_k=g, w_k=w)
-        assert res.f_trial == f + res.segment.decrease(1.0)
+        res = armijo_boundary(obj, box, at, step, 4.0, 0.5, 0.5, 100)
+        assert res.f_trial == at.f + res.segment.decrease(1.0)
         trials["boundary"] += res.trials
     assert min(trials.values()) > 0
     assert calls == {"value": 0, "gradient": 0}

@@ -7,12 +7,13 @@ from projgrad import (
     LineSearchError,
     PNorm,
     Quadratic,
+    Step,
     armijo_boundary,
     armijo_feasible_direction,
+    evaluate,
     exogenous_step,
 )
 from projgrad.core import dot, norm
-from projgrad.objectives import value_and_grad
 
 
 def quartic_1d():
@@ -29,16 +30,17 @@ def quartic_1d():
 
 
 def feasible_direction(obj, xk, wk, theta, delta, max_inner):
-    """Feasible-direction search from the value and gradient at xk."""
-    return armijo_feasible_direction(obj, xk, wk, theta, delta, max_inner, *value_and_grad(obj, xk))
+    """Feasible-direction search from the evaluation at xk toward wk."""
+    at = evaluate(obj, xk)
+    return armijo_feasible_direction(obj, at, Step.between(at, wk), theta, delta, max_inner)
 
 
 def boundary(obj, set_, xk, beta_bar, theta, delta, max_inner):
     """Boundary search from xk whose first trial is the projected step at
     beta_bar."""
-    f, g = value_and_grad(obj, xk)
-    w = set_.project(xk - beta_bar * g)
-    return armijo_boundary(obj, set_, xk, beta_bar, theta, delta, max_inner, f_k=f, grad_k=g, w_k=w)
+    at = evaluate(obj, xk)
+    step = Step.between(at, set_.project(xk - beta_bar * at.g))
+    return armijo_boundary(obj, set_, at, step, beta_bar, theta, delta, max_inner)
 
 
 def scan_feasible_direction(obj, xk, wk, theta, delta, j_max=80):
