@@ -252,16 +252,22 @@ def summarize(spec: RunSpec, report: RunReport, wall_time: float) -> SummaryRow:
     )
 
 
-def _trace_row(x: np.ndarray, known: Optional[np.ndarray], **values) -> list:
-    """One trace row of TRACE_COLUMNS from values by column name, with the
-    distance from x to the known solution: k and inner_trials as integers,
-    the rest in shortest round-trip decimal, a missing value empty."""
-    if known is not None:
-        values["dist_known_solution"] = norm(x - known)
-    return [
-        "" if (v := values.get(name)) is None else v if name in ("k", "inner_trials") else repr(float(v))
-        for name in TRACE_COLUMNS
-    ]
+def _decimal(v) -> str:
+    """A float cell: shortest round-trip decimal, empty when missing."""
+    return "" if v is None else repr(float(v))
+
+
+def _trace_line(x: np.ndarray, known: Optional[np.ndarray], k: int, f, residual, alpha, beta,
+                inner_trials: Optional[int], f_lev, epsilon_qf, dist_anchor) -> str:
+    """The trace line of one row of TRACE_COLUMNS, in their order, whose
+    last cell is the distance from x to the known solution: k and
+    inner_trials as integers, the rest in shortest round-trip decimal, a
+    missing value empty.  No cell needs quoting, so the line is the one
+    csv.writer writes for the row, \\r\\n included."""
+    trials = "" if inner_trials is None else inner_trials
+    dist = "" if known is None else repr(norm(x - known))
+    return (f"{k},{_decimal(f)},{_decimal(residual)},{_decimal(alpha)},{_decimal(beta)},{trials},"
+            f"{_decimal(f_lev)},{_decimal(epsilon_qf)},{_decimal(dist_anchor)},{dist}\r\n")
 
 
 def write_trace_csv(path: str | Path, report: RunReport, inst: ProblemInstance) -> None:
@@ -270,20 +276,20 @@ def write_trace_csv(path: str | Path, report: RunReport, inst: ProblemInstance) 
     distance to the anchor when the last record has one."""
     known = inst.known_solution
     last = report.trace[-1] if report.trace else None
+    lines = [",".join(TRACE_COLUMNS) + "\r\n"]
+    lines += [
+        _trace_line(r.x, known, r.k, r.f_val, r.residual, r.alpha, r.beta, r.inner_trials, r.f_lev, r.epsilon_qf,
+                    r.dist_anchor)
+        for r in report.trace
+    ]
+    x = report.final_x
+    lines.append(_trace_line(
+        x, known, report.iterations, report.final_f, report.final_residual, None, None, None,
+        None if last is None else last.f_lev, None,
+        None if last is None or last.dist_anchor is None else norm(x - inst.x0),
+    ))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in report.trace:
-            writer.writerow(_trace_row(
-                r.x, known, k=r.k, f=r.f_val, residual=r.residual, alpha=r.alpha, beta=r.beta,
-                inner_trials=r.inner_trials, f_lev=r.f_lev, epsilon_qf=r.epsilon_qf, dist_anchor=r.dist_anchor,
-            ))
-        x = report.final_x
-        writer.writerow(_trace_row(
-            x, known, k=report.iterations, f=report.final_f, residual=report.final_residual,
-            f_lev=None if last is None else last.f_lev,
-            dist_anchor=None if last is None or last.dist_anchor is None else norm(x - inst.x0),
-        ))
+        fh.write("".join(lines))
 
 
 def parse_trace_csv(path: str | Path) -> list[dict[str, Optional[float]]]:

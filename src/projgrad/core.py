@@ -114,10 +114,12 @@ class IterateRecord:
     residual is what the residual stop read: ||x - w|| / min(beta, 1) for the
     step's projected point w = P_C(x - beta grad f(x)), the natural residual
     at beta = 1 and an upper bound on it at any other beta.
-    f_lev and dist_anchor are filled only by the anchored solver, epsilon_qf
-    and gap_margin (<grad f(x), x - w> - gap^2 / beta) only by the Armijo
-    solver, and gap (||x - w||) by both.  projections counts the step's base
-    projections: w, and the rejected trials of the boundary search.
+    f_lev, dist_anchor, grad_norm (||grad f(x)||) and moved (the step's
+    length ||x_{k+1} - x||) are filled only by the anchored solver,
+    epsilon_qf and gap_margin (<grad f(x), x - w> - gap^2 / beta) only by the
+    Armijo solver, and gap (||x - w||) by both.  projections counts the
+    step's base projections: w, and the rejected trials of the boundary
+    search.
     """
 
     k: int
@@ -133,3 +135,5 @@ class IterateRecord:
     gap: Optional[float] = None
     gap_margin: Optional[float] = None
     projections: int = 1
+    grad_norm: Optional[float] = None
+    moved: Optional[float] = None

@@ -7,9 +7,12 @@ Every set exposes ``project(x)`` returning the unique closest member and
 ``project_intersection(base, cuts, anchor)`` projects exactly onto the
 intersection of a base set with at most two ``Halfspace`` cuts, the level
 and anchor cuts of the anchored solver, by solving the dual for the cut
-multipliers one pattern of binding cuts at a time.  On a box or a simplex
-the residual of a pinned cut, <n, P(y - lam n)> - b, is piecewise affine
-in its multiplier with an exact slope on each face of the base, so a
+multipliers one pattern of binding cuts at a time.  What every projection
+of one anchor reads, its norms and its base projection, is an ``Anchor``
+formed once; what every pattern of one projection reads of a cut, its unit
+row or its centered normal, is formed once per projection.  On a box or a
+simplex the residual of a pinned cut, <n, P(y - lam n)> - b, is piecewise
+affine in its multiplier with an exact slope on each face of the base, so a
 face-Newton step lands on the root once it starts on the root's face; a
 bracket falls back to bisection.  One cut on a box searches the sorted
 breakpoints of that residual instead.  Two cuts solve the 2-D dual on the
@@ -38,6 +41,7 @@ __all__ = [
     "Simplex",
     "WholeSpace",
     "FeasibleSet",
+    "Anchor",
     "IntersectionError",
     "project_intersection",
 ]
@@ -46,7 +50,8 @@ __all__ = [
 class IntersectionError(RuntimeError):
     """No pattern of binding cuts certifies a projection onto the intersection;
     ``patterns_tried`` counts the patterns solved and ``base_projections`` the
-    base projections made."""
+    base projections made in the call: the anchor's own one when the call
+    formed the ``Anchor`` from a vector, none for it when given one."""
 
     def __init__(self, message: str, patterns_tried: int = 0, base_projections: int = 0):
         super().__init__(message)
@@ -134,13 +139,27 @@ class _Plane:
 
     def __post_init__(self) -> None:
         n = as_vector(self.normal)
-        object.__setattr__(self, "_normal_sq", float(np.dot(n, n)))
-        object.__setattr__(self, "_normal_size", math.sqrt(self._normal_sq))
+        object.__setattr__(self, "normal", n)
+        self._keep_size(float(np.dot(n, n)))
+
+    @classmethod
+    def _sized(cls, normal: Vec, offset: float, normal_sq: float):
+        """The plane of a float64 vector normal whose <normal, normal>, taken
+        as np.dot takes it, is known and finite, which makes every entry
+        finite: validation without taking it again."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "normal", normal)
+        object.__setattr__(plane, "offset", offset)
+        plane._keep_size(normal_sq)
+        return plane
+
+    def _keep_size(self, normal_sq: float) -> None:
+        object.__setattr__(self, "_normal_sq", normal_sq)
+        object.__setattr__(self, "_normal_size", math.sqrt(normal_sq))
         if self._normal_size == 0.0:
             raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError(f"{type(self).__name__.lower()} offset must be finite, got {self.offset}")
-        object.__setattr__(self, "normal", n)
 
     @property
     def dim(self) -> int:
@@ -292,8 +311,28 @@ _FACE_ROUNDING = 4.0 * np.finfo(float).eps
 _MAX_GROWTH = 64
 
 
-def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) -> Vec:
-    """Project ``anchor`` onto the intersection of ``base`` with at most two halfspaces.
+class Anchor(NamedTuple):
+    """The point that project_intersection projects, with what each of its
+    projections reads: the point's norm and sup norm (the sup norm rounds
+    faces on a box or a simplex), its base projection, which is the point of
+    the pattern that pins no cut, and that projection's norm.  The anchored
+    solver forms one per solve (Anchor.of), so no step projects its start
+    again."""
+
+    point: Vec
+    size: float
+    sup: float
+    projection: Vec
+    projection_size: float
+
+    @classmethod
+    def of(cls, base: FeasibleSet, point: Vec) -> Anchor:
+        projection = base.project(point)
+        return cls(point, norm(point), float(abs(point).max()), projection, norm(projection))
+
+
+def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Union[Vec, Anchor]) -> Vec:
+    """Project the anchor onto the intersection of ``base`` with at most two halfspaces.
 
     Solves the dual exactly.  With multipliers lam >= 0 on the cuts the
     nearest point is x = P_base(anchor - sum_i lam_i n_i), so the patterns
@@ -303,33 +342,46 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Vec) 
     pattern whose multipliers are nonnegative and at whose point every
     unpinned cut holds satisfies the KKT system of the projection, which
     certifies the point; the certificate measures only the unpinned cuts,
-    so each cut is measured once per point (_excesses).  Each pattern
-    starts from the pattern pinning its cuts after the first, solved before it.
+    so each cut is measured once per point (_excesses).  The pattern that
+    pins no cut reads its point, P_base(anchor), from the ``Anchor``; each
+    later pattern starts from the pattern pinning its cuts after the first,
+    solved before it, and reads the cuts' data formed once per call
+    (_search_cuts, _Rows).
 
-    More than two cuts raise ValueError.  When no pattern certifies,
-    IntersectionError carries the number of patterns tried and the base
-    projections made.
+    anchor is an ``Anchor`` or the vector to project, whose ``Anchor`` the
+    call then forms itself.  More than two cuts raise ValueError.  When no
+    pattern certifies, IntersectionError carries the number of patterns
+    tried and the base projections made in the call, which count
+    P_base(anchor) only when the call formed the ``Anchor``.
     """
     if len(cuts) > 2:
         raise ValueError(f"project_intersection handles at most two cuts, got {len(cuts)}")
-    spent, size = 0, norm(anchor)
+    spent = 0
+    if not isinstance(anchor, Anchor):
+        anchor, spent = Anchor.of(base, anchor), 1
 
     def project(y: Vec) -> Vec:
         nonlocal spent
         spent += 1
         return base.project(y)
 
-    solved = {}
-    for count in range(len(cuts) + 1):
+    x = anchor.projection
+    if all(v <= s for v, s in _excesses(cuts, x, anchor.size, anchor.projection_size)):
+        return x.copy()
+    shared = _search_cuts(base, cuts) if isinstance(base, (Box, Simplex)) else _Rows(base, cuts)
+    solved = {(): (x, np.zeros(0))}
+    for count in range(1, len(cuts) + 1):
         for pinned in itertools.combinations(range(len(cuts)), count):
-            found = _pinned_projection(base, project, [cuts[i] for i in pinned], anchor, size, solved.get(pinned[1:]))
+            found = _pinned_projection(base, project, cuts, shared, pinned, anchor, solved.get(pinned[1:]))
             solved[pinned] = found
             if found is None:
                 continue
             x, lam = found
             free = [c for i, c in enumerate(cuts) if i not in pinned]
-            if all(m >= 0.0 for m in lam) and all(v <= s for v, s in _excesses(free, x, size)):
-                return x
+            if all(m >= 0.0 for m in lam) and all(v <= s for v, s in _excesses(free, x, anchor.size)):
+                # a search that ends where it started ends on the anchor's
+                # projection, which every call of the solve shares
+                return x.copy() if x is anchor.projection else x
     raise IntersectionError(
         "no pattern of binding cuts certifies a projection onto the intersection",
         patterns_tried=len(solved), base_projections=spent,
@@ -343,65 +395,118 @@ def _slack(offset: float, normal_size: float, x_size: float, size: float) -> flo
     return _REL_TOL * (abs(offset) + normal_size * (x_size + size))
 
 
-def _excesses(cuts: list[Halfspace], x: Vec, size: float) -> list[tuple[float, float]]:
-    """(<n, x> - b, its rounding allowance) for each cut, x projected from an
-    anchor of norm size; the allowance reads the norm of n the cut took when
-    it was built.  The certificate passes the unpinned cuts, the pinned check
-    of _pinned_projection the pinned ones."""
-    x_size = norm(x)
-    return [(float(c.normal @ x) - c.offset, _slack(c.offset, c._normal_size, x_size, size)) for c in cuts]
+def _excesses(cuts: list[Halfspace], x: Vec, size: float, x_size: Optional[float] = None):
+    """(<n, x> - b, its rounding allowance) for each cut in turn, x projected
+    from an anchor of norm size; the allowance reads the norm of n the cut
+    took when it was built, and x_size, the norm of x, which is taken at the
+    first cut when not given.  The certificate passes the unpinned cuts, the
+    pinned check of _pinned_projection the pinned ones; a check that stops
+    at a cut that fails measures no further cut."""
+    for c in cuts:
+        if x_size is None:
+            x_size = norm(x)
+        yield float(c.normal @ x) - c.offset, _slack(c.offset, c._normal_size, x_size, size)
 
 
 Found = Optional[tuple[Vec, np.ndarray]]
 
 
-def _pinned_projection(base: FeasibleSet, project, pinned: list[Halfspace], anchor: Vec, size: float,
+class _SearchCut(NamedTuple):
+    """A cut as the dual search on a box or a simplex reads it: its normal
+    and offset, the normal centered on a simplex (see _search_cuts), and the
+    sup norm of that normal, for the rounding of faces."""
+
+    normal: Vec
+    offset: float
+    sup: float
+
+
+def _search_cuts(base: Union[Box, Simplex], cuts: list[Halfspace]) -> list[_SearchCut]:
+    """The cuts as every pattern of one projection onto base searches them.
+    On the simplex <n, x> - b = <n - c, x> - (b - c scale) for a constant c,
+    and P(y - lam n) = P(y - lam (n - c)): centering leaves the multipliers
+    as they are and keeps the projected points from growing with lam when a
+    normal is nearly constant."""
+    if isinstance(base, Box):
+        return [_SearchCut(c.normal, c.offset, float(abs(c.normal).max())) for c in cuts]
+    centered = []
+    for c in cuts:
+        mean = float(c.normal.sum()) / c.normal.size
+        n = c.normal - mean
+        centered.append(_SearchCut(n, c.offset - mean * base.scale, float(abs(n).max())))
+    return centered
+
+
+class _Rows:
+    """The cuts' rows, then an affine base's own, with each row's
+    reciprocal norm, as np.linalg.norm takes it along the rows, and its
+    unit row, formed once per projection for the planes of every pattern.
+    A row's norm along the rows does not depend on the rows beside it, so
+    each pattern's planes read the bits of their own rows' norms."""
+
+    def __init__(self, base: FeasibleSet, cuts: list[Halfspace]) -> None:
+        planes = [*cuts, base] if isinstance(base, (Halfspace, Hyperplane)) else cuts
+        self.A = np.array([c.normal for c in planes])
+        self.b = np.array([c.offset for c in planes])
+        self.scale = 1.0 / np.linalg.norm(self.A, axis=1)
+        self.unit = self.A * self.scale[:, None]
+
+    def planes(self, rows: tuple):
+        """The projector onto the planes of the rows listed, in increasing
+        order (_planes): a slice where they are consecutive, as they are
+        but for a halfspace base's row after the first of two cuts."""
+        i = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else list(rows)
+        return _planes(self.A[i], self.b[i], self.scale[i], self.unit[i])
+
+
+def _pinned_projection(base: FeasibleSet, project, cuts: list[Halfspace], shared, pinned: tuple, anchor: Anchor,
                        start: Found) -> Found:
-    """Projection x of anchor onto base and the hyperplanes <n_i, x> = b_i
-    of the pinned cuts, with the planes' multipliers lam: anchor - x -
-    sum_i lam_i n_i lies in the normal cone of base at x.  None when the
-    point found does not hold its planes within rounding, as when they miss
-    the base.  project is the base projection and size the anchor's norm;
-    start is the projection pinned to the planes after the first (None when
-    there is none), where the first plane's multiplier is 0."""
-    if not pinned:
-        return project(anchor), np.zeros(0)
+    """Projection x of the anchor onto base and the hyperplanes <n_i, x> =
+    b_i of the cuts pinned (their indices into cuts, at least one), with the
+    planes' multipliers lam: anchor - x - sum_i lam_i n_i lies in the normal
+    cone of base at x.  None when the point found does not hold its planes
+    within rounding, as when they miss the base.  project is the base
+    projection and shared the cuts' data of this projection (_search_cuts
+    on a box or a simplex, _Rows otherwise); start is the projection pinned
+    to the planes after the first, where the first plane's multiplier is 0
+    (None when that pattern found none)."""
     if isinstance(base, (Box, Simplex)):
-        found = None if start is None else _polyhedral_pinned(base, project, pinned, anchor, start)
+        found = None if start is None else _polyhedral_pinned(base, project, [shared[i] for i in pinned], anchor,
+                                                              start)
         # the searches end on the point nearest the planes, which holds them
         # only where they meet the base
-        if found is None or any(abs(v) > s for v, s in _excesses(pinned, found[0], size)):
+        if found is None or any(abs(v) > s for v, s in _excesses([cuts[i] for i in pinned], found[0], anchor.size)):
             return None
         return found
-    A, b = np.array([c.normal for c in pinned]), np.array([c.offset for c in pinned])
+    point = anchor.point
     if isinstance(base, Ball):
-        return _ball_pinned(base, _planes(A, b), anchor)
+        return _ball_pinned(base, shared.planes(pinned), point, len(pinned) > 1)
     if isinstance(base, WholeSpace):
-        return _planes(A, b)(anchor)
+        return shared.planes(pinned)(point)
     if isinstance(base, Halfspace):
-        found = _planes(A, b)(anchor)
+        found = shared.planes(pinned)(point)
         if found is None:
             return None
-        if base.contains(found[0], _slack(base.offset, base._normal_size, norm(found[0]), size)):
+        if base.contains(found[0], _slack(base.offset, base._normal_size, norm(found[0]), anchor.size)):
             return found
-    # a hyperplane base pins its row; a halfspace base pins it once the
-    # planes' projection leaves it, and then needs a nonnegative multiplier
-    found = _planes(np.vstack([A, base.normal]), np.append(b, base.offset))(anchor)
+    # a hyperplane base pins its row, the last of shared; a halfspace base
+    # pins it once the planes' projection leaves it, and then needs a
+    # nonnegative multiplier
+    found = shared.planes((*pinned, len(cuts)))(point)
     if found is None or (isinstance(base, Halfspace) and found[1][-1] < 0.0):
         return None
     return found[0], found[1][:-1]
 
 
-def _planes(A: np.ndarray, b: np.ndarray):
+def _planes(A: np.ndarray, b: np.ndarray, scale: np.ndarray, unit: np.ndarray):
     """Projector onto the planes {A x = b}: point -> (x, lam) with
     lam = (A A^T)^+ (A point - b), or None when the rows are inconsistent.
     The pseudoinverse tolerates dependent rows and is formed once, so the
-    ball's two solves share it.  Rows are scaled to unit length first: a
-    gradient row that vanishes near the solution would otherwise sink the
-    Gram matrix below the rank cutoff."""
-    scale = 1.0 / np.linalg.norm(A, axis=1)
+    ball's two solves share it.  It is formed from the unit rows, scale
+    holding each row's reciprocal norm: a gradient row that vanishes near
+    the solution would otherwise sink the Gram matrix below the rank
+    cutoff."""
     sizes = 1.0 / scale
-    unit = A * scale[:, None]
     gram = unit @ unit.T
     # one row: the reciprocal, which is what pinv's SVD returns; more rows
     # keep pinv and its rank cutoff, so nearly parallel planes stay dependent
@@ -423,22 +528,27 @@ def _planes(A: np.ndarray, b: np.ndarray):
     return solve
 
 
-def _ball_pinned(base: Ball, planes, anchor: Vec) -> Found:
-    """Closed form over a ball.
+def _ball_pinned(base: Ball, planes, anchor: Vec, several: bool) -> Found:
+    """Closed form over a ball, for one plane or several.
 
     Project onto the planes; when that leaves the ball, pull the in-plane
     part toward p, the planes' point closest to the center, onto the sphere:
     x = p + t v with t = rho / ||v||.  Then anchor - x = mu (x - center) +
     A^T lam with mu = (1 - t)/t and lam = lam0 + mu (A A^T)^+ (A center - b).
+    One plane is never inconsistent, so its p is solved only once the
+    planes' projection leaves the ball; several planes may miss at the
+    center alone, which returns None.
     """
-    flat, closest = planes(anchor), planes(base.center)
-    if flat is None or closest is None:
+    flat = planes(anchor)
+    closest = planes(base.center) if several else None
+    if flat is None or (several and closest is None):
         return None
-    (x_flat, lam0), (p, w) = flat, closest
+    x_flat, lam0 = flat
     # rounding allowance: planes that touch the sphere hold p on it only in rounding
     slack = _REL_TOL * max(1.0, base.radius)
     if norm(x_flat - base.center) <= base.radius + slack:
         return flat
+    p, w = closest if several else planes(base.center)
     rho_sq = base.radius**2 - norm(p - base.center) ** 2
     if rho_sq < -slack * base.radius:
         return None
@@ -500,7 +610,7 @@ def _centered(v: Vec) -> Vec:
 
 
 def _polyhedral_pinned(
-    base: Union[Box, Simplex], project, pinned: list[Halfspace], anchor: Vec, start: tuple[Vec, np.ndarray]
+    base: Union[Box, Simplex], project, pinned: list[_SearchCut], anchor: Anchor, start: tuple[Vec, np.ndarray]
 ) -> Found:
     """Box or simplex: lam -> <n, P_C(y - lam n)> is continuous, nonincreasing
     and piecewise affine, so one plane's multiplier is the root of that
@@ -515,25 +625,18 @@ def _polyhedral_pinned(
     from start, the projection pinned to the second plane alone (the base
     projection of the anchor for one plane).  The face the search ends on
     then gives the point and the multipliers in closed form (_face_solve).
-    A box with one plane searches the plane's breakpoints instead."""
+    A box with one plane searches the plane's breakpoints instead.  The
+    pinned cuts come as _search_cuts forms them, centered on a simplex."""
     normals, offsets = [c.normal for c in pinned], [c.offset for c in pinned]
-    if isinstance(base, Simplex):
-        # on the simplex <n, x> - b = <n - c, x> - (b - c scale) for a constant
-        # c, and P(y - lam n) = P(y - lam (n - c)): centering leaves the
-        # multipliers as they are and keeps the projected points from
-        # growing with lam when a normal is nearly constant
-        means = [float(n.sum()) / n.size for n in normals]
-        normals = [n - c for n, c in zip(normals, means)]
-        offsets = [b - c * base.scale for b, c in zip(offsets, means)]
-    # sup norms of the terms of anchor - sum_i lam_i n_i, for the rounding of faces
-    sizes = [float(abs(v).max()) for v in (anchor, *normals)]
+    sup, point = anchor.sup, anchor.point
 
     def at_point(x: Vec, lam: tuple) -> _At:
-        size = sizes[0] + sum(abs(m) * s for m, s in zip(lam, sizes[1:]))
+        # the sup norm of anchor - sum_i lam_i n_i, for the rounding of faces
+        size = sup + sum(abs(m) * c.sup for m, c in zip(lam, pinned))
         return _at(base, normals, offsets, x, lam, size)
 
     def evaluate(lam: tuple) -> _At:
-        y = anchor
+        y = point
         for m, n in zip(lam, normals):
             y = y - m * n
         return at_point(project(y), lam)
@@ -542,11 +645,11 @@ def _polyhedral_pinned(
         # the breakpoint search reads the start's residual alone
         n, b = normals[0], offsets[0]
         r = float(n @ start[0]) - b
-        lam = None if r == 0.0 else _box_breakpoint_root(base, anchor, n, b, 0.0, r)
-        return (start[0], np.zeros(1)) if lam is None else (project(anchor - lam * n), np.array([lam]))
+        lam = None if r == 0.0 else _box_breakpoint_root(base, point, n, b, 0.0, r)
+        return (start[0], np.zeros(1)) if lam is None else (project(point - lam * n), np.array([lam]))
     first = at_point(start[0], (0.0, *start[1]))
     if len(pinned) == 1:
-        found = _plane_root(base, evaluate, first, anchor, normals[0], offsets[0])
+        found = _plane_root(base, evaluate, first, point, normals[0], offsets[0])
     else:
         n1 = normals[0]
 
@@ -558,10 +661,10 @@ def _polyhedral_pinned(
                 # the prediction is exact on src's face, where the second
                 # residual keeps src's value, a root
                 return at
-            return _plane_root(base, evaluate, at, anchor - lam1 * n1, normals[1], offsets[1])
+            return _plane_root(base, evaluate, at, point - lam1 * n1, normals[1], offsets[1])
 
         found = _face_newton_root(solved_second, first, 0, _schur_slope, dot(n1, n1))
-    return None if found is None else _face_solve(base, normals, offsets, anchor, found)
+    return None if found is None else _face_solve(base, normals, offsets, point, found)
 
 
 def _face_solve(base: Union[Box, Simplex], normals: list[Vec], offsets: list[float], anchor: Vec, at: _At):

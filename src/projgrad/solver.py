@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from .core import IterateRecord, SolverConfig, SolveStatus, Vec, as_vector, dot, norm
 from .objectives import Objective, Step, evaluate, value_and_grad
-from .sets import FeasibleSet, Halfspace, IntersectionError, project_intersection
+from .sets import Anchor, FeasibleSet, Halfspace, IntersectionError, project_intersection
 from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
 
 __all__ = [
@@ -227,8 +227,9 @@ def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> tup
     return _State(ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha), None, k + 1), rec
 
 
-def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> tuple[_State, IterateRecord]:
-    """One step of the anchored variant.
+def _anchored_step(anchor: Anchor, inst: ProblemInstance, cfg: SolverConfig, state: _State
+                   ) -> tuple[_State, IterateRecord]:
+    """One step of the anchored variant, from the solve's ``Anchor`` of x0.
 
     Runs the same entry test and feasible-direction search as strategy c,
     lowers the level value with the accepted trial, builds the gradient
@@ -242,6 +243,10 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> t
     iterate: x_{k+1} = x_k leaves the value, gradient and level as they are,
     so every later step would return it too.  A projection that fails
     raises INTERSECTION_FAILURE, with the search's trials.
+
+    Each norm is taken once: ||g|| for the rounding stop, the level cut and
+    the record, ||x0 - x|| for the record and the anchor cut, and
+    ||x_{k+1} - x_k|| for the no-move stop and the record.
     """
     obj = inst.objective
     x, k, f, g, f_lev = state.x, state.k, state.f, state.g, state.f_lev
@@ -254,33 +259,37 @@ def _anchored_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> t
     # in distance on a curved base.
     f_lev = min(f_lev, obj.value(ls.trial_point))
     to_anchor = inst.x0 - x
-    dist_anchor = norm(to_anchor)
+    # <n, n> as the cuts' validation takes it, and its square root, the norm
+    grad_sq, anchor_sq = dot(g, g), dot(to_anchor, to_anchor)
+    grad_norm, dist_anchor = math.sqrt(grad_sq), math.sqrt(anchor_sq)
     # a level within the rounding of the cut's offset below the value gives a
     # cut that no longer separates the iterate from the solutions, and where
     # g is nearly normal to a face of the base, as near a solution on that
     # face, that rounding moves it along the face by itself over g's small
     # component there, past the solution
-    if f - f_lev > _level_rounding(g, x, f, f_lev):
-        # g != 0 here: a zero gradient gives descent gap 0 and the entry stop
-        cuts = [Halfspace(normal=g, offset=dot(g, x) - f + f_lev)]
+    if f - f_lev > _level_rounding(grad_norm, norm(x), f, f_lev):
+        # g != 0 here: a zero gradient gives descent gap 0 and the entry stop;
+        # a finite ||g|| makes every entry finite
+        cuts = [Halfspace._sized(g, dot(g, x) - f + f_lev, grad_sq)]
         if dist_anchor > 0.0:
             # the anchor cut is the whole space while the iterate is the anchor
-            cuts.append(Halfspace(normal=to_anchor, offset=dot(to_anchor, x)))
+            cuts.append(Halfspace._sized(to_anchor, dot(to_anchor, x), anchor_sq))
         try:
-            x_next = project_intersection(inst.feasible_set, cuts, inst.x0)
+            x_next = project_intersection(inst.feasible_set, cuts, anchor)
         except IntersectionError:
             raise _Stop(SolveStatus.INTERSECTION_FAILURE, ls.trials)
-        if norm(x_next - x) > _FIXED_POINT_TOL:
+        moved = norm(x_next - x)
+        if moved > _FIXED_POINT_TOL:
             rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
-                                gap=gap)
+                                gap=gap, grad_norm=grad_norm, moved=moved)
             return _evaluated(obj, x_next, k + 1, f_lev), rec
     raise _Stop(SolveStatus.FIXED_POINT_STOP, ls.trials)
 
 
-def _level_rounding(g: Vec, x: Vec, f: float, f_lev: float) -> float:
+def _level_rounding(grad_norm: float, x_norm: float, f: float, f_lev: float) -> float:
     """A bound on the rounding that the offset <g, x> - f + f_lev of the
-    level cut carries from f, f_lev and <g, x>."""
-    return 4.0 * _EPS * (norm(g) * norm(x) + abs(f) + abs(f_lev))
+    level cut carries from f, f_lev and <g, x>, from the norms of g and x."""
+    return 4.0 * _EPS * (grad_norm * x_norm + abs(f) + abs(f_lev))
 
 
 def _classic_step(
@@ -314,7 +323,7 @@ def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
     if strategy == "c":
         return _armijo_step, _ArmijoMonitors(inst, cfg)
     if strategy == "A2":
-        return _anchored_step, _AnchoredMonitors(inst, cfg)
+        return partial(_anchored_step, Anchor.of(inst.feasible_set, inst.x0)), _AnchoredMonitors(inst, cfg)
     if strategy in STRATEGIES:
         return partial(_classic_step, strategy), _ClassicMonitors(cfg, strategy)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -465,7 +474,8 @@ class _AnchoredMonitors:
     level_gap_step: step length dominates (f - f_lev)/||g||, which in turn
         dominates delta * alpha * gap^2 / (beta ||g||): the accepted trial
         decreases f by at least delta * alpha * <g, x - w>, which the
-        projection bounds below by gap^2 / beta.
+        projection bounds below by gap^2 / beta.  The step length and ||g||
+        are the record's, the norms the step took.
     ball_containment / cuts_keep_solution: with the known solution, iterates
         stay in the ball spanned by anchor and solution, and the solution
         satisfies both cuts.
@@ -485,23 +495,23 @@ class _AnchoredMonitors:
             self.radius = 0.5 * norm(sol - inst.x0)
 
     def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
-        inst, cfg, g = self.inst, self.cfg, state.g
+        inst, cfg, g, gn = self.inst, self.cfg, state.g, rec.grad_norm
         self.anchor_monotone.link(rec.dist_anchor)
         self.level_monotone.link(rec.f_lev)
         self.level_sandwich.add(rec.f_val - rec.f_lev)
         if inst.known_fstar is not None:
             self.level_sandwich.add(rec.f_lev - inst.known_fstar)
-        gn = norm(g)
         if gn != 0.0:
             level_gap = (rec.f_val - rec.f_lev) / gn
             lower = cfg.delta * (rec.alpha / cfg.beta) * rec.gap**2 / gn
-            self.level_gap_step.add(norm(rec.x - next_state.x) - level_gap)
+            self.level_gap_step.add(rec.moved - level_gap)
             self.level_gap_step.add(level_gap - lower)
         sol = inst.known_solution
         if sol is not None:
             self.ball_containment.add(self.radius - norm(rec.x - self.center))
-            self.cuts_keep_solution.add(-(dot(g, sol - rec.x) + rec.f_val - rec.f_lev))
-            self.cuts_keep_solution.add(-dot(sol - rec.x, inst.x0 - rec.x))
+            to_sol = sol - rec.x
+            self.cuts_keep_solution.add(-(dot(g, to_sol) + rec.f_val - rec.f_lev))
+            self.cuts_keep_solution.add(-dot(to_sol, inst.x0 - rec.x))
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         x = report.final_x

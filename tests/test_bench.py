@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import re
 
@@ -26,6 +28,7 @@ from projgrad import (
     solve,
 )
 from projgrad.bench import (
+    TRACE_COLUMNS,
     RunSpec,
     compare_specs,
     config_from_json,
@@ -233,6 +236,52 @@ def test_trace_csv_keeps_infinite_and_nan_values(tmp_path):
     assert [step[key] for key in ("f", "residual", "beta", "f_lev")] == [-np.inf, np.inf, np.inf, -np.inf]
     assert np.isnan(step["alpha"]) and np.isnan(step["epsilon_qf"])
     assert np.isnan(final["f"]) and final["residual"] == -np.inf and final["f_lev"] == -np.inf
+
+
+def csv_writer_trace(report, inst) -> bytes:
+    """The trace file as csv.writer writes it: each row built by column
+    name, a float in shortest round-trip decimal, a missing value empty."""
+    known = inst.known_solution
+
+    def row(x, **values):
+        if known is not None:
+            values["dist_known_solution"] = norm(x - known)
+        return ["" if (v := values.get(name)) is None else v if name in ("k", "inner_trials") else repr(float(v))
+                for name in TRACE_COLUMNS]
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(TRACE_COLUMNS)
+    for r in report.trace:
+        writer.writerow(row(r.x, k=r.k, f=r.f_val, residual=r.residual, alpha=r.alpha, beta=r.beta,
+                            inner_trials=r.inner_trials, f_lev=r.f_lev, epsilon_qf=r.epsilon_qf,
+                            dist_anchor=r.dist_anchor))
+    last, x = report.trace[-1] if report.trace else None, report.final_x
+    writer.writerow(row(x, k=report.iterations, f=report.final_f, residual=report.final_residual,
+                        f_lev=None if last is None else last.f_lev,
+                        dist_anchor=None if last is None or last.dist_anchor is None else norm(x - inst.x0)))
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("strategy", ["A2", "c"])
+def test_trace_csv_bytes_are_csv_writers(tmp_path, strategy):
+    # pnorm4-ball has a known solution: A2 fills f_lev and dist_anchor, c
+    # epsilon_qf, both dist_known_solution
+    inst = get_instance("pnorm4-ball")
+    report = solve(inst, SolverConfig(), strategy)
+    write_trace_csv(tmp_path / "trace.csv", report, inst)
+    expected = csv_writer_trace(report, inst)
+    assert expected.count(b"\r\n") == len(report.trace) + 2
+    assert (tmp_path / "trace.csv").read_bytes() == expected
+
+
+def test_trace_csv_bytes_with_infinite_and_nan_values_are_csv_writers(tmp_path):
+    inst = get_instance("flat-quadratic")
+    x = inst.x0
+    rec = IterateRecord(0, x, -np.inf, np.nan, np.inf, 0, np.inf, f_lev=-np.inf, epsilon_qf=np.nan, dist_anchor=0.0)
+    report = RunReport(SolveStatus.NON_FINITE, 1, [rec], x, np.nan, -np.inf, 0, 0)
+    write_trace_csv(tmp_path / "trace.csv", report, inst)
+    assert (tmp_path / "trace.csv").read_bytes() == csv_writer_trace(report, inst)
 
 
 def test_summary_file_is_json_dumps_of_the_row(tmp_path):

@@ -85,10 +85,46 @@ def test_solvers_track_qp_oracle_on_random_instances():
             assert monitor.passed, f"trial {trial}: {name}"
 
 
+# A2 at budget 80 on each seed-202 QP, the instances of perfbench's
+# anchored-qp workload: (trial, status, iterations, final_x as float.hex
+# strings), generated as the tables of tests/test_registry_gate.py were.  A
+# change that claims to leave the anchored step's arithmetic as it is keeps
+# this table unchanged.
+SEED_202_A2 = [
+    (0, 'optimal_residual', 6, ('0x1.535bfc78e8f45p+0',)),
+    (1, 'optimal_residual', 4, ('-0x1.271e7f9ed8718p-3',)),
+    (2, 'iteration_cap', 80, ('-0x1.978f22414b7b2p-1', '-0x1.d7b7f09d7156fp+0')),
+    (3, 'iteration_cap', 80, ('-0x1.e5e732d3974a0p-3', '-0x1.40e3ad731532bp+0', '-0x1.567737cd2cfcap-1')),
+    (4, 'fixed_point_stop', 6, ('0x1.a002ccf786ed4p-2', '-0x1.0634d00d95928p+0', '-0x1.7fe8a293230c4p-1')),
+    (5, 'fixed_point_stop', 4, ('-0x1.3fbc1c8e8cbb8p-2',)),
+    (6, 'optimal_residual', 6, ('0x1.bb8c275c47aa9p+0',)),
+    (7, 'fixed_point_stop', 26, ('0x1.36d192786a220p-1',)),
+    (8, 'iteration_cap', 80, ('-0x1.09b89d9dce593p+0', '0x1.e779c4628ed10p-1')),
+    (9, 'iteration_cap', 80, ('0x1.1718d27ddc005p+0', '0x1.e0565ef117910p-3', '0x1.2c98ea81af980p-7')),
+    (10, 'fixed_point_stop', 73, ('0x1.16cd95a99ca4ap-1', '0x1.a40295460b705p-2')),
+    (11, 'iteration_cap', 80, ('0x1.0723bbe64982bp-1', '0x1.75fe6658f40c9p-3', '0x1.63c1ebefae8fcp-3')),
+]
+
+
+def test_seed_202_table_covers_every_trial():
+    assert [trial for trial, *_ in SEED_202_A2] == list(range(12))
+
+
+@pytest.mark.parametrize("trial, status, iterations, final_x", SEED_202_A2,
+                         ids=[f"trial-{trial}" for trial, *_ in SEED_202_A2])
+def test_anchored_seed_202_run_is_bit_identical(trial, status, iterations, final_x):
+    (_, inst), = random_instances(202, [trial])
+    rep = solve(inst, SolverConfig(max_outer_iters=80), "A2")
+    assert (rep.status.value, rep.iterations) == (status, iterations)
+    assert tuple(float(v).hex() for v in rep.final_x) == final_x
+
+
 def test_anchored_intersection_base_projections_are_pinned(monkeypatch):
     # base projections made inside the intersection projections of A2 over
     # the twelve QPs, a deterministic count: 7220 over 507 calls for the
-    # bisect-until-same-face search that the face-Newton search replaced
+    # bisect-until-same-face search that the face-Newton search replaced,
+    # and 1149 while every call projected the anchor again, which the solve
+    # now projects once
     inside, counted, calls = [False], [0], [0]
     for cls in (Box, Ball, Simplex):
         def counting(self, x, project=cls.project):
@@ -109,7 +145,7 @@ def test_anchored_intersection_base_projections_are_pinned(monkeypatch):
     monkeypatch.setattr(solver, "project_intersection", flagged)
     for _, inst in seed_202_instances():
         solve(inst, SolverConfig(max_outer_iters=80), "A2")
-    assert (calls[0], counted[0]) == (525, 1149)
+    assert (calls[0], counted[0]) == (525, 624)
 
 
 ROUNDING_FLOOR_RUNS = [(3, 45, 25), (202, 52, 17), (6, 4, 58), (2, 36, 27), (13, 16, 26), (16, 3, 19),

@@ -171,6 +171,11 @@ def test_intersection_examples():
     box = Box(lower=np.zeros(2), upper=np.full(2, 2.0))
     got = project_intersection(box, [], np.array([-1.0, 3.0]))
     assert np.array_equal(got, [0.0, 2.0])
+    # the Anchor's base projection is shared by every call: a call hands
+    # out a copy of it
+    anchor = sets.Anchor.of(box, np.array([-1.0, 3.0]))
+    got = project_intersection(box, [], anchor)
+    assert np.array_equal(got, [0.0, 2.0]) and got is not anchor.projection
 
 
 def test_intersection_ball_cut_matches_qp_oracle():
@@ -192,15 +197,17 @@ def test_intersection_ball_cut_matches_qp_oracle():
 def test_contradictory_cuts_fail_after_every_pattern_and_one_base_projection(base):
     # x1 <= -1 and x1 >= 1 share no point: each cut alone is solved on its
     # plane without projecting onto the base, and the two planes are
-    # inconsistent, so the base projection of pattern none is the only one
+    # inconsistent, so the base projection of pattern none is the only one;
+    # an Anchor brings that projection with it
     cuts = [
         Halfspace(normal=np.array([1.0, 0.0]), offset=-1.0),
         Halfspace(normal=np.array([-1.0, 0.0]), offset=-1.0),
     ]
-    with pytest.raises(IntersectionError) as err:
-        project_intersection(base, cuts, np.zeros(2))
-    assert err.value.patterns_tried == 4
-    assert err.value.base_projections == 1
+    for anchor, spent in ((np.zeros(2), 1), (sets.Anchor.of(base, np.zeros(2)), 0)):
+        with pytest.raises(IntersectionError) as err:
+            project_intersection(base, cuts, anchor)
+        assert err.value.patterns_tried == 4
+        assert err.value.base_projections == spent
 
 
 def _least_squares_cone_coefficients(normals, residual):

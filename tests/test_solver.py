@@ -33,6 +33,7 @@ from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 from projgrad.solver import STRATEGIES
 
+from test_carried_evaluation import pnorm_instances
 from test_random_instances import seed_202_instances
 
 
@@ -317,6 +318,30 @@ def test_anchored_reaches_tolerance_on_2d_box_qp_with_interior_solution():
     )
     rep = solve(inst, SolverConfig(max_outer_iters=200), "A2")
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+
+
+def pnorm_1p5_instance(n, set_name):
+    """The p = 1.5 instance of pnorm_instances(n, (1.5,)) over the set named."""
+    return next(inst for _, name, inst in pnorm_instances(n, (1.5,)) if name == set_name)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="A2 ends intersection_failure at iteration 9 (ROADMAP item 2)")
+def test_anchored_runs_on_the_pnorm_1p5_box_at_beta_4():
+    # a well-posed box instance at n = 2000; n = 20 000 at beta 1 fails at
+    # iteration 18 the same way (tests/sweep_large.py)
+    rep = solve(pnorm_1p5_instance(2000, "box"), SolverConfig(beta=4.0, max_outer_iters=50), "A2")
+    assert rep.status is not SolveStatus.INTERSECTION_FAILURE
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="b ends line_search_failure near the solution (ROADMAP item 2)")
+@pytest.mark.parametrize("set_name", ["simplex", "halfspace"])
+def test_boundary_search_runs_on_the_pnorm_1p5_instances_at_beta_4(set_name):
+    # at n = 200 the simplex run fails at iteration 9 (residual 4.4e-8), the
+    # halfspace run at iteration 11 (1.2e-8), each after 100 trials
+    rep = solve(pnorm_1p5_instance(200, set_name), SolverConfig(beta=4.0, max_outer_iters=50), "b")
+    assert rep.status is not SolveStatus.LINE_SEARCH_FAILURE
 
 
 def test_anchored_monitor_suite_details():
