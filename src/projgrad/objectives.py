@@ -3,20 +3,19 @@
 All objectives are total on the whole space, so line-search trial points that
 fall outside the feasible set are always evaluable.
 
-The objective protocol has five methods.  ``value(x)`` and ``gradient(x)``
-are required; ``value_and_grad(x)`` returns both from one evaluation, and
-``evaluate(x)`` returns them as a `Point` with a carry, what a segment from
-x can reuse of that evaluation.  ``segment(at, step)`` returns a `Segment`
-along ``at.x + t step.d`` from the `Point` at and a `Step` from it.  A step
-is formed once, by ``Step.between(at, w)``, with d = w - x, its slope
-<g, d> and <d, d>, which the segments read rather than form again.  `PNorm`
-carries r = x - shift and <r, r>, so its segment from a freshly evaluated
-point forms neither again; from a point without a carry, as one that a
-segment's own gradient reached, it forms r from x.  Nothing is kept on the
-objective: a carry lives as long as the caller keeps its point.  The module
-functions `value_and_grad`, `evaluate` and `segment` fall back to
-``value``/``gradient`` (and no carry) for objectives that define only
-those.
+The objective protocol has four methods.  ``value(x)`` and ``gradient(x)``
+are required; ``evaluate(x)`` returns both from one evaluation, as a `Point`
+with a carry, what a segment from x can reuse of that evaluation.
+``segment(at, step)`` returns a `Segment` along ``at.x + t step.d`` from the
+`Point` at and a `Step` from it.  A step is formed once, by
+``Step.between(at, w)``, with d = w - x, its slope <g, d> and <d, d>, which
+the segments read rather than form again.  `PNorm` carries r = x - shift and
+<r, r>, so its segment from a freshly evaluated point forms neither again;
+from a point without a carry, as one that a segment's own gradient reached,
+it forms r from x.  Nothing is kept on the objective: a carry lives as long
+as the caller keeps its point.  The module functions `evaluate` and
+`segment` fall back to ``value``/``gradient`` (and no carry) for objectives
+that define only those.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "Segment",
     "Point",
     "Step",
-    "value_and_grad",
     "evaluate",
     "segment",
     "check_gradient",
@@ -113,9 +111,6 @@ class PNorm:
         _check_point(self.dim, "objective", x)
         r = x - self.shift
         return _pnorm_gradient(self.p, r, norm(r))
-
-    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
-        return self.evaluate(x)[1:3]
 
     def evaluate(self, x: Vec) -> Point:
         """The value and the gradient, from one residual r = x - shift and
@@ -263,16 +258,16 @@ class Quadratic:
         return self.b.shape[0]
 
     def value(self, x: Vec) -> float:
-        return self.value_and_grad(x)[0]
+        return self.evaluate(x).f
 
     def gradient(self, x: Vec) -> Vec:
-        return self.value_and_grad(x)[1]
+        return self.evaluate(x).g
 
-    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
+    def evaluate(self, x: Vec) -> Point:
         """One product with Q for both the value and the gradient."""
         _check_point(self.dim, "objective", x)
         Qx = self._times(x)
-        return float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b
+        return Point(x, float(0.5 * (x @ Qx) + self.b @ x + self.c), Qx + self.b)
 
     def segment(self, at: Point, step: Step) -> Segment:
         """One product with Q, for Qd; each decrease(t) is then O(1)."""
@@ -323,9 +318,9 @@ class LogSumExp:
     def gradient(self, x: Vec) -> Vec:
         return self.rows.T @ _softmax(self._scores(x))
 
-    def value_and_grad(self, x: Vec) -> tuple[float, Vec]:
+    def evaluate(self, x: Vec) -> Point:
         s = self._scores(x)
-        return _logsumexp(s), self.rows.T @ _softmax(s)
+        return Point(x, _logsumexp(s), self.rows.T @ _softmax(s))
 
     def segment(self, at: Point, step: Step) -> Segment:
         """One pass over the rows for both the scores at x and A d."""
@@ -401,16 +396,10 @@ class _ValueSegment:
 Objective = Union[PNorm, Quadratic, LogSumExp]
 
 
-def value_and_grad(obj: Objective, x: Vec) -> tuple[float, Vec]:
-    """The objective's value_and_grad, or its value and gradient."""
-    fused = getattr(obj, "value_and_grad", None)
-    return fused(x) if fused is not None else (obj.value(x), obj.gradient(x))
-
-
 def evaluate(obj: Objective, x: Vec) -> Point:
-    """The objective's evaluate, or its value_and_grad with no carry."""
+    """The objective's evaluate, or its value and gradient with no carry."""
     fused = getattr(obj, "evaluate", None)
-    return fused(x) if fused is not None else Point(x, *value_and_grad(obj, x))
+    return fused(x) if fused is not None else Point(x, obj.value(x), obj.gradient(x))
 
 
 def segment(obj: Objective, at: Point, step: Step) -> Segment:

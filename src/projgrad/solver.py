@@ -11,15 +11,17 @@ strategy supplies a step:
 * ``a`` (constant), ``b`` (boundary search) and ``d`` (exogenous) take the
   plain projection step.
 
-Every step maps one state, the iterate with its value and gradient, to the
-next: ``step(inst, cfg, state) -> (next_state, record)``.  It starts with
-the same prelude: one base projection of a gradient step at the strategy's
-own stepsize beta, whose gap to the iterate over min(beta, 1) is the
-residual the stop reads, and which raises the entry stops itself.  The
-prelude forms the `Step` from the iterate to that projection once, and the
-line searches take it over with the state itself as their `Point`: a state
-from a fresh evaluation also carries what the objective's segments from it
-reuse (see objectives.evaluate).
+The state is an ``objectives.Point``: the iterate with its value and
+gradient.  Every step maps the point of step k to the next:
+``step(inst, cfg, at, k) -> (next_point, record)``.  It starts with the same
+prelude: one base projection of a gradient step at the strategy's own
+stepsize beta, whose gap to the iterate over min(beta, 1) is the residual
+the stop reads, and which raises the entry stops itself.  The prelude forms
+the `Step` from the iterate to that projection once, and the line searches
+take it over from the point itself: a point from a fresh evaluation also
+carries what the objective's segments from it reuse (see
+objectives.evaluate).  The anchored step is an object built once per solve,
+which keeps the ``Anchor`` of x0 and the level value from step to step.
 
 Every stop is the step's own: a step that stops raises it with the
 ``SolveStatus`` that ends the run and the line-search trials it spent, so a
@@ -29,7 +31,7 @@ trials.  The driver owns the loop, the one mapping of a stop or a failed
 line search to a ``SolveStatus``, the subsampled trace and the final
 report, and names no strategy.  After every step it feeds the strategy's
 runtime monitors, accumulators over the inequalities the iteration is known
-to satisfy, with the step's record and the two states, values the step
+to satisfy, with the step's record and the two points, values the step
 already holds.
 """
 
@@ -38,12 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import IterateRecord, SolverConfig, SolveStatus, Vec, as_vector, dot, norm
-from .objectives import Objective, Step, evaluate, value_and_grad
+from .objectives import Objective, Point, Step, evaluate
 from .sets import Anchor, FeasibleSet, Halfspace, IntersectionError, project_intersection
-from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step
+from .stepsize import LineSearchError, armijo_boundary, armijo_feasible_direction, exogenous_step, projected_step
 
 __all__ = [
     "STRATEGIES",
@@ -146,24 +148,6 @@ def quasi_fejer_epsilon(alpha: float, gap: float, f_k: float, f_next: float, cfg
     return -alpha * gap**2 + 2.0 * (cfg.beta / cfg.delta) * (f_k - f_next)
 
 
-class _State(NamedTuple):
-    """Iterate k as an objectives.Point: the value and gradient there and
-    the carry of the objective's evaluation at x (None for a state that a
-    segment's gradient built); then k and the level value of strategy A2
-    (inf for the others)."""
-
-    x: Vec
-    f: float
-    g: Vec
-    carry: object
-    k: int
-    f_lev: float = math.inf
-
-
-def _evaluated(obj: Objective, x: Vec, k: int, f_lev: float = math.inf) -> _State:
-    return _State(*evaluate(obj, x), k, f_lev)
-
-
 class _Stop(Exception):
     """The end of a run that a step decides, with the line-search trials the
     step spent before it (only the anchored step stops after its search)."""
@@ -173,7 +157,7 @@ class _Stop(Exception):
         self.status, self.trials = status, trials
 
 
-def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _State, beta: float, descent: bool = False,
+def _prelude(inst: ProblemInstance, cfg: SolverConfig, at: Point, beta: float, descent: bool = False,
              fixed_point: bool = True) -> tuple[Step, float, float]:
     """Per-iteration prelude of every strategy, from the value f and the
     gradient g at the iterate x: the `Step` to the projected point
@@ -190,13 +174,10 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _State, beta: floa
     FIXED_POINT_STOP, when fixed_point, if the projected step does not move
     or, when descent, gives no descent; OPTIMAL_RESIDUAL at the residual
     tolerance."""
-    # x - beta g in one new vector, with the same bits
-    y = state.g * -beta
-    y += state.x
-    step = Step.between(state, inst.feasible_set.project(y))
+    step = projected_step(inst.feasible_set, at, beta)
     gap = math.sqrt(step.dd)
     residual = gap / min(beta, 1.0)
-    if not (math.isfinite(state.f) and math.isfinite(gap)):
+    if not (math.isfinite(at.f) and math.isfinite(gap)):
         raise _Stop(SolveStatus.NON_FINITE)
     if fixed_point and (gap <= _FIXED_POINT_TOL or (descent and step.slope >= 0.0)):
         raise _Stop(SolveStatus.FIXED_POINT_STOP)
@@ -205,85 +186,94 @@ def _prelude(inst: ProblemInstance, cfg: SolverConfig, state: _State, beta: floa
     return step, gap, residual
 
 
-def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, state: _State) -> tuple[_State, IterateRecord]:
+def _armijo_step(inst: ProblemInstance, cfg: SolverConfig, at: Point, k: int) -> tuple[Point, IterateRecord]:
     """One projected gradient step with the feasible-direction search.
 
     Computes w = P_C(x - beta grad f(x)); when x is a fixed point of that
     map (or the natural residual is already below tolerance) raises its
     stop.  Otherwise backtracks along the segment to w and moves to the
-    accepted convex combination; the next state carries the value and
+    accepted convex combination; the next point carries the value and
     gradient there, both from the segment of the search that accepted it.
 
     The record carries the projection-gap margin <g, x - w> - ||x - w||^2 / beta
     and the gap ||x - w|| of the step, from which the monitors read the
     projection_gap_bound and vanishing_product margins."""
-    x, k, f = state.x, state.k, state.f
+    x, f = at.x, at.f
     beta = cfg.beta
-    step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
-    ls = armijo_feasible_direction(inst.objective, state, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
+    step, gap, residual = _prelude(inst, cfg, at, beta, descent=True)
+    ls = armijo_feasible_direction(inst.objective, at, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
     eps = quasi_fejer_epsilon(ls.alpha, gap, f, ls.f_trial, cfg)
     margin = -step.slope - gap**2 / beta
     rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, epsilon_qf=eps, gap=gap, gap_margin=margin)
-    return _State(ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha), None, k + 1), rec
+    return Point(ls.trial_point, ls.f_trial, ls.segment.gradient(ls.alpha)), rec
 
 
-def _anchored_step(anchor: Anchor, inst: ProblemInstance, cfg: SolverConfig, state: _State
-                   ) -> tuple[_State, IterateRecord]:
-    """One step of the anchored variant, from the solve's ``Anchor`` of x0.
+class _AnchoredStep:
+    """The step of the anchored variant, built once per solve, with what
+    the solve keeps from step to step: the ``Anchor`` of x0 and the level
+    value f_lev, inf until the first step lowers it.
 
-    Runs the same entry test and feasible-direction search as strategy c,
-    lowers the level value with the accepted trial, builds the gradient
-    level cut and (once the iterate has left the anchor, so not at the first
-    step) the anchor cut, and projects the anchor onto base-set-and-cuts.
-    The level cut keeps every solution while excluding the current iterate;
-    the anchor cut keeps the iterates moving away from the anchor.  The step
-    raises a FIXED_POINT_STOP instead, with the search's trials, once the
-    level lies within the rounding of the cut's offset below the value, or
-    once the projection lands within the fixed-point tolerance of the
-    iterate: x_{k+1} = x_k leaves the value, gradient and level as they are,
-    so every later step would return it too.  A projection that fails
-    raises INTERSECTION_FAILURE, with the search's trials.
+    A step runs the same entry test and feasible-direction search as
+    strategy c, lowers the level value with the accepted trial, builds the
+    gradient level cut and (once the iterate has left the anchor, so not at
+    the first step) the anchor cut, and projects the anchor onto
+    base-set-and-cuts.  The level cut keeps every solution while excluding
+    the current iterate; the anchor cut keeps the iterates moving away from
+    the anchor.  The step raises a FIXED_POINT_STOP instead, with the
+    search's trials, once the level lies within the rounding of the cut's
+    offset below the value, or once the projection lands within the
+    fixed-point tolerance of the iterate: x_{k+1} = x_k leaves the value,
+    gradient and level as they are, so every later step would return it
+    too.  A projection that fails raises INTERSECTION_FAILURE, with the
+    search's trials.
 
     Each norm is taken once: ||g|| for the rounding stop, the level cut and
     the record, ||x0 - x|| for the record and the anchor cut, and
     ||x_{k+1} - x_k|| for the no-move stop and the record.
     """
-    obj = inst.objective
-    x, k, f, g, f_lev = state.x, state.k, state.f, state.g, state.f_lev
-    beta = cfg.beta
-    step, gap, residual = _prelude(inst, cfg, state, beta, descent=True)
-    ls = armijo_feasible_direction(obj, state, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
-    # The level is the value at the accepted (feasible) trial point itself,
-    # not f + decrease, which carries the rounding of f at x: a level below
-    # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
-    # in distance on a curved base.
-    f_lev = min(f_lev, obj.value(ls.trial_point))
-    to_anchor = inst.x0 - x
-    # <n, n> as the cuts' validation takes it, and its square root, the norm
-    grad_sq, anchor_sq = dot(g, g), dot(to_anchor, to_anchor)
-    grad_norm, dist_anchor = math.sqrt(grad_sq), math.sqrt(anchor_sq)
-    # a level within the rounding of the cut's offset below the value gives a
-    # cut that no longer separates the iterate from the solutions, and where
-    # g is nearly normal to a face of the base, as near a solution on that
-    # face, that rounding moves it along the face by itself over g's small
-    # component there, past the solution
-    if f - f_lev > _level_rounding(grad_norm, norm(x), f, f_lev):
-        # g != 0 here: a zero gradient gives descent gap 0 and the entry stop;
-        # a finite ||g|| makes every entry finite
-        cuts = [Halfspace._sized(g, dot(g, x) - f + f_lev, grad_sq)]
-        if dist_anchor > 0.0:
-            # the anchor cut is the whole space while the iterate is the anchor
-            cuts.append(Halfspace._sized(to_anchor, dot(to_anchor, x), anchor_sq))
-        try:
-            x_next = project_intersection(inst.feasible_set, cuts, anchor)
-        except IntersectionError:
-            raise _Stop(SolveStatus.INTERSECTION_FAILURE, ls.trials)
-        moved = norm(x_next - x)
-        if moved > _FIXED_POINT_TOL:
-            rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
-                                gap=gap, grad_norm=grad_norm, moved=moved)
-            return _evaluated(obj, x_next, k + 1, f_lev), rec
-    raise _Stop(SolveStatus.FIXED_POINT_STOP, ls.trials)
+
+    def __init__(self, inst: ProblemInstance) -> None:
+        self.anchor = Anchor.of(inst.feasible_set, inst.x0)
+        self.f_lev = math.inf
+
+    def __call__(self, inst: ProblemInstance, cfg: SolverConfig, at: Point, k: int) -> tuple[Point, IterateRecord]:
+        obj = inst.objective
+        x, f, g = at.x, at.f, at.g
+        beta = cfg.beta
+        step, gap, residual = _prelude(inst, cfg, at, beta, descent=True)
+        ls = armijo_feasible_direction(obj, at, step, cfg.theta, cfg.delta, cfg.max_inner_iters)
+        # The level is the value at the accepted (feasible) trial point itself,
+        # not f + decrease, which carries the rounding of f at x: a level below
+        # f* by one ulp makes the level cut exclude the solution, by ~sqrt(ulp)
+        # in distance on a curved base.
+        f_lev = min(self.f_lev, obj.value(ls.trial_point))
+        to_anchor = inst.x0 - x
+        # <n, n> as the cuts' validation takes it, and its square root, the norm
+        grad_sq, anchor_sq = dot(g, g), dot(to_anchor, to_anchor)
+        grad_norm, dist_anchor = math.sqrt(grad_sq), math.sqrt(anchor_sq)
+        # a level within the rounding of the cut's offset below the value gives a
+        # cut that no longer separates the iterate from the solutions, and where
+        # g is nearly normal to a face of the base, as near a solution on that
+        # face, that rounding moves it along the face by itself over g's small
+        # component there, past the solution
+        if f - f_lev > _level_rounding(grad_norm, norm(x), f, f_lev):
+            # g != 0 here: a zero gradient gives descent gap 0 and the entry stop;
+            # a finite ||g|| makes every entry finite
+            cuts = [Halfspace._sized(g, dot(g, x) - f + f_lev, grad_sq)]
+            if dist_anchor > 0.0:
+                # the anchor cut is the whole space while the iterate is the anchor
+                cuts.append(Halfspace._sized(to_anchor, dot(to_anchor, x), anchor_sq))
+            try:
+                x_next = project_intersection(inst.feasible_set, cuts, self.anchor)
+            except IntersectionError:
+                raise _Stop(SolveStatus.INTERSECTION_FAILURE, ls.trials)
+            moved = norm(x_next - x)
+            if moved > _FIXED_POINT_TOL:
+                rec = IterateRecord(k, x, f, ls.alpha, beta, ls.trials, residual, f_lev=f_lev, dist_anchor=dist_anchor,
+                                    gap=gap, grad_norm=grad_norm, moved=moved)
+                self.f_lev = f_lev
+                return evaluate(obj, x_next), rec
+        raise _Stop(SolveStatus.FIXED_POINT_STOP, ls.trials)
 
 
 def _level_rounding(grad_norm: float, x_norm: float, f: float, f_lev: float) -> float:
@@ -293,29 +283,29 @@ def _level_rounding(grad_norm: float, x_norm: float, f: float, f_lev: float) -> 
 
 
 def _classic_step(
-    strategy: str, inst: ProblemInstance, cfg: SolverConfig, state: _State
-) -> tuple[_State, IterateRecord]:
+    strategy: str, inst: ProblemInstance, cfg: SolverConfig, at: Point, k: int
+) -> tuple[Point, IterateRecord]:
     """Plain projection step of strategy "a" (constant stepsize beta), "b"
     (boundary search of the pre-projection stepsize from beta, whose first
     trial is the prelude's projected point; the entry test reads the
     residual alone) or "d" (exogenous stepsize c / ((k + 1) ||g||),
     undefined where the gradient vanishes)."""
-    x, k, f, g = state.x, state.k, state.f, state.g
+    x, f, g = at.x, at.f, at.g
     beta = cfg.beta
     if strategy == "d":
         grad_norm = norm(g)
         if grad_norm == 0.0:
             raise _Stop(SolveStatus.FIXED_POINT_STOP)
         beta = exogenous_step(grad_norm, k, cfg.exo_constant)
-    step, _, residual = _prelude(inst, cfg, state, beta, fixed_point=strategy != "b")
+    step, _, residual = _prelude(inst, cfg, at, beta, fixed_point=strategy != "b")
     w, trials = step.w, 0
     if strategy == "b":
         ls = armijo_boundary(
-            inst.objective, inst.feasible_set, state, step, beta, cfg.theta, cfg.delta, cfg.max_inner_iters
+            inst.objective, inst.feasible_set, at, step, beta, cfg.theta, cfg.delta, cfg.max_inner_iters
         )
         w, beta, trials = ls.trial_point, ls.beta, ls.trials
     rec = IterateRecord(k, x, f, 1.0, beta, trials, residual, projections=1 + trials)
-    return _evaluated(inst.objective, w, k + 1), rec
+    return evaluate(inst.objective, w), rec
 
 
 def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
@@ -323,7 +313,7 @@ def _strategy(inst: ProblemInstance, cfg: SolverConfig, strategy: str):
     if strategy == "c":
         return _armijo_step, _ArmijoMonitors(inst, cfg)
     if strategy == "A2":
-        return partial(_anchored_step, Anchor.of(inst.feasible_set, inst.x0)), _AnchoredMonitors(inst, cfg)
+        return _AnchoredStep(inst), _AnchoredMonitors(inst, cfg)
     if strategy in STRATEGIES:
         return partial(_classic_step, strategy), _ClassicMonitors(cfg, strategy)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -347,31 +337,30 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, strategy: str) -> RunReport:
     monitors see every step, so they are reported at any trace_stride.
     """
     step, monitors = _strategy(inst, cfg, strategy)
-    state = _evaluated(inst.objective, inst.x0, 0)
+    at = evaluate(inst.objective, inst.x0)
     trace: list[IterateRecord] = []
     last: Optional[IterateRecord] = None
     n = trials = projections = 0
     status = SolveStatus.ITERATION_CAP
     try:
         while n < cfg.max_outer_iters:
-            next_state, rec = step(inst, cfg, state)
+            next_at, rec = step(inst, cfg, at, n)
             if n % cfg.trace_stride == 0:
                 trace.append(rec)
             n, last = n + 1, rec
             trials, projections = trials + rec.inner_trials, projections + rec.projections
-            monitors.add(rec, state, next_state)
-            state = next_state
+            monitors.add(rec, at, next_at)
+            at = next_at
     except _Stop as stop:
         status, trials = stop.status, trials + stop.trials
     except LineSearchError as exc:
         status, trials = SolveStatus.LINE_SEARCH_FAILURE, trials + exc.trials
     if last is not None and trace[-1] is not last:
         trace.append(last)
-    # the report reads a fresh value and gradient: c's state carries them
+    # the report reads a fresh value and gradient: c's point carries them
     # from its segments, and its descent chain ends at the fresh value; every
-    # other state holds these very values
-    x = state.x
-    f, g = value_and_grad(inst.objective, x)
+    # other point holds these very values
+    x, f, g, _ = evaluate(inst.objective, at.x)
     report = RunReport(status, n, trace, x, f, norm(x - inst.feasible_set.project(x - g)), trials, projections)
     if n:
         report.monitors = monitors.result(report)
@@ -425,22 +414,22 @@ class _ArmijoMonitors:
         self.quasi_fejer = _Worst(1e-8)
         self.eps_total = 0.0
         self.f0: Optional[float] = None
-        self.last: Optional[_State] = None
+        self.last: Optional[Point] = None
         self.dist2: Optional[float] = None  # ||x - x*||^2 at the next step's iterate
 
-    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
+    def add(self, rec: IterateRecord, at: Point, next_at: Point) -> None:
         self.descent.link(rec.f_val)
         self.gap_bound.add(rec.gap_margin)
         self.product = min(self.product, rec.alpha * rec.gap**2)
         sol = self.inst.known_solution
         if sol is not None:
-            dist2 = norm(rec.x - sol) ** 2 if self.dist2 is None else self.dist2
-            self.dist2 = norm(next_state.x - sol) ** 2
+            dist2 = norm(at.x - sol) ** 2 if self.dist2 is None else self.dist2
+            self.dist2 = norm(next_at.x - sol) ** 2
             self.quasi_fejer.add(dist2 + rec.epsilon_qf - self.dist2)
         self.eps_total += rec.epsilon_qf
         if self.f0 is None:
             self.f0 = rec.f_val
-        self.last = next_state
+        self.last = next_at
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         inst, cfg, x = self.inst, self.cfg, report.final_x
@@ -494,8 +483,8 @@ class _AnchoredMonitors:
             self.center = 0.5 * (inst.x0 + sol)
             self.radius = 0.5 * norm(sol - inst.x0)
 
-    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
-        inst, cfg, g, gn = self.inst, self.cfg, state.g, rec.grad_norm
+    def add(self, rec: IterateRecord, at: Point, next_at: Point) -> None:
+        inst, cfg, x, g, gn = self.inst, self.cfg, at.x, at.g, rec.grad_norm
         self.anchor_monotone.link(rec.dist_anchor)
         self.level_monotone.link(rec.f_lev)
         self.level_sandwich.add(rec.f_val - rec.f_lev)
@@ -508,10 +497,10 @@ class _AnchoredMonitors:
             self.level_gap_step.add(level_gap - lower)
         sol = inst.known_solution
         if sol is not None:
-            self.ball_containment.add(self.radius - norm(rec.x - self.center))
-            to_sol = sol - rec.x
+            self.ball_containment.add(self.radius - norm(x - self.center))
+            to_sol = sol - x
             self.cuts_keep_solution.add(-(dot(g, to_sol) + rec.f_val - rec.f_lev))
-            self.cuts_keep_solution.add(-dot(to_sol, inst.x0 - rec.x))
+            self.cuts_keep_solution.add(-dot(to_sol, inst.x0 - x))
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         x = report.final_x
@@ -539,11 +528,11 @@ class _ClassicMonitors:
         self.cfg, self.strategy = cfg, strategy
         self.margins = _Worst(1e-12)
 
-    def add(self, rec: IterateRecord, state: _State, next_state: _State) -> None:
+    def add(self, rec: IterateRecord, at: Point, next_at: Point) -> None:
         if self.strategy == "b":
             self.margins.link(rec.f_val)
         elif self.strategy == "d":
-            self.margins.add(self.cfg.exo_constant / (rec.k + 1) - norm(next_state.x - rec.x))
+            self.margins.add(self.cfg.exo_constant / (rec.k + 1) - norm(next_at.x - at.x))
 
     def result(self, report: RunReport) -> dict[str, MonitorResult]:
         if self.strategy == "b":

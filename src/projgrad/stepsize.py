@@ -13,6 +13,8 @@ rounded values of the objective.  Both start from the caller's iterate, a
 `Point` with the value, the gradient and the carry of the objective's
 evaluation there, and from the caller's `Step` to its projected point,
 which the first trial's segment reads and no search forms again.
+`projected_step` is the one place that forms a projected step, the
+caller's and each rejected boundary trial's.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "armijo_feasible_direction",
     "armijo_boundary",
     "exogenous_step",
+    "projected_step",
 ]
 
 
@@ -130,9 +133,7 @@ def armijo_boundary(
     beta = beta_bar
     for ell in range(max_inner + 1):
         if ell:
-            y = at.g * -beta
-            y += at.x
-            step = Step.between(at, set_.project(y))
+            step = projected_step(set_, at, beta)
         seg = segment(obj, at, step)
         decrease = seg.decrease(1.0)
         if decrease <= delta * step.slope:
@@ -143,6 +144,14 @@ def armijo_boundary(
     raise LineSearchError(
         f"boundary search found no acceptable step within {max_inner} trials", trials=max_inner
     )
+
+
+def projected_step(set_: FeasibleSet, at: Point, beta: float) -> Step:
+    """The `Step` from at.x to w = P_C(x - beta g), with one projection."""
+    # x - beta g in one new vector, with the same bits
+    y = at.g * -beta
+    y += at.x
+    return Step.between(at, set_.project(y))
 
 
 def exogenous_step(grad_norm: float, k: int, c: float) -> float:

@@ -2,7 +2,7 @@
 
 A `PNorm` state built by a fresh evaluation hands r = x - shift and <r, r>
 to the next segment from it.  Every run here is made twice, once through
-the `PNorm` and once through a wrapper that delegates value_and_grad and
+the `PNorm` and once through a wrapper that delegates value, gradient and
 segment but has no evaluate, so its segments form r from x; the two runs
 must agree bit for bit.  Each projected step forms its `Step` once, and
 the search's first segment takes that very step over.  `pnorm_instances`
@@ -63,9 +63,6 @@ class Uncarried:
 
     def gradient(self, x):
         return self.obj.gradient(x)
-
-    def value_and_grad(self, x):
-        return self.obj.value_and_grad(x)
 
     def segment(self, at, step):
         return self.obj.segment(at, step)

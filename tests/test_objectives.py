@@ -386,7 +386,7 @@ def test_segment_matches_value_and_gradient(case):
     eps = np.finfo(float).eps
     for _ in range(20):
         x = rng.uniform(-2, 2, 6)
-        f, g = obj.value_and_grad(x)
+        _, f, g, _ = obj.evaluate(x)
         assert f == obj.value(x)
         assert np.array_equal(g, obj.gradient(x))
         at = Point(x, f, g)
@@ -408,7 +408,7 @@ def test_segment_sees_decrease_below_value_resolution():
     # ~1e-18 and vanishes in value(x + t d) - value(x)
     obj = Quadratic(Q=np.eye(2), b=np.zeros(2), c=500.0)
     x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    at = Point(x, *obj.value_and_grad(x))
+    at = obj.evaluate(x)
     t = 1e-18
     assert obj.value(x + t * d) - at.f == 0.0
     assert obj.segment(at, Step.between(at, x + d)).decrease(t) == pytest.approx(-t + 0.5 * t * t, rel=1e-15)
@@ -418,7 +418,7 @@ def test_logsumexp_segment_far_along_the_line():
     # t * (A d) overflows expm1: the decrease falls back to the difference of values
     obj = LogSumExp(rows=np.array([[1.0], [-1.0]]), offsets=np.zeros(2))
     x, d = np.zeros(1), np.array([1000.0])
-    at = Point(x, *obj.value_and_grad(x))
+    at = obj.evaluate(x)
     seg = obj.segment(at, Step.between(at, x + d))
     assert seg.decrease(1.0) == pytest.approx(obj.value(x + d) - at.f, rel=1e-15)
     assert seg.decrease(-1.0) == pytest.approx(obj.value(x - d) - at.f, rel=1e-15)
@@ -427,7 +427,7 @@ def test_logsumexp_segment_far_along_the_line():
 def test_pnorm_segment_through_the_shift():
     obj = PNorm(p=3.0, shift=np.array([1.0, 1.0]))
     x, d = np.array([2.0, 3.0]), np.array([-1.0, -2.0])
-    at = Point(x, *obj.value_and_grad(x))
+    at = obj.evaluate(x)
     seg = obj.segment(at, Step.between(at, x + d))
     assert seg.decrease(1.0) == pytest.approx(-at.f, rel=1e-15)
     assert np.array_equal(seg.gradient(1.0), [0.0, 0.0])
@@ -442,7 +442,7 @@ def test_carried_quadratic_gradient_drift():
     M = rng.standard_normal((n, n))
     obj = Quadratic(Q=M.T @ M + 0.5 * np.eye(n), b=rng.standard_normal(n))
     x = rng.uniform(-1, 1, n)
-    f, g = obj.value_and_grad(x)
+    _, f, g, _ = obj.evaluate(x)
     worst = 0.0
     for _ in range(5000):
         w = rng.uniform(-1, 1, n)

@@ -517,7 +517,7 @@ def test_anchored_monitors_make_no_gradient_or_projection_calls(monkeypatch):
         return wrapper
 
     for cls in (Quadratic, PNorm):
-        for name in ("gradient", "value_and_grad"):
+        for name in ("gradient", "evaluate"):
             monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
     for cls in (Box, Ball):
         monkeypatch.setattr(cls, "project", counted(cls.project))
@@ -644,6 +644,25 @@ def test_an_optimal_stop_is_below_tol(iid, strategy, beta):
     rep = solve(get_instance(iid), cfg, strategy)
     if rep.status is SolveStatus.OPTIMAL_RESIDUAL:
         assert rep.final_residual <= cfg.residual_tol
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_repeated_solve_gives_the_same_result(strategy):
+    # a solve leaves nothing behind for the next: not A2's anchor or level,
+    # which its step keeps for one solve, and nothing on the objective or set
+    cfg = SolverConfig(beta=0.5 if strategy == "a" else 1.0, max_outer_iters=80)
+    instances = [(iid, get_instance(iid)) for iid in list_instances()]
+    instances += [(f"202/{trial}", inst) for trial, inst in seed_202_instances()]
+    for name, inst in instances:
+        first = solve(inst, cfg, strategy)
+        second = solve(inst, cfg, strategy)
+        assert (second.status, second.iterations, second.inner_trials) == (
+            first.status, first.iterations, first.inner_trials
+        ), name
+        assert second.final_x.tobytes() == first.final_x.tobytes(), name
+        verdicts = [{k: (m.passed, float(m.worst_margin).hex()) for k, m in rep.monitors.items()}
+                    for rep in (first, second)]
+        assert verdicts[1] == verdicts[0], name
 
 
 def scale_instances():
@@ -785,7 +804,7 @@ def dense_simplex_qp(n, seed):
 
 
 def test_feasible_direction_costs_one_product_per_iteration():
-    # value_and_grad at x0 and at the final point, plus Qd once per
+    # evaluate at x0 and at the final point, plus Qd once per
     # iteration, whether the product is full or reads the support's rows;
     # on the simplex every direction after the first is sparse
     cases = [
