@@ -1,5 +1,5 @@
 """The A2 sweep: strategy A2 at budget 80 on the random QPs of
-tests/test_random_instances.py, seeds 202 and 1-20, 60 trials each.
+tests/families.py, seeds 202 and 1-20, 60 trials each.
 
     python tests/sweep_a2.py [--out runs.txt]
 
@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from projgrad import SolveStatus, SolverConfig, solve  # noqa: E402
 from projgrad.core import norm  # noqa: E402
-from test_random_instances import STOPPED, random_instances  # noqa: E402
+from families import STOPPED, random_instances  # noqa: E402
 
 SEEDS = (202, *range(1, 21))
 TRIALS = range(60)

@@ -1,8 +1,7 @@
 """The large sweep: strategies b, c and A2 at budget 50 on (1/p)||x - s||^p,
 p in {1.5, 2.5, 4}, over a box, a ball, a simplex and a halfspace at
-n = 2000 and 20 000 (the instances of tests/test_carried_evaluation.py),
-and strategy c on a dense n = 2000 quadratic (tests/test_solver.py's
-dense_box_qp).
+n = 2000 and 20 000, and strategy c on a dense n = 2000 quadratic: the
+families pnorm_instances and dense_box_qp of tests/families.py.
 
     python tests/sweep_large.py [--out runs.txt]
 
@@ -30,8 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from projgrad import SolverConfig, solve  # noqa: E402
-from test_carried_evaluation import pnorm_instances  # noqa: E402
-from test_solver import dense_box_qp  # noqa: E402
+from families import dense_box_qp, pnorm_instances  # noqa: E402
 
 DIMS = (2000, 20_000)
 PS = (1.5, 2.5, 4.0)

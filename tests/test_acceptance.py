@@ -8,19 +8,14 @@ import time
 import numpy as np
 
 from projgrad import (
-    Ball,
-    Box,
     Halfspace,
-    Hyperplane,
     LogSumExp,
     PNorm,
     Point,
     ProblemInstance,
     Quadratic,
-    Simplex,
     SolverConfig,
     Step,
-    WholeSpace,
     armijo_boundary,
     armijo_feasible_direction,
     check_gradient,
@@ -33,7 +28,7 @@ from projgrad import (
 from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 
-from test_solver import CountingSet
+from families import CountingSet, random_set
 
 EPS = np.finfo(float).eps
 ARMIJO_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm1p5-box")
@@ -43,24 +38,6 @@ UNIQUE_INSTANCES = ("quadratic-box", "pnorm4-ball", "pnorm4-ball-far")
 def report(criterion, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion} failed: {detail}"
-
-
-def random_set(rng, dim):
-    kind = int(rng.integers(0, 6))
-    if kind == 0:
-        lo = rng.uniform(-2, 0, dim)
-        return Box(lower=lo, upper=lo + rng.uniform(0.5, 2.5, dim))
-    if kind == 1:
-        return Ball(center=rng.uniform(-1, 1, dim), radius=rng.uniform(0.5, 2.0))
-    if kind == 2:
-        n = rng.standard_normal(dim)
-        return Halfspace(normal=n / max(norm(n), 1e-12), offset=rng.uniform(-1, 1))
-    if kind == 3:
-        n = rng.standard_normal(dim)
-        return Hyperplane(normal=n / max(norm(n), 1e-12), offset=rng.uniform(-1, 1))
-    if kind == 4:
-        return Simplex(scale=rng.uniform(0.5, 2.0))
-    return WholeSpace()
 
 
 def test_criterion_1_projection_property_suite():

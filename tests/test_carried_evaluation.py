@@ -5,49 +5,15 @@ to the next segment from it.  Every run here is made twice, once through
 the `PNorm` and once through a wrapper that delegates value, gradient and
 segment but has no evaluate, so its segments form r from x; the two runs
 must agree bit for bit.  Each projected step forms its `Step` once, and
-the search's first segment takes that very step over.  `pnorm_instances`
-is shared with tests/sweep_large.py.
+the search's first segment takes that very step over.  The instances are
+those of `families.pnorm_instances`, which tests/sweep_large.py also runs.
 """
 
-import numpy as np
 import pytest
 
-from projgrad import Ball, Box, Halfspace, PNorm, ProblemInstance, Simplex, SolverConfig, solve, solver
+from projgrad import PNorm, ProblemInstance, SolverConfig, solve, solver
 
-# distance from the shift to the set, per p: the gradient norm at the
-# solution is D^(p-1), so gradients are O(1)
-DISTANCE = {1.5: 25.0, 2.5: 0.09, 4.0: 0.45}
-START = 3.0  # the start is the projection of a point this far from the shift
-SET_NAMES = ("box", "ball", "simplex", "halfspace")
-
-
-def pnorm_instances(n, ps, seed=0):
-    """(p, set name, instance) of (1/p)||x - s||^p over a box, a ball, a
-    simplex and a halfspace in dimension n, for each p in ps.  The shift
-    lies D (see DISTANCE) along a normal of the set from the solution
-    P_C(s); the start is the projection of a point START from the shift."""
-    rng = np.random.default_rng(seed)
-    h = 1.0 / np.sqrt(n)
-    a = rng.standard_normal(n)
-    a /= np.linalg.norm(a)
-    sets = {
-        "box": Box(lower=np.full(n, -h), upper=np.full(n, h)),
-        "ball": Ball(center=np.zeros(n), radius=1.0),
-        "simplex": Simplex(scale=1.0),
-        "halfspace": Halfspace(normal=a, offset=0.0),
-    }
-    for p in ps:
-        for name in SET_NAMES:
-            base = sets[name]
-            raw = rng.standard_normal(n) * (2.0 * h)
-            if name == "halfspace":
-                raw += (abs(float(a @ raw)) + 1.0) * a
-            solution = base.project(raw)
-            normal = raw - solution
-            shift = solution + DISTANCE[p] * normal / np.linalg.norm(normal)
-            u = rng.standard_normal(n)
-            x0 = base.project(shift + START * u / np.linalg.norm(u))
-            yield p, name, ProblemInstance(objective=PNorm(p=p, shift=shift), feasible_set=base, x0=x0)
+from families import pnorm_instances
 
 
 class Uncarried:

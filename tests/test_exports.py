@@ -7,6 +7,8 @@ from pathlib import Path
 
 import projgrad
 
+TESTS = Path(__file__).parent
+
 
 def test_every_exported_name_exists():
     # a name left in __all__ after its definition is deleted fails here
@@ -49,3 +51,29 @@ def test_import_loads_no_hashing_or_ssl_module():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_test_module_imports_another():
+    # the builders shared by test modules and sweeps live in tests/families.py
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("test_")]
+    assert not found, found
+
+
+def test_sweeps_and_families_import_without_pytest():
+    # the sweeps' CI jobs install numpy alone
+    src = str(Path(projgrad.__file__).parents[1])
+    code = (
+        f"import sys; sys.modules['pytest'] = None; sys.path[:0] = [{str(TESTS)!r}, {src!r}]; "
+        "import sweep_a2, sweep_large, families"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

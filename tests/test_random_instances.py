@@ -7,57 +7,13 @@ no rate guarantee, and near curved boundaries progress per step decays with
 the squared distance).
 """
 
-import numpy as np
 import pytest
 
-from projgrad import (
-    Ball,
-    Box,
-    ProblemInstance,
-    Quadratic,
-    Simplex,
-    SolveStatus,
-    SolverConfig,
-    solve,
-)
+from projgrad import Ball, Box, Simplex, SolveStatus, SolverConfig, solve
 from projgrad import solver
 from projgrad.core import norm
-from projgrad.oracle import quadratic_oracle, system_from_set
 
-STOPPED = (SolveStatus.OPTIMAL_RESIDUAL, SolveStatus.FIXED_POINT_STOP)
-
-
-def random_bounded_base(rng, dim):
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
-        lo = rng.uniform(-2, 0, dim)
-        return Box(lower=lo, upper=lo + rng.uniform(0.5, 2.5, dim))
-    if kind == 1:
-        return Ball(center=rng.uniform(-1, 1, dim), radius=rng.uniform(0.5, 2.0))
-    return Simplex(scale=rng.uniform(0.5, 2.0))
-
-
-def random_instances(seed, trials):
-    """The random QPs drawn from default_rng(seed), each with its oracle
-    solution, for the trials listed."""
-    rng = np.random.default_rng(seed)
-    for trial in range(max(trials) + 1):
-        dim = int(rng.integers(1, 4))
-        M = rng.standard_normal((dim, dim))
-        obj = Quadratic(Q=M.T @ M + 0.1 * np.eye(dim), b=rng.standard_normal(dim))
-        base = random_bounded_base(rng, dim)
-        x0 = base.project(rng.uniform(-2, 2, dim))
-        if trial not in trials:
-            continue
-        # Q is positive definite, so the reference is the only solution
-        reference = quadratic_oracle(obj, system_from_set(base, dim))
-        yield trial, ProblemInstance(objective=obj, feasible_set=base, x0=x0,
-                                     known_solution=reference, known_fstar=obj.value(reference))
-
-
-def seed_202_instances():
-    """The twelve random QPs of seed 202."""
-    return random_instances(202, range(12))
+from families import STOPPED, random_instances, seed_202_instances
 
 
 def test_solvers_track_qp_oracle_on_random_instances():

@@ -11,13 +11,16 @@ from projgrad import (
     Halfspace,
     Hyperplane,
     IntersectionError,
+    Quadratic,
     Simplex,
     WholeSpace,
     project_intersection,
 )
 from projgrad import sets
 from projgrad.core import dot, norm
-from projgrad.oracle import projection_oracle
+from projgrad.oracle import ConstraintSystem, min_distance_point, projection_oracle, quadratic_oracle, system_from_set
+
+from families import random_set
 
 
 def brute_simplex_projection(x, scale):
@@ -38,24 +41,6 @@ def brute_simplex_projection(x, scale):
         if d < best_dist:
             best, best_dist = cand, d
     return best
-
-
-def random_set(rng, dim):
-    kind = int(rng.integers(0, 6))
-    if kind == 0:
-        lo = rng.uniform(-2, 0, dim)
-        return Box(lower=lo, upper=lo + rng.uniform(0.5, 2.5, dim))
-    if kind == 1:
-        return Ball(center=rng.uniform(-1, 1, dim), radius=rng.uniform(0.5, 2.0))
-    if kind == 2:
-        n = rng.standard_normal(dim)
-        return Halfspace(normal=n / max(norm(n), 1e-12), offset=rng.uniform(-1, 1))
-    if kind == 3:
-        n = rng.standard_normal(dim)
-        return Hyperplane(normal=n / max(norm(n), 1e-12), offset=rng.uniform(-1, 1))
-    if kind == 4:
-        return Simplex(scale=rng.uniform(0.5, 2.0))
-    return WholeSpace()
 
 
 def test_project_examples():
@@ -319,6 +304,25 @@ def test_oracle_keeps_ball_candidate_on_tangent_cut():
         scale = 8.0 * np.sqrt(eps * r * max(1.0, norm(p)))
         assert norm(ref - p) <= scale
         assert norm(got - p) <= scale
+
+
+def test_oracle_refuses_an_empty_system():
+    # the oracles are the reference for the projections and the random QPs,
+    # so an empty system must raise, not return a point
+    e1 = np.array([1.0, 0.0])
+    apart = ConstraintSystem(dim=2)
+    apart.add_ineq(e1, -1.0)  # x1 <= -1
+    apart.add_ineq(-e1, -1.0)  # x1 >= 1
+    off_ball = system_from_set(Ball(center=np.zeros(2), radius=1.0), 2)
+    off_ball.add_ineq(e1, -2.0)  # x1 <= -2
+    obj = Quadratic(Q=np.eye(2), b=np.zeros(2))
+    for system in (apart, off_ball):
+        with pytest.raises(ValueError, match="^constraint system appears infeasible"):
+            min_distance_point(system, np.zeros(2))
+        with pytest.raises(ValueError, match="^quadratic oracle found no feasible candidate$"):
+            quadratic_oracle(obj, system)
+    with pytest.raises(TypeError, match="^unsupported set type object$"):
+        system_from_set(object(), 2)
         assert norm(ref - got) <= scale
         # with a second cut that holds on the whole ball, pinned first
         loose = Halfspace(normal=-n, offset=float(-n @ c) + r * norm(n))

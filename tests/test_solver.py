@@ -33,23 +33,7 @@ from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 from projgrad.solver import STRATEGIES
 
-from test_carried_evaluation import pnorm_instances
-from test_random_instances import seed_202_instances
-
-
-class CountingSet:
-    """Wraps a set and counts projection calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.projections = 0
-
-    def project(self, x):
-        self.projections += 1
-        return self.inner.project(x)
-
-    def contains(self, x, tol=0.0):
-        return self.inner.contains(x, tol)
+from families import CountingSet, dense_box_qp, dense_simplex_qp, pnorm_1p5_instance, seed_202_instances
 
 
 def line_1d(theta=0.5, delta=0.5):
@@ -320,11 +304,6 @@ def test_anchored_reaches_tolerance_on_2d_box_qp_with_interior_solution():
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
 
 
-def pnorm_1p5_instance(n, set_name):
-    """The p = 1.5 instance of pnorm_instances(n, (1.5,)) over the set named."""
-    return next(inst for _, name, inst in pnorm_instances(n, (1.5,)) if name == set_name)
-
-
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="A2 ends intersection_failure at iteration 9 (ROADMAP item 2)")
 def test_anchored_runs_on_the_pnorm_1p5_box_at_beta_4():
@@ -552,19 +531,6 @@ def test_instance_rejects_non_finite_known_fstar(fstar):
     base = get_instance("quadratic-box")
     with pytest.raises(ValueError, match="known_fstar"):
         ProblemInstance(objective=base.objective, feasible_set=base.feasible_set, x0=base.x0, known_fstar=fstar)
-
-
-def dense_box_qp(n, seed, b_scale=2.0):
-    """Q = M'M/n + I/2 with M ~ N(0, 1)^{n x n} and b = b_scale N(0, 1)^n
-    over [-1, 1]^n from the origin."""
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n))
-    b = b_scale * rng.standard_normal(n)
-    return ProblemInstance(
-        objective=Quadratic(Q=M.T @ M / n + 0.5 * np.eye(n), b=b),
-        feasible_set=Box(lower=-np.ones(n), upper=np.ones(n)),
-        x0=np.zeros(n),
-    )
 
 
 def test_armijo_solve_sees_decrease_below_value_resolution():
@@ -795,12 +761,6 @@ class CountingMatrix:
         self.products += 1
         self.support_products += 1
         return self.Q[rows]
-
-
-def dense_simplex_qp(n, seed):
-    """dense_box_qp's objective over the unit simplex from its barycentre."""
-    box = dense_box_qp(n, seed)
-    return ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(n, 1.0 / n))
 
 
 def test_feasible_direction_costs_one_product_per_iteration():
