@@ -112,11 +112,6 @@ def pnorm_instances(n, ps, seed=0):
                                            known_solution=base.project(shift))
 
 
-def pnorm_1p5_instance(n, set_name):
-    """The p = 1.5 instance of pnorm_instances(n, (1.5,)) over the set named."""
-    return next(inst for _, name, inst in pnorm_instances(n, (1.5,)) if name == set_name)
-
-
 def dense_box_qp(n, seed, b_scale=2.0):
     """Q = M'M/n + I/2 with M ~ N(0, 1)^{n x n} and b = b_scale N(0, 1)^n
     over [-1, 1]^n from the origin."""
@@ -128,12 +123,6 @@ def dense_box_qp(n, seed, b_scale=2.0):
         feasible_set=Box(lower=-np.ones(n), upper=np.ones(n)),
         x0=np.zeros(n),
     )
-
-
-def dense_simplex_qp(n, seed):
-    """dense_box_qp's objective over the unit simplex from its barycentre."""
-    box = dense_box_qp(n, seed)
-    return ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(n, 1.0 / n))
 
 
 class CountingSet:

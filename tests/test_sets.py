@@ -304,6 +304,10 @@ def test_oracle_keeps_ball_candidate_on_tangent_cut():
         scale = 8.0 * np.sqrt(eps * r * max(1.0, norm(p)))
         assert norm(ref - p) <= scale
         assert norm(got - p) <= scale
+        assert norm(ref - got) <= scale
+        # with a second cut that holds on the whole ball, pinned first
+        loose = Halfspace(normal=-n, offset=float(-n @ c) + r * norm(n))
+        assert norm(project_intersection(ball, [loose, cut], anchor) - p) <= scale
 
 
 def test_oracle_refuses_an_empty_system():
@@ -323,10 +327,6 @@ def test_oracle_refuses_an_empty_system():
             quadratic_oracle(obj, system)
     with pytest.raises(TypeError, match="^unsupported set type object$"):
         system_from_set(object(), 2)
-        assert norm(ref - got) <= scale
-        # with a second cut that holds on the whole ball, pinned first
-        loose = Halfspace(normal=-n, offset=float(-n @ c) + r * norm(n))
-        assert norm(project_intersection(ball, [loose, cut], anchor) - p) <= scale
 
 
 def test_intersection_rejects_more_than_two_cuts():

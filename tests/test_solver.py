@@ -33,7 +33,7 @@ from projgrad.core import dot, norm
 from projgrad.oracle import projection_oracle
 from projgrad.solver import STRATEGIES
 
-from families import CountingSet, dense_box_qp, dense_simplex_qp, pnorm_1p5_instance, seed_202_instances
+from families import CountingSet, dense_box_qp, pnorm_instances, seed_202_instances
 
 
 def line_1d(theta=0.5, delta=0.5):
@@ -302,6 +302,11 @@ def test_anchored_reaches_tolerance_on_2d_box_qp_with_interior_solution():
     )
     rep = solve(inst, SolverConfig(max_outer_iters=200), "A2")
     assert rep.status is SolveStatus.OPTIMAL_RESIDUAL
+
+
+def pnorm_1p5_instance(n, set_name):
+    """The p = 1.5 instance of pnorm_instances(n, (1.5,)) over the set named."""
+    return next(inst for _, name, inst in pnorm_instances(n, (1.5,)) if name == set_name)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -761,6 +766,12 @@ class CountingMatrix:
         self.products += 1
         self.support_products += 1
         return self.Q[rows]
+
+
+def dense_simplex_qp(n, seed):
+    """dense_box_qp's objective over the unit simplex from its barycentre."""
+    box = dense_box_qp(n, seed)
+    return ProblemInstance(objective=box.objective, feasible_set=Simplex(1.0), x0=np.full(n, 1.0 / n))
 
 
 def test_feasible_direction_costs_one_product_per_iteration():
