@@ -376,9 +376,9 @@ def project_intersection(base: FeasibleSet, cuts: list[Halfspace], anchor: Union
             solved[pinned] = found
             if found is None:
                 continue
-            x, lam = found
+            x, lam, *x_size = found
             free = [c for i, c in enumerate(cuts) if i not in pinned]
-            if all(m >= 0.0 for m in lam) and all(v <= s for v, s in _excesses(free, x, anchor.size)):
+            if all(m >= 0.0 for m in lam) and all(v <= s for v, s in _excesses(free, x, anchor.size, *x_size)):
                 # a search that ends where it started ends on the anchor's
                 # projection, which every call of the solve shares
                 return x.copy() if x is anchor.projection else x
@@ -400,15 +400,17 @@ def _excesses(cuts: list[Halfspace], x: Vec, size: float, x_size: Optional[float
     from an anchor of norm size; the allowance reads the norm of n the cut
     took when it was built, and x_size, the norm of x, which is taken at the
     first cut when not given.  The certificate passes the unpinned cuts, the
-    pinned check of _pinned_projection the pinned ones; a check that stops
-    at a cut that fails measures no further cut."""
+    pinned check of _pinned_projection the pinned ones, and the certificate
+    reads the norm that check took; a check that stops at a cut that fails
+    measures no further cut."""
     for c in cuts:
         if x_size is None:
             x_size = norm(x)
         yield float(c.normal @ x) - c.offset, _slack(c.offset, c._normal_size, x_size, size)
 
 
-Found = Optional[tuple[Vec, np.ndarray]]
+# (x, lam), then the norm of x where the pinned check took it
+Found = Optional[tuple]
 
 
 class _SearchCut(NamedTuple):
@@ -469,15 +471,20 @@ def _pinned_projection(base: FeasibleSet, project, cuts: list[Halfspace], shared
     projection and shared the cuts' data of this projection (_search_cuts
     on a box or a simplex, _Rows otherwise); start is the projection pinned
     to the planes after the first, where the first plane's multiplier is 0
-    (None when that pattern found none)."""
+    (None when that pattern found none).  On a box, a simplex or a halfspace
+    the check takes ||x||, which follows lam in the result, so the
+    certificate of the other cut reads it."""
     if isinstance(base, (Box, Simplex)):
         found = None if start is None else _polyhedral_pinned(base, project, [shared[i] for i in pinned], anchor,
                                                               start)
+        if found is None:
+            return None
         # the searches end on the point nearest the planes, which holds them
         # only where they meet the base
-        if found is None or any(abs(v) > s for v, s in _excesses([cuts[i] for i in pinned], found[0], anchor.size)):
+        x_size = norm(found[0])
+        if any(abs(v) > s for v, s in _excesses([cuts[i] for i in pinned], found[0], anchor.size, x_size)):
             return None
-        return found
+        return (*found, x_size)
     point = anchor.point
     if isinstance(base, Ball):
         return _ball_pinned(base, shared.planes(pinned), point, len(pinned) > 1)
@@ -487,8 +494,9 @@ def _pinned_projection(base: FeasibleSet, project, cuts: list[Halfspace], shared
         found = shared.planes(pinned)(point)
         if found is None:
             return None
-        if base.contains(found[0], _slack(base.offset, base._normal_size, norm(found[0]), anchor.size)):
-            return found
+        x_size = norm(found[0])
+        if base.contains(found[0], _slack(base.offset, base._normal_size, x_size, anchor.size)):
+            return (*found, x_size)
     # a hyperplane base pins its row, the last of shared; a halfspace base
     # pins it once the planes' projection leaves it, and then needs a
     # nonnegative multiplier

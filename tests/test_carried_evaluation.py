@@ -6,7 +6,8 @@ the `PNorm` and once through a wrapper that delegates value, gradient and
 segment but has no evaluate, so its segments form r from x; the two runs
 must agree bit for bit.  Each projected step forms its `Step` once, and
 the search's first segment takes that very step over.  The instances are
-those of `families.pnorm_instances`, which tests/sweep_large.py also runs.
+those of `families.pnorm_instances`, which the large suite of
+tests/sweep.py also runs.
 """
 
 import pytest

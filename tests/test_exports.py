@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,7 +74,27 @@ def test_sweeps_and_families_import_without_pytest():
     src = str(Path(projgrad.__file__).parents[1])
     code = (
         f"import sys; sys.modules['pytest'] = None; sys.path[:0] = [{str(TESTS)!r}, {src!r}]; "
-        "import sweep_a2, sweep_large, families"
+        "import sweep, families"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_ci_runs_only_scripts_that_exist():
+    # a job left running a renamed or deleted script fails here, not in CI
+    root = TESTS.parent
+    commands, block = [], None
+    for line in (root / ".github" / "workflows" / "tests.yml").read_text().splitlines():
+        indent = len(line) - len(line.lstrip())
+        if block is not None and (not line.strip() or indent > block):
+            commands.append(line)
+            continue
+        block = None
+        step = re.match(r"\s*(?:- )?run:\s*(.*)", line)
+        if step and step.group(1) == "|":
+            block = indent
+        elif step:
+            commands.append(step.group(1))
+    scripts = set(re.findall(r"\b(?:tests|perfbench)/[\w/]+\.py", "\n".join(commands)))
+    assert {"tests/sweep.py", "perfbench/run.py"} <= scripts
+    assert not sorted(s for s in scripts if not (root / s).is_file())

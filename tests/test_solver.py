@@ -313,7 +313,7 @@ def pnorm_1p5_instance(n, set_name):
                    reason="A2 ends intersection_failure at iteration 9 (ROADMAP item 2)")
 def test_anchored_runs_on_the_pnorm_1p5_box_at_beta_4():
     # a well-posed box instance at n = 2000; n = 20 000 at beta 1 fails at
-    # iteration 18 the same way (tests/sweep_large.py)
+    # iteration 18 the same way (the large suite of tests/sweep.py)
     rep = solve(pnorm_1p5_instance(2000, "box"), SolverConfig(beta=4.0, max_outer_iters=50), "A2")
     assert rep.status is not SolveStatus.INTERSECTION_FAILURE
 
